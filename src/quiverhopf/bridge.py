@@ -18,7 +18,7 @@ from typing import Callable, Dict, Tuple
 
 from .linear import Monomial, Tensor
 from .symalg import cop_free
-from .verify import Report, verify_prelie_coalgebra
+from .verify import Report, verify_defect, verify_prelie_coalgebra
 
 
 def monomialize(t: Tensor) -> Tensor:
@@ -136,28 +136,17 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
         if t:
             layers[1][x] = t
 
-    def gen_cop_upto(n: int):
-        def cop(v) -> Tensor:
-            whole = Monomial((v,))
-            unit = Monomial(())
-            out = Tensor.single((whole, unit)) + Tensor.single((unit, whole))
-            for k in range(1, n + 1):
-                t = layers.get(k, {}).get(v)
-                if t is not None:
-                    out = out + t
-            return out
-
-        return cop
-
+    # At step n, layers holds exactly the layers 1..n, so its total is the
+    # coproduct truncated above layer n.
+    result = CoproductLayers(layers, degree)
     n = 1
     bound = max_degree // max(min_deg, 1) + 1
     while True:
-        cop_n = gen_cop_upto(n)
         nxt: Dict = {}
         for v in elems:
-            t = cop_n(v)
-            a3 = t.slot_expand(1, lambda m: cop_free(cop_n, m), 2)
-            b3 = t.slot_expand(0, lambda m: cop_free(cop_n, m), 2)
+            t = result.total(v)
+            a3 = t.slot_expand(1, lambda m: cop_free(result.total, m), 2)
+            b3 = t.slot_expand(0, lambda m: cop_free(result.total, m), 2)
             r = Tensor.zero(3)
             for key, c in (a3 - b3).terms():
                 m1, m2, m3 = key
@@ -187,18 +176,14 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
             raise RuntimeError(
                 "coproduct layers failed to vanish within the grading bound %d" % bound
             )
-    return CoproductLayers(layers, degree)
+    return result
 
 
 def compare_coproducts(layers: CoproductLayers, gen_cop: Callable, sample) -> Report:
     """Assert the assembled layers equal a directly computed coproduct."""
-    count = 0
-    for x in sorted(sample):
-        count += 1
-        defect = layers.total(x) - gen_cop(x)
-        if defect:
-            return Report("layered vs direct coproduct", count, (x, defect))
-    return Report("layered vs direct coproduct", count)
+    return verify_defect(
+        lambda x: layers.total(x) - gen_cop(x), sample, "layered vs direct coproduct"
+    )
 
 
 def path_degree(p) -> int:

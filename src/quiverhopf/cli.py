@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .bridge import (
@@ -20,75 +21,31 @@ from .bridge import (
     tree_degree,
 )
 from .cobrackets import delta_or, delta_p_rt, delta_rt
-from .cuts import (
-    Cut,
-    NecklaceDiagram,
-    PathDiagram,
-    chord_coproduct,
-    chord_delta_or,
-    chord_delta_p_rt,
-    cut_components,
-    cut_order,
-    enumerate_cuts,
-    epsilon,
-)
-from .dual import d_or, d_rt, dual_rooted_tree
-from .hopf import (
-    eta_or,
-    eta_rt,
-    nc_coproduct,
-    path_antipode,
-    path_coproduct,
-    s_or,
-    s_rt,
-    verify_coassoc_formula,
-    verify_hopf_morphism,
-    verify_injectivity,
-)
-from .linear import LinComb, Tensor, format_scalar
-from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver, all_necklaces, all_paths
-from .symalg import antipode_defect, antipode_free, antipode_monomial, coassoc_defect
-from .linear import Monomial, Word
-from .trees import all_rooted_trees, rho, rho_ss, rho_ss_oriented, tree_coproduct, tree_to_json
-from .verify import Report, verify_coalgebra_morphism, verify_lie_coalgebra, verify_prelie_coalgebra
+from .cuts import Cut, cut_components, cut_order, enumerate_cuts, epsilon
+from .dual import dual_rooted_tree
+from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
+from .linear import format_scalar
+from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver, all_paths
+from .trees import all_rooted_trees, rho, tree_coproduct, tree_to_json
+from .verify import LAWS
 
-
-def _render_lincomb(lc: LinComb, structured: bool) -> str:
-    if not lc:
-        return "0"
-    lines = []
-    for x, c in lc.terms():
-        lines.append("%s * %s" % (format_scalar(c, structured), x.text()))
-    return "\n".join(lines)
-
-
-def _render_tensor(t: Tensor, structured: bool) -> str:
-    if not t:
-        return "0"
-    lines = []
-    for key, c in t.terms():
-        lines.append(
-            "%s * %s" % (format_scalar(c, structured), " (x) ".join(x.text() for x in key))
-        )
-    return "\n".join(lines)
+_CUT_PAIR = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
 
 
 def _parse_cut(text: str) -> Cut:
     s = text.strip()
     if s in ("", "()"):
         return Cut(())
-    s = s.replace("),(", ")(").strip()
-    pairs = []
-    for chunk in s.split(")"):
-        chunk = chunk.strip().lstrip("(").strip()
-        if not chunk:
-            continue
-        try:
-            i, j = chunk.split(",")
-            pairs.append((int(i), int(j)))
-        except ValueError:
-            raise ParseError("bad cut chunk %r (expected like (1,4),(2,3))" % chunk, 0)
-    return Cut(pairs)
+    if not re.fullmatch(r"%s(\s*,?\s*%s)*" % (_CUT_PAIR, _CUT_PAIR), s):
+        raise ParseError("bad cut %r (expected like (1,4),(2,3))" % text, 0)
+    return Cut([(int(i), int(j)) for i, j in re.findall(_CUT_PAIR, s)])
+
+
+def _size(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
+    return n
 
 
 def _tree_text(t) -> str:
@@ -122,7 +79,7 @@ def cmd_cobracket(args, out) -> int:
     else:
         x = q.parse_path(args.input)
         result = delta_p_rt(x) if args.kind == "p-rt" else delta_rt(x)
-    print(_render_tensor(result, structured), file=out)
+    print(result.text(structured), file=out)
     return 0
 
 
@@ -130,14 +87,14 @@ def cmd_coproduct(args, out) -> int:
     q = _quiver(args)
     x = q.parse_path(args.input)
     result = nc_coproduct(x) if args.ordered else path_coproduct(x)
-    print(_render_tensor(result, args.format == "structured"), file=out)
+    print(result.text(args.format == "structured"), file=out)
     return 0
 
 
 def cmd_antipode(args, out) -> int:
     q = _quiver(args)
     x = q.parse_path(args.input)
-    print(_render_lincomb(path_antipode(x), args.format == "structured"), file=out)
+    print(path_antipode(x).text(args.format == "structured"), file=out)
     return 0
 
 
@@ -209,166 +166,18 @@ def cmd_bridge(args, out) -> int:
     return 0
 
 
-def _path_diagrams(q, max_len):
-    return [PathDiagram(p, h) for p in all_paths(q, max_len) for h in enumerate_cuts(p)]
-
-
-def _necklace_diagrams(q, max_len):
-    seen = {}
-    for p in all_paths(q, max_len):
-        if not p.is_closed():
-            continue
-        for h in enumerate_cuts(p):
-            d = NecklaceDiagram(p, h)
-            seen[d.skey] = d
-    return [seen[k] for k in sorted(seen)]
-
-
-def _tree_labels(q):
-    return tuple(q.trivial(v) for v in q.vertices[:2])
-
-
 def cmd_verify(args, out) -> int:
     q = _quiver(args)
-    n = args.max_len
+    groups = {args.law, args.theorem}
     reports = []
-    if args.law == "prelie":
-        reports.append(
-            verify_prelie_coalgebra(delta_p_rt, all_paths(q, n), "pre-Lie coaxiom: paths")
-        )
-        reports.append(
-            verify_prelie_coalgebra(
-                chord_delta_p_rt, _path_diagrams(q, n), "pre-Lie coaxiom: path chord diagrams"
-            )
-        )
-        reports.append(
-            verify_prelie_coalgebra(
-                rho,
-                all_rooted_trees(min(n, 4), _tree_labels(q), flags=(False, True)),
-                "pre-Lie coaxiom: rooted trees",
-            )
-        )
-    elif args.law == "lie":
-        reports.append(
-            verify_lie_coalgebra(delta_or, all_necklaces(q, n), "Lie axioms: necklaces")
-        )
-        reports.append(verify_lie_coalgebra(delta_rt, all_paths(q, n), "Lie axioms: paths"))
-        reports.append(
-            verify_lie_coalgebra(
-                chord_delta_or, _necklace_diagrams(q, n), "Lie axioms: necklace chord diagrams"
-            )
-        )
-        reports.append(
-            verify_lie_coalgebra(
-                rho_ss,
-                all_rooted_trees(min(n, 3), _tree_labels(q), flags=(False, True)),
-                "Lie axioms: rooted trees",
-            )
-        )
-    if args.theorem == "1":
-        reports.append(
-            verify_coalgebra_morphism(
-                eta_rt, delta_p_rt, rho, all_paths(q, n), "eta_rt pre-Lie coalgebra morphism"
-            )
-        )
-        reports.append(
-            verify_coalgebra_morphism(
-                lambda x: eta_or(x, signed=args.sign_convention == "signed"),
-                delta_or,
-                rho_ss_oriented,
-                all_necklaces(q, n),
-                "eta_or Lie coalgebra morphism (%s)" % args.sign_convention,
-            )
-        )
-        reports.append(
-            verify_hopf_morphism(
-                eta_rt, path_coproduct, tree_coproduct, all_paths(q, min(n, 4)), "eta_rt Hopf morphism"
-            )
-        )
-        reports.append(verify_injectivity(eta_rt, all_paths(q, n), "eta_rt injectivity"))
-        reports.append(verify_injectivity(eta_or, all_necklaces(q, n), "eta_or injectivity"))
-    elif args.theorem == "2":
-        reports.append(
-            verify_coalgebra_morphism(
-                s_rt, delta_p_rt, chord_delta_p_rt, all_paths(q, n), "S_rt pre-Lie morphism"
-            )
-        )
-        reports.append(
-            verify_coalgebra_morphism(
-                s_or, delta_or, chord_delta_or, all_necklaces(q, n), "S_or Lie morphism"
-            )
-        )
-        reports.append(
-            verify_coalgebra_morphism(
-                d_rt, chord_delta_p_rt, rho, _path_diagrams(q, n), "D_rt pre-Lie morphism"
-            )
-        )
-        for convention in ("unsigned", "signed"):
-            rep = verify_coalgebra_morphism(
-                lambda d, s=convention: d_or(d, signed=s == "signed"),
-                chord_delta_or,
-                rho_ss_oriented,
-                _necklace_diagrams(q, n),
-                "D_or Lie morphism (%s)" % convention,
-            )
-            if convention == args.sign_convention:
-                reports.append(rep)
-            else:
-                print("note: %s" % rep.line(), file=out)
-        reports.append(
-            verify_hopf_morphism(
-                s_rt, path_coproduct, chord_coproduct, all_paths(q, min(n, 4)), "S_rt Hopf morphism"
-            )
-        )
-        reports.append(
-            verify_hopf_morphism(
-                d_rt,
-                chord_coproduct,
-                tree_coproduct,
-                _path_diagrams(q, min(n, 4)),
-                "D_rt Hopf morphism",
-            )
-        )
-    elif args.theorem == "coassoc":
-        count = 0
-        witness = None
-        for x in all_paths(q, n):
-            count += 1
-            rep = verify_coassoc_formula(x)
-            if not rep.ok:
-                witness = rep.witness
-                break
-        reports.append(Report("coassociativity: direct, formula, and flipped", count, witness))
-        nc_bad = None
-        count = 0
-        for x in all_paths(q, n):
-            count += 1
-            defect = coassoc_defect(nc_coproduct, Word((x,)))
-            if defect:
-                nc_bad = (x, defect)
-                break
-        reports.append(Report("coassociativity: ordered coproduct", count, nc_bad))
-    elif args.theorem == "antipode":
-        for name, cop, wrap, anti in (
-            ("paths", path_coproduct, Monomial, lambda m: antipode_monomial(path_coproduct, m)),
-            ("chord diagrams", chord_coproduct, Monomial, lambda m: antipode_monomial(chord_coproduct, m)),
-            ("ordered paths", nc_coproduct, Word, lambda w: antipode_free(nc_coproduct, w)),
-        ):
-            sample = all_paths(q, min(n, 5))
-            if name == "chord diagrams":
-                sample = _path_diagrams(q, min(n, 4))
-            witness = None
-            count = 0
-            for x in sample:
-                count += 1
-                defect = antipode_defect(cop, wrap((x,)), anti)
-                if defect:
-                    witness = (x, defect)
-                    break
-            reports.append(Report("antipode axiom: %s" % name, count, witness))
-    elif args.theorem == "injective":
-        reports.append(verify_injectivity(eta_rt, all_paths(q, n), "eta_rt injectivity"))
-        reports.append(verify_injectivity(eta_or, all_necklaces(q, n), "eta_or injectivity"))
+    for law in LAWS:
+        if groups.isdisjoint(law.groups):
+            continue
+        rep = law.run(q, args.max_len, args.sign_convention)
+        if law.is_note(args.sign_convention):
+            print("note: %s" % rep.line(), file=out)
+        else:
+            reports.append(rep)
     if not reports:
         print("nothing to verify: pass --law or --theorem", file=out)
         return 2
@@ -419,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bridge", parents=[common], help="reconstruct coproduct layers")
     p.add_argument("--instance", choices=("paths", "trees"), required=True)
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=_size, default=8)
     p.add_argument("--compare", action="store_true")
     p.set_defaults(func=cmd_bridge)
 
     p = sub.add_parser("verify", parents=[common], help="run exhaustive law checks")
     p.add_argument("--law", choices=("prelie", "lie"))
     p.add_argument("--theorem", choices=("1", "2", "coassoc", "antipode", "injective"))
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--sign-convention", choices=("signed", "unsigned"), default="unsigned")
     p.set_defaults(func=cmd_verify)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .linear import SYM_UNIT, BasisElement, Monomial, Tensor, tensor
-from .quiver import Necklace, Path, omega, rotate
+from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
 
 
 class Cut:
@@ -276,6 +276,22 @@ class NecklaceDiagram(BasisElement):
 
     def text(self) -> str:
         return "%s / %s" % (self.necklace().text(), self.cut.text())
+
+
+def path_diagrams(q, max_len: int):
+    """Every chord diagram on a path of length <= max_len."""
+    return [PathDiagram(p, h) for p in all_paths(q, max_len) for h in enumerate_cuts(p)]
+
+
+def necklace_diagrams(q, max_len: int):
+    """Every chord diagram on a necklace of length <= max_len, deduplicated, in
+    canonical order."""
+    seen = {}
+    for p in all_closed_paths(q, max_len):
+        for h in enumerate_cuts(p):
+            d = NecklaceDiagram(p, h)
+            seen[d.skey] = d
+    return [seen[k] for k in sorted(seen)]
 
 
 def remove_chords(d: PathDiagram, sub: Cut):

@@ -28,7 +28,7 @@ from .dual import d_or, d_rt
 from .linear import SYM_UNIT, WORD_UNIT, LinComb, Monomial, Tensor, Word
 from .quiver import Necklace, Path
 from .symalg import antipode_monomial, cop_free, mul_lincomb
-from .verify import Report
+from .verify import Report, verify_defect
 from .trees import RootedTree
 
 
@@ -131,17 +131,15 @@ def verify_hopf_morphism(
     generators, which suffices multiplicatively.
     """
     fs = sym_extend(f)
-    count = 0
-    for x in sorted(sample):
-        count += 1
+
+    def defect(x):
         lhs = cop_src(x).slot_map(0, fs).slot_map(1, fs)
         rhs = Tensor.zero(2)
         for y, c in f(x).terms():
             rhs = rhs + c * cop_tgt(y)
-        defect = lhs - rhs
-        if defect:
-            return Report(law, count, (x, defect))
-    return Report(law, count)
+        return lhs - rhs
+
+    return verify_defect(defect, sample, law)
 
 
 def point_projection(lc: LinComb) -> LinComb:
@@ -160,14 +158,7 @@ def point_projection(lc: LinComb) -> LinComb:
 def verify_injectivity(eta: Callable, sample, law: str) -> Report:
     """Check the point-tree projection of eta returns each input with
     coefficient exactly 1: injectivity on the span of the sample."""
-    count = 0
-    for x in sorted(sample):
-        count += 1
-        got = point_projection(eta(x))
-        want = LinComb.single(x)
-        if got != want:
-            return Report(law, count, (x, got - want))
-    return Report(law, count)
+    return verify_defect(lambda x: point_projection(eta(x)) - LinComb.single(x), sample, law)
 
 
 def coassoc_formula_terms(x: Path) -> Tensor:
@@ -203,17 +194,19 @@ def coassoc_formula_terms(x: Path) -> Tensor:
     return out
 
 
-def verify_coassoc_formula(x: Path) -> Report:
+def coassoc_formula_defect(x: Path) -> Tensor:
     """Compare (cop (x) 1)cop, (1 (x) cop)cop, and the order/precedence
-    expansion on one path; any mismatch is reported with its defect."""
+    expansion on one path: (cop (x) 1)cop minus the expansion, or, if that
+    vanishes, minus (1 (x) cop)cop."""
     t = path_coproduct(x)
     direct = t.slot_expand(0, lambda m: cop_free(path_coproduct, m), 2)
     other = t.slot_expand(1, lambda m: cop_free(path_coproduct, m), 2)
     formula = coassoc_formula_terms(x)
-    d1 = direct - formula
-    if d1:
-        return Report("order/precedence coassociativity expansion", 1, (x, d1))
-    d2 = direct - other
-    if d2:
-        return Report("coassociativity", 1, (x, d2))
-    return Report("order/precedence coassociativity expansion", 1)
+    return (direct - formula) or (direct - other)
+
+
+def verify_coassoc_formula(x: Path) -> Report:
+    """The coassociativity and order/precedence checks on one path."""
+    return verify_defect(
+        coassoc_formula_defect, (x,), "coassociativity: direct, formula, and flipped"
+    )

@@ -45,14 +45,6 @@ def cop_free(gen_cop: Callable, m) -> Tensor:
     return out
 
 
-def cop_lin(gen_cop: Callable, lc: LinComb) -> Tensor:
-    """Linear extension of cop_free over a combination of monomials."""
-    out = Tensor.zero(2)
-    for m, c in lc.terms():
-        out = out + c * cop_free(gen_cop, m)
-    return out
-
-
 def reduced_cop(gen_cop: Callable, m) -> Tensor:
     """Coproduct with both unit-slot components removed.
 

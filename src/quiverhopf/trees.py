@@ -138,10 +138,6 @@ def tree_coproduct(t: RootedTree) -> Tensor:
     return out
 
 
-def tree_counit(t: RootedTree):
-    return 0
-
-
 class OrientedTree(BasisElement):
     """Unrooted tree with cyclic edge orders, oriented edges, necklace labels.
 

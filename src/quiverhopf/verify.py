@@ -1,18 +1,25 @@
-"""Exhaustive small-instance law checkers.
+"""Exhaustive small-instance law checkers and the registry of swept laws.
 
 Each checker sweeps a finite sample of basis elements in canonical order and
 returns a Report: either success with the number of elements checked, or the
-first (hence canonically smallest) witness together with the defect. These
-reports are what the CLI `verify` subcommand prints and what the acceptance
-suite asserts on.
+first (hence canonically smallest) witness together with the defect.
+
+LAWS lists every law the `verify` subcommand, the sweep script and the
+acceptance suite check, with its printed label, its `verify` groups, its
+checker and maps, its sample generator and size cap, and its expected
+verdict. The structure maps are named, not held: they are looked up in their
+modules when a law runs, so each sweep calls whatever the module attribute is
+bound to at that moment.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from .linear import TAU12_2, TAU12_3, TAU123, TAU132, LinComb, Tensor
+from . import cobrackets, cuts, dual, hopf, quiver, symalg, trees  # noqa: F401 (looked up by name)
+from .linear import TAU12_2, TAU12_3, TAU123, TAU132, LinComb, Monomial, Tensor, Word
 
 
 @dataclass(frozen=True)
@@ -24,15 +31,29 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return self.witness is None
+        """A law holds when it has no witness and was checked on something."""
+        return self.witness is None and self.checked > 0
 
     def line(self) -> str:
         if self.ok:
             suffix = " [%s]" % self.note if self.note else ""
             return "PASS %s (%d elements)%s" % (self.law, self.checked, suffix)
+        if self.witness is None:
+            return "FAIL %s: no elements checked" % self.law
         x, defect = self.witness
         shown = defect.text() if hasattr(defect, "text") else str(defect)
         return "FAIL %s: witness %s, defect %s" % (self.law, x.text(), "; ".join(shown.split("\n")))
+
+
+def verify_defect(defect: Callable, sample, law: str) -> Report:
+    """Check that a per-element defect vanishes on every element of a sample."""
+    count = 0
+    for x in sorted(sample):
+        count += 1
+        d = defect(x)
+        if d:
+            return Report(law, count, (x, d))
+    return Report(law, count)
 
 
 def _lift(f: Callable, lc: LinComb) -> Tensor:
@@ -48,15 +69,13 @@ def _lift(f: Callable, lc: LinComb) -> Tensor:
 
 def verify_prelie_coalgebra(delta0: Callable, sample, law: str = "pre-Lie coaxiom") -> Report:
     """Check (Id - tau12)(delta0 (x) 1 - 1 (x) delta0) delta0 = 0 on a sample."""
-    count = 0
-    for x in sorted(sample):
-        count += 1
+
+    def defect(x):
         d = delta0(x)
         t = d.slot_expand(0, delta0, 2) - d.slot_expand(1, delta0, 2)
-        defect = t - t.permute(TAU12_3)
-        if defect:
-            return Report(law, count, (x, defect))
-    return Report(law, count)
+        return t - t.permute(TAU12_3)
+
+    return verify_defect(defect, sample, law)
 
 
 def verify_lie_coalgebra(delta: Callable, sample, law: str = "Lie coalgebra axioms") -> Report:
@@ -83,23 +102,158 @@ def verify_coalgebra_morphism(
     f maps a source basis element to a LinComb over the target basis; both
     deltas are basis-level maps into arity-2 tensors.
     """
-    count = 0
-    for x in sorted(sample):
-        count += 1
-        lhs = delta_src(x).slot_map(0, f).slot_map(1, f)
-        rhs = _lift(delta_tgt, f(x))
-        defect = lhs - rhs
-        if defect:
-            return Report(law, count, (x, defect))
-    return Report(law, count)
+    return verify_defect(
+        lambda x: delta_src(x).slot_map(0, f).slot_map(1, f) - _lift(delta_tgt, f(x)),
+        sample,
+        law,
+    )
 
 
-def verify_equal_maps(f: Callable, g: Callable, sample, law: str) -> Report:
-    """Check two basis-level maps agree on a sample (values support -)."""
-    count = 0
-    for x in sorted(sample):
-        count += 1
-        defect = f(x) - g(x)
-        if defect:
-            return Report(law, count, (x, defect))
-    return Report(law, count)
+def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
+    """Check mu(S (x) 1)cop = eps on each generator of the symmetric algebra."""
+    return verify_defect(
+        lambda x: symalg.antipode_defect(
+            gen_cop, Monomial((x,)), lambda m: symalg.antipode_monomial(gen_cop, m)
+        ),
+        sample,
+        law,
+    )
+
+
+def verify_ordered_antipode(gen_cop: Callable, sample, law: str) -> Report:
+    """Check mu(S (x) 1)cop = eps on each generator of the ordered algebra."""
+    return verify_defect(
+        lambda x: symalg.antipode_defect(
+            gen_cop, Word((x,)), lambda w: symalg.antipode_free(gen_cop, w)
+        ),
+        sample,
+        law,
+    )
+
+
+def verify_ordered_coassoc(gen_cop: Callable, sample, law: str) -> Report:
+    """Check coassociativity on each generator of the ordered algebra."""
+    return verify_defect(lambda x: symalg.coassoc_defect(gen_cop, Word((x,))), sample, law)
+
+
+def tree_sample(q, max_edges: int):
+    """Rooted trees decorated by the first two vertices of q, with both edge flags."""
+    labels = tuple(q.trivial(v) for v in q.vertices[:2])
+    return trees.all_rooted_trees(max_edges, labels, flags=(False, True))
+
+
+# The small quivers every sweep runs over: one edge, one loop, a two-edge
+# chain, two loops, a loop beside an edge, and an oriented triangle.
+FAMILY = {
+    "one_edge": quiver.ONE_EDGE_QUIVER,
+    "loop": quiver.Quiver(("v",), (("a", "v", "v"),)),
+    "chain2": quiver.Quiver(("1", "2", "3"), (("e", "1", "2"), ("f", "2", "3"))),
+    "two_loops": quiver.Quiver(("v",), (("a", "v", "v"), ("b", "v", "v"))),
+    "loop_edge": quiver.Quiver(("v", "w"), (("a", "v", "v"), ("e", "v", "w"))),
+    "triangle": quiver.Quiver(
+        ("1", "2", "3"), (("e", "1", "2"), ("f", "2", "3"), ("g", "3", "1"))
+    ),
+}
+
+# Law.sign for a map that follows the run's --sign-convention.
+SELECTED = "selected"
+
+
+def _resolve(name: str):
+    module, _, attr = name.rpartition(".")
+    return getattr(globals()[module], attr) if module else globals()[attr]
+
+
+@dataclass(frozen=True)
+class Law:
+    """One swept law.
+
+    checker, maps and sampler name functions ("module.function", or a bare
+    name in this module). The checker is called as checker(*maps, sample,
+    label), on sampler(q, min(n, cap)). sign is "" when the first map takes
+    no sign convention, SELECTED when it takes the run's (the label's {sign}
+    names it), or a fixed convention; a law fixed to the convention the run
+    did not select is reported as a note. holds is the expected verdict.
+    """
+
+    label: str
+    groups: Tuple[str, ...]
+    checker: str
+    maps: Tuple[str, ...]
+    sampler: str
+    cap: Optional[int] = None
+    sign: str = ""
+    holds: bool = True
+
+    def sample(self, q, n: int):
+        return _resolve(self.sampler)(q, n if self.cap is None else min(n, self.cap))
+
+    def check(self, sample, sign: str = "unsigned") -> Report:
+        if self.sign not in ("", SELECTED):
+            sign = self.sign
+        maps = [_resolve(name) for name in self.maps]
+        if self.sign:
+            maps[0] = functools.partial(maps[0], signed=sign == "signed")
+        return _resolve(self.checker)(*maps, sample, self.label.format(sign=sign))
+
+    def run(self, q, n: int, sign: str = "unsigned") -> Report:
+        return self.check(self.sample(q, n), sign)
+
+    def is_note(self, sign: str) -> bool:
+        return self.sign not in ("", SELECTED, sign)
+
+
+_PRELIE, _LIE = "verify_prelie_coalgebra", "verify_lie_coalgebra"
+_MORPHISM, _HOPF = "verify_coalgebra_morphism", "hopf.verify_hopf_morphism"
+_INJECTIVE = "hopf.verify_injectivity"
+_PATHS, _NECKLACES = "quiver.all_paths", "quiver.all_necklaces"
+_PATH_DIAGRAMS, _NECKLACE_DIAGRAMS = "cuts.path_diagrams", "cuts.necklace_diagrams"
+
+# In `verify` order: --law reports print before --theorem reports.
+LAWS = (
+    Law("pre-Lie coaxiom: paths", ("prelie",), _PRELIE, ("cobrackets.delta_p_rt",), _PATHS),
+    Law("pre-Lie coaxiom: path chord diagrams", ("prelie",), _PRELIE,
+        ("cuts.chord_delta_p_rt",), _PATH_DIAGRAMS),
+    Law("pre-Lie coaxiom: rooted trees", ("prelie",), _PRELIE, ("trees.rho",), "tree_sample", 4),
+    Law("Lie axioms: necklaces", ("lie",), _LIE, ("cobrackets.delta_or",), _NECKLACES),
+    Law("Lie axioms: paths", ("lie",), _LIE, ("cobrackets.delta_rt",), _PATHS),
+    Law("Lie axioms: necklace chord diagrams", ("lie",), _LIE,
+        ("cuts.chord_delta_or",), _NECKLACE_DIAGRAMS),
+    Law("Lie axioms: rooted trees", ("lie",), _LIE, ("trees.rho_ss",), "tree_sample", 3),
+    Law("eta_rt pre-Lie coalgebra morphism", ("1",), _MORPHISM,
+        ("hopf.eta_rt", "cobrackets.delta_p_rt", "trees.rho"), _PATHS),
+    Law("eta_or Lie coalgebra morphism ({sign})", ("1",), _MORPHISM,
+        ("hopf.eta_or", "cobrackets.delta_or", "trees.rho_ss_oriented"), _NECKLACES,
+        sign=SELECTED),
+    Law("eta_rt Hopf morphism", ("1",), _HOPF,
+        ("hopf.eta_rt", "hopf.path_coproduct", "trees.tree_coproduct"), _PATHS, 4),
+    Law("eta_rt injectivity", ("1", "injective"), _INJECTIVE, ("hopf.eta_rt",), _PATHS),
+    Law("eta_or injectivity", ("1", "injective"), _INJECTIVE, ("hopf.eta_or",), _NECKLACES),
+    Law("S_rt pre-Lie morphism", ("2",), _MORPHISM,
+        ("hopf.s_rt", "cobrackets.delta_p_rt", "cuts.chord_delta_p_rt"), _PATHS),
+    Law("S_or Lie morphism", ("2",), _MORPHISM,
+        ("hopf.s_or", "cobrackets.delta_or", "cuts.chord_delta_or"), _NECKLACES),
+    Law("D_rt pre-Lie morphism", ("2",), _MORPHISM,
+        ("dual.d_rt", "cuts.chord_delta_p_rt", "trees.rho"), _PATH_DIAGRAMS),
+    Law("D_or Lie morphism (unsigned)", ("2",), _MORPHISM,
+        ("dual.d_or", "cuts.chord_delta_or", "trees.rho_ss_oriented"), _NECKLACE_DIAGRAMS,
+        sign="unsigned"),
+    # The signed convention is not a morphism; `verify` shows its witness.
+    Law("D_or Lie morphism (signed)", ("2",), _MORPHISM,
+        ("dual.d_or", "cuts.chord_delta_or", "trees.rho_ss_oriented"), _NECKLACE_DIAGRAMS,
+        sign="signed", holds=False),
+    Law("S_rt Hopf morphism", ("2",), _HOPF,
+        ("hopf.s_rt", "hopf.path_coproduct", "cuts.chord_coproduct"), _PATHS, 4),
+    Law("D_rt Hopf morphism", ("2",), _HOPF,
+        ("dual.d_rt", "cuts.chord_coproduct", "trees.tree_coproduct"), _PATH_DIAGRAMS, 4),
+    Law("coassociativity: direct, formula, and flipped", ("coassoc",), "verify_defect",
+        ("hopf.coassoc_formula_defect",), _PATHS),
+    Law("coassociativity: ordered coproduct", ("coassoc",), "verify_ordered_coassoc",
+        ("hopf.nc_coproduct",), _PATHS),
+    Law("antipode axiom: paths", ("antipode",), "verify_antipode",
+        ("hopf.path_coproduct",), _PATHS, 5),
+    Law("antipode axiom: chord diagrams", ("antipode",), "verify_antipode",
+        ("cuts.chord_coproduct",), _PATH_DIAGRAMS, 4),
+    Law("antipode axiom: ordered paths", ("antipode",), "verify_ordered_antipode",
+        ("hopf.nc_coproduct",), _PATHS, 5),
+)

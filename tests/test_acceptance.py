@@ -19,16 +19,8 @@ from quiverhopf.bridge import (
     reconstruct_coproduct,
     tree_degree,
 )
-from quiverhopf.cobrackets import delta_or, delta_p_rt, delta_rt
-from quiverhopf.cuts import (
-    NecklaceDiagram,
-    PathDiagram,
-    chord_coproduct,
-    chord_delta_or,
-    chord_delta_p_rt,
-    enumerate_cuts,
-    epsilon,
-)
+from quiverhopf.cobrackets import delta_p_rt
+from quiverhopf.cuts import chord_coproduct, enumerate_cuts, epsilon, path_diagrams
 from quiverhopf.dual import d_or, d_rt, dual_rooted_tree
 from quiverhopf.hopf import (
     eta_or,
@@ -39,11 +31,9 @@ from quiverhopf.hopf import (
     s_or,
     s_rt,
     verify_coassoc_formula,
-    verify_hopf_morphism,
-    verify_injectivity,
 )
 from quiverhopf.linear import LinComb, Monomial, Tensor, Word
-from quiverhopf.quiver import Necklace, Path, Quiver, all_necklaces, all_paths
+from quiverhopf.quiver import Necklace, Path, all_necklaces, all_paths
 from quiverhopf.symalg import (
     antipode_defect,
     antipode_free,
@@ -57,36 +47,24 @@ from quiverhopf.trees import (
     all_rooted_trees,
     point,
     rho,
-    rho_ss,
     rho_ss_oriented,
     tree_coproduct,
 )
-from quiverhopf.verify import verify_coalgebra_morphism, verify_lie_coalgebra, verify_prelie_coalgebra
+from quiverhopf.verify import FAMILY, LAWS, verify_lie_coalgebra
 
-Q1 = Quiver(("1", "2"), (("e", "1", "2"),))
-LOOP = Quiver(("v",), (("a", "v", "v"),))
-Q2 = Quiver(("1", "2", "3"), (("e", "1", "2"), ("f", "2", "3")))
-TWO_LOOPS = Quiver(("v",), (("a", "v", "v"), ("b", "v", "v")))
-LOOP_EDGE = Quiver(("v", "w"), (("a", "v", "v"), ("e", "v", "w")))
-TRIANGLE = Quiver(
-    ("1", "2", "3"),
-    (("e", "1", "2"), ("f", "2", "3"), ("g", "3", "1")),
+Q1, LOOP, TWO_LOOPS, LOOP_EDGE, TRIANGLE = (
+    FAMILY[name] for name in ("one_edge", "loop", "two_loops", "loop_edge", "triangle")
 )
 
+# (quiver, max_len) tables for the registry sweeps.
+ALL_AT_6 = tuple((q, 6) for q in FAMILY.values())
+DIAGRAMS = ((Q1, 6), (LOOP, 5), (TWO_LOOPS, 4), (TRIANGLE, 6))
+THEOREM_SIZES = ((Q1, 5), (LOOP, 5), (TWO_LOOPS, 4), (LOOP_EDGE, 4), (TRIANGLE, 6))
+HOPF_SIZES = ((Q1, 4), (TWO_LOOPS, 3), (LOOP_EDGE, 4))
 
-def path_diagrams(q, max_len):
-    return [PathDiagram(p, h) for p in all_paths(q, max_len) for h in enumerate_cuts(p)]
 
-
-def necklace_diagrams(q, max_len):
-    seen = {}
-    for p in all_paths(q, max_len):
-        if not p.is_closed():
-            continue
-        for h in enumerate_cuts(p):
-            d = NecklaceDiagram(p, h)
-            seen[d.skey] = d
-    return [seen[k] for k in sorted(seen)]
+def laws(group):
+    return [law for law in LAWS if group in law.groups]
 
 
 def tree_samples():
@@ -118,19 +96,21 @@ def collect(reports):
     return [rep.line() for rep in reports if not rep.ok]
 
 
-def test_criterion_1_prelie():
+def sweep_group(group, sizes, trees):
+    """Reports of one registry group: tree laws on the given trees, the others
+    on every (quiver, max_len) of sizes[law.sampler]."""
     reports = []
-    for q, max_len in ((Q1, 6), (LOOP, 6), (Q2, 6), (TWO_LOOPS, 6), (LOOP_EDGE, 6), (TRIANGLE, 6)):
-        reports.append(
-            verify_prelie_coalgebra(delta_p_rt, all_paths(q, max_len), "delta_p_rt pre-Lie")
-        )
-    for q, max_len in ((Q1, 6), (LOOP, 5), (TWO_LOOPS, 4), (TRIANGLE, 6)):
-        reports.append(
-            verify_prelie_coalgebra(
-                chord_delta_p_rt, path_diagrams(q, max_len), "chord delta_p_rt pre-Lie"
-            )
-        )
-    reports.append(verify_prelie_coalgebra(rho, tree_samples(), "rho pre-Lie"))
+    for law in laws(group):
+        if law.sampler == "tree_sample":
+            reports.append(law.check(trees))
+        else:
+            reports.extend(law.run(q, n) for q, n in sizes[law.sampler])
+    return reports
+
+
+def test_criterion_1_prelie():
+    sizes = {"quiver.all_paths": ALL_AT_6, "cuts.path_diagrams": DIAGRAMS}
+    reports = sweep_group("prelie", sizes, tree_samples())
     report_criterion(
         1,
         "pre-Lie coaxiom for delta_p_rt, chord delta_p_rt, rho (exhaustive)",
@@ -139,18 +119,13 @@ def test_criterion_1_prelie():
 
 
 def test_criterion_2_lie():
-    reports = []
-    for q, max_len in ((Q1, 6), (LOOP, 6), (Q2, 6), (TWO_LOOPS, 6), (LOOP_EDGE, 6), (TRIANGLE, 6)):
-        reports.append(verify_lie_coalgebra(delta_or, all_necklaces(q, max_len), "delta_or Lie"))
-        reports.append(verify_lie_coalgebra(delta_rt, all_paths(q, max_len), "delta_rt Lie"))
-    for q, max_len in ((Q1, 6), (LOOP, 5), (TWO_LOOPS, 4), (TRIANGLE, 6)):
-        reports.append(
-            verify_lie_coalgebra(
-                chord_delta_or, necklace_diagrams(q, max_len), "chord delta_or Lie"
-            )
-        )
+    sizes = {
+        "quiver.all_necklaces": ALL_AT_6,
+        "quiver.all_paths": ALL_AT_6,
+        "cuts.necklace_diagrams": DIAGRAMS,
+    }
     small_trees = [t for t in tree_samples() if t.edge_count() <= 4]
-    reports.append(verify_lie_coalgebra(rho_ss, small_trees, "rho_ss Lie"))
+    reports = sweep_group("lie", sizes, small_trees)
     necks = (Necklace(Q1.trivial("1")), Necklace(Q1.trivial("2")))
     oriented = all_oriented_trees(3, necks, flags=(False, True))
     reports.append(verify_lie_coalgebra(rho_ss_oriented, oriented, "rho_ss oriented Lie"))
@@ -248,64 +223,22 @@ def test_criterion_3_hopf_laws():
 
 
 def test_criterion_4_theorem_2_morphisms():
-    reports = []
-    for q, max_len in ((Q1, 5), (LOOP, 5), (TWO_LOOPS, 4), (LOOP_EDGE, 4), (TRIANGLE, 6)):
-        reports.append(
-            verify_coalgebra_morphism(
-                s_rt, delta_p_rt, chord_delta_p_rt, all_paths(q, max_len), "S_rt pre-Lie morphism"
-            )
-        )
-        reports.append(
-            verify_coalgebra_morphism(
-                s_or, delta_or, chord_delta_or, all_necklaces(q, max_len), "S_or Lie morphism"
-            )
-        )
-        reports.append(
-            verify_coalgebra_morphism(
-                d_rt, chord_delta_p_rt, rho, path_diagrams(q, max_len), "D_rt pre-Lie morphism"
-            )
-        )
-        reports.append(
-            verify_coalgebra_morphism(
-                d_or,
-                chord_delta_or,
-                rho_ss_oriented,
-                necklace_diagrams(q, max_len),
-                "D_or Lie morphism (unsigned default)",
-            )
-        )
-    for q, max_len in ((Q1, 4), (TWO_LOOPS, 3), (LOOP_EDGE, 4)):
-        reports.append(
-            verify_hopf_morphism(
-                s_rt, path_coproduct, chord_coproduct, all_paths(q, max_len), "S_rt Hopf morphism"
-            )
-        )
-        reports.append(
-            verify_hopf_morphism(
-                d_rt,
-                chord_coproduct,
-                tree_coproduct,
-                path_diagrams(q, max_len),
-                "D_rt Hopf morphism",
-            )
-        )
-    failures = collect(reports)
-    # Convention arbitration: the signed variant must NOT be a morphism; the
-    # default is therefore the unsigned one, recorded here.
-    signed = verify_coalgebra_morphism(
-        lambda d: d_or(d, signed=True),
-        chord_delta_or,
-        rho_ss_oriented,
-        necklace_diagrams(Q1, 4),
-        "D_or Lie morphism (signed)",
-    )
-    if signed.ok:
-        failures.append("signed D_or unexpectedly passed; convention arbitration is moot")
-    else:
-        print(
-            "  note: signed D_or fails (witness %s); unsigned convention is the default"
-            % signed.witness[0].text()
-        )
+    failures = []
+    for law in laws("2"):
+        if not law.holds:
+            # Convention arbitration: the signed variant must NOT be a
+            # morphism; the default is therefore the unsigned one.
+            signed = law.run(Q1, 4)
+            if signed.ok:
+                failures.append("signed D_or unexpectedly passed; convention arbitration is moot")
+            else:
+                print(
+                    "  note: signed D_or fails (witness %s); unsigned convention is the default"
+                    % signed.witness[0].text()
+                )
+            continue
+        sizes = HOPF_SIZES if law.checker == "hopf.verify_hopf_morphism" else THEOREM_SIZES
+        failures.extend(collect(law.run(q, n) for q, n in sizes))
     report_criterion(4, "Theorem-2 morphisms at desk scale", failures)
 
 
@@ -329,13 +262,8 @@ def test_criterion_5_theorem_1():
             if eta_rt(x) != direct:
                 failures.append("eta_rt direct summation differs at %s" % x.text())
                 break
-    reports = []
-    for q, max_len in ((Q1, 5), (LOOP, 5), (TWO_LOOPS, 4), (LOOP_EDGE, 4), (TRIANGLE, 6)):
-        reports.append(verify_injectivity(eta_rt, all_paths(q, max_len), "eta_rt injectivity"))
-        reports.append(
-            verify_injectivity(eta_or, all_necklaces(q, max_len), "eta_or injectivity")
-        )
-    failures.extend(collect(reports))
+    for law in laws("injective"):
+        failures.extend(collect(law.run(q, n) for q, n in THEOREM_SIZES))
 
     # Forgetting decorations destroys injectivity: witness pair.
     anon = Q1.trivial("1")

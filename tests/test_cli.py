@@ -1,7 +1,10 @@
 import io
 import json
 
+import pytest
+
 from quiverhopf.cli import main
+from quiverhopf.verify import Report
 
 
 def run(argv):
@@ -156,3 +159,104 @@ def test_trivial_path_input():
     rc, out = run(["antipode", "--input", "2"])
     assert rc == 0
     assert out == "-1 * {2}\n"
+
+
+def test_dualtree_rejects_unbalanced_cut(capsys):
+    rc, out = run(["dualtree", "--path", "1 e e*", "--cut", "(1,2"])
+    assert (rc, out) == (2, "")
+    assert "bad cut" in capsys.readouterr().err
+    assert run(["dualtree", "--path", "1 e e* e e*", "--cut", "(1,4) (2,3)"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--law", "prelie", "--max-len", "-3"],
+        ["bridge", "--instance", "paths", "--max-degree", "-1"],
+    ],
+)
+def test_negative_sizes_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv, out=io.StringIO())
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_report_with_no_elements_is_not_a_pass():
+    rep = Report("pre-Lie coaxiom: rooted trees", 0)
+    assert not rep.ok
+    assert rep.line() == "FAIL pre-Lie coaxiom: rooted trees: no elements checked"
+
+
+D_OR_SIGNED = (
+    "FAIL D_or Lie morphism (signed): witness [e e*] / (1,2), defect "
+    '2 * {"children":[],"label":"[1]"} (x) {"children":[],"label":"[2]"}; '
+    '-2 * {"children":[],"label":"[2]"} (x) {"children":[],"label":"[1]"}\n'
+)
+
+# Full stdout and exit code of `verify` on the built-in quiver at --max-len 3,
+# as printed before the law registry replaced the hand-written sweeps.
+GOLDEN_VERIFY = [
+    (
+        ["--law", "lie", "--theorem", "2"],
+        0,
+        "note: " + D_OR_SIGNED
+        + "PASS Lie axioms: necklaces (3 elements)\n"
+        "PASS Lie axioms: paths (8 elements)\n"
+        "PASS Lie axioms: necklace chord diagrams (4 elements)\n"
+        "PASS Lie axioms: rooted trees (714 elements)\n"
+        "PASS S_rt pre-Lie morphism (8 elements)\n"
+        "PASS S_or Lie morphism (3 elements)\n"
+        "PASS D_rt pre-Lie morphism (14 elements)\n"
+        "PASS D_or Lie morphism (unsigned) (4 elements)\n"
+        "PASS S_rt Hopf morphism (8 elements)\n"
+        "PASS D_rt Hopf morphism (14 elements)\n",
+    ),
+    (
+        ["--law", "prelie", "--theorem", "coassoc"],
+        0,
+        "PASS pre-Lie coaxiom: paths (8 elements)\n"
+        "PASS pre-Lie coaxiom: path chord diagrams (14 elements)\n"
+        "PASS pre-Lie coaxiom: rooted trees (714 elements)\n"
+        "PASS coassociativity: direct, formula, and flipped (8 elements)\n"
+        "PASS coassociativity: ordered coproduct (8 elements)\n",
+    ),
+    (
+        ["--theorem", "1"],
+        0,
+        "PASS eta_rt pre-Lie coalgebra morphism (8 elements)\n"
+        "PASS eta_or Lie coalgebra morphism (unsigned) (3 elements)\n"
+        "PASS eta_rt Hopf morphism (8 elements)\n"
+        "PASS eta_rt injectivity (8 elements)\n"
+        "PASS eta_or injectivity (3 elements)\n",
+    ),
+    (
+        ["--theorem", "antipode"],
+        0,
+        "PASS antipode axiom: paths (8 elements)\n"
+        "PASS antipode axiom: chord diagrams (14 elements)\n"
+        "PASS antipode axiom: ordered paths (8 elements)\n",
+    ),
+    (
+        ["--theorem", "injective"],
+        0,
+        "PASS eta_rt injectivity (8 elements)\n"
+        "PASS eta_or injectivity (3 elements)\n",
+    ),
+    (
+        ["--theorem", "2", "--sign-convention", "signed"],
+        1,
+        "note: PASS D_or Lie morphism (unsigned) (4 elements)\n"
+        "PASS S_rt pre-Lie morphism (8 elements)\n"
+        "PASS S_or Lie morphism (3 elements)\n"
+        "PASS D_rt pre-Lie morphism (14 elements)\n"
+        + D_OR_SIGNED
+        + "PASS S_rt Hopf morphism (8 elements)\n"
+        "PASS D_rt Hopf morphism (14 elements)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, rc, stdout", GOLDEN_VERIFY)
+def test_verify_golden_output(argv, rc, stdout):
+    assert run(["verify"] + argv + ["--max-len", "3"]) == (rc, stdout)

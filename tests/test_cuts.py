@@ -17,16 +17,18 @@ from quiverhopf.cuts import (
     cut_order_at,
     enumerate_cuts,
     epsilon,
+    necklace_diagrams,
+    path_diagrams,
     precedes,
     remove_chords,
     simple_subcuts,
 )
 from quiverhopf.linear import Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.quiver import Path, Quiver, all_paths
-from quiverhopf.verify import verify_lie_coalgebra, verify_prelie_coalgebra
+from quiverhopf.quiver import Path, all_paths
+from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
 
 
-QUIVER_2L = Quiver(("v",), (("a", "v", "v"), ("b", "v", "v")))
+QUIVER_2L = FAMILY["two_loops"]
 
 
 def oracle_cuts(p):
@@ -337,33 +339,14 @@ def test_chord_coproduct_nested(q1):
     assert chord_coproduct(d) == expect
 
 
-def all_path_diagrams(q, max_len):
-    out = []
-    for p in all_paths(q, max_len):
-        for h in enumerate_cuts(p):
-            out.append(PathDiagram(p, h))
-    return out
-
-
-def all_necklace_diagrams(q, max_len):
-    seen = {}
-    for p in all_paths(q, max_len):
-        if not p.is_closed():
-            continue
-        for h in enumerate_cuts(p):
-            d = NecklaceDiagram(p, h)
-            seen[d.skey] = d
-    return [seen[k] for k in sorted(seen)]
-
-
 def test_chord_prelie_axiom(q1, loop):
     for q in (q1, loop):
-        assert verify_prelie_coalgebra(chord_delta_p_rt, all_path_diagrams(q, 5)).ok
+        assert verify_prelie_coalgebra(chord_delta_p_rt, path_diagrams(q, 5)).ok
 
 
 def test_chord_lie_axioms(q1, loop):
     for q in (q1, loop):
-        assert verify_lie_coalgebra(chord_delta_or, all_necklace_diagrams(q, 4)).ok
+        assert verify_lie_coalgebra(chord_delta_or, necklace_diagrams(q, 4)).ok
 
 
 @st.composite

@@ -6,6 +6,8 @@ from quiverhopf.cuts import (
     chord_delta_p_rt,
     enumerate_cuts,
     cut_components,
+    necklace_diagrams,
+    path_diagrams,
 )
 from quiverhopf.dual import d_or, d_rt, dual_oriented_tree, dual_rooted_tree, nesting_children
 from quiverhopf.linear import LinComb
@@ -134,32 +136,17 @@ def test_d_or_default_unsigned(q1):
     assert d_or(d, signed=True) == LinComb.single(tree, -1)
 
 
-def all_path_diagrams(q, max_len):
-    return [PathDiagram(p, h) for p in all_paths(q, max_len) for h in enumerate_cuts(p)]
-
-
-def all_necklace_diagrams(q, max_len):
-    seen = {}
-    for p in all_paths(q, max_len):
-        if not p.is_closed():
-            continue
-        for h in enumerate_cuts(p):
-            d = NecklaceDiagram(p, h)
-            seen[d.skey] = d
-    return [seen[k] for k in sorted(seen)]
-
-
 def test_d_rt_is_prelie_morphism(q1, two_loops, loop_edge):
     for q in (q1, two_loops, loop_edge):
         rep = verify_coalgebra_morphism(
-            d_rt, chord_delta_p_rt, rho, all_path_diagrams(q, 4), "D_rt morphism"
+            d_rt, chord_delta_p_rt, rho, path_diagrams(q, 4), "D_rt morphism"
         )
         assert rep.ok
 
 
 def test_d_or_is_lie_morphism_unsigned_only(q1, two_loops, loop_edge):
     for q in (q1, two_loops, loop_edge):
-        sample = all_necklace_diagrams(q, 4)
+        sample = necklace_diagrams(q, 4)
         unsigned = verify_coalgebra_morphism(
             d_or, chord_delta_or, rho_ss_oriented, sample, "D_or morphism"
         )

@@ -11,6 +11,7 @@ from quiverhopf.cuts import (
     chord_delta_or,
     chord_delta_p_rt,
     enumerate_cuts,
+    path_diagrams,
 )
 from quiverhopf.dual import d_rt
 from quiverhopf.hopf import (
@@ -211,10 +212,6 @@ def test_eta_equals_direct_summation(q1, loop_edge):
             assert eta_or(n) == direct
 
 
-def all_path_diagrams(q, max_len):
-    return [PathDiagram(p, h) for p in all_paths(q, max_len) for h in enumerate_cuts(p)]
-
-
 def test_s_rt_prelie_morphism(q1, two_loops):
     for q in (q1, two_loops):
         rep = verify_coalgebra_morphism(
@@ -258,7 +255,7 @@ def test_s_rt_hopf_morphism(q1, two_loops):
 def test_d_rt_hopf_morphism(q1, two_loops):
     for q in (q1, two_loops):
         rep = verify_hopf_morphism(
-            d_rt, chord_coproduct, tree_coproduct, all_path_diagrams(q, 4), "D_rt Hopf morphism"
+            d_rt, chord_coproduct, tree_coproduct, path_diagrams(q, 4), "D_rt Hopf morphism"
         )
         assert rep.ok
 

@@ -1,0 +1,32 @@
+import os
+import subprocess
+import sys
+
+from quiverhopf.verify import FAMILY, LAWS
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_verification_sweep_script_prints_every_law():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "run_verification_sweep.py"),
+         "--max-len", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    sections = proc.stdout.split("== ")[1:]
+    assert [s.split(" ", 1)[0] for s in sections] == list(FAMILY)
+    for section in sections:
+        lines = [line.strip().replace("note: ", "", 1) for line in section.splitlines()]
+        for law in LAWS:
+            label = law.label.format(sign="unsigned")
+            assert any(
+                line.startswith(("PASS %s (" % label, "FAIL %s: " % label)) for line in lines
+            ), (label, section)
