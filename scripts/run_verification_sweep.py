@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from quiverhopf.verify import FAMILY, LAWS
+from quiverhopf.verify import FAMILY, LAWS, run_laws
 
 
 def main() -> int:
@@ -31,8 +31,7 @@ def main() -> int:
         n = args.max_len if len(q.edges) < 2 else max(args.max_len - 1, 3)
         t0 = time.time()
         print("== %s (letters=%d, max length %d)" % (name, 2 * len(q.edges), n))
-        for law in LAWS:
-            rep = law.run(q, n)
+        for law, rep in run_laws(LAWS, q, n):
             print("   %s%s" % ("note: " if law.is_note("unsigned") else "", rep.line()))
             failed += rep.ok != law.holds
         print("   (%.2fs)" % (time.time() - t0))

@@ -12,6 +12,7 @@ reconstructed constants come out integral again, which the tests assert.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
@@ -23,10 +24,7 @@ from .verify import Report, verify_defect, verify_prelie_coalgebra
 
 def monomialize(t: Tensor) -> Tensor:
     """Wrap an arity-2 tensor over generators into monomial slots."""
-    out = Tensor.zero(2)
-    for (a, b), c in t.terms():
-        out = out + Tensor.single((Monomial((a,)), Monomial((b,))), c)
-    return out
+    return Tensor(2, (((Monomial((a,)), Monomial((b,))), c) for (a, b), c in t.items()))
 
 
 def extract_prelie(gen_cop: Callable, x) -> Tensor:
@@ -37,7 +35,7 @@ def extract_prelie(gen_cop: Callable, x) -> Tensor:
     """
     whole = Monomial((x,))
     unit = Monomial(())
-    out = Tensor.zero(2)
+    terms = []
     for (a, b), c in gen_cop(x).terms():
         if (a, b) == (whole, unit) or (a, b) == (unit, whole):
             continue
@@ -47,8 +45,8 @@ def extract_prelie(gen_cop: Callable, x) -> Tensor:
                 % (x.text(), a.text(), b.text())
             )
         if len(a) == 1:
-            out = out + Tensor.single((a.factors[0], b.factors[0]), c)
-    return out
+            terms.append(((a.factors[0], b.factors[0]), c))
+    return Tensor(2, terms)
 
 
 def delta0_prime(m: Monomial) -> Tensor:
@@ -58,13 +56,13 @@ def delta0_prime(m: Monomial) -> Tensor:
     single generator has none, and repeated factors contribute binomial
     multiplicities through the accumulation.
     """
-    out = Tensor.zero(2)
     n = len(m.factors)
+    terms = []
     for mask in range(1, (1 << n) - 1):
         left = tuple(m.factors[k] for k in range(n) if mask >> k & 1)
         right = tuple(m.factors[k] for k in range(n) if not mask >> k & 1)
-        out = out + Tensor.single((Monomial(left), Monomial(right)))
-    return out
+        terms.append(((Monomial(left), Monomial(right)), 1))
+    return Tensor(2, terms)
 
 
 class CoproductLayers:
@@ -88,12 +86,12 @@ class CoproductLayers:
     def total(self, x) -> Tensor:
         whole = Monomial((x,))
         unit = Monomial(())
-        out = Tensor.single((whole, unit)) + Tensor.single((unit, whole))
+        terms = [((whole, unit), 1), ((unit, whole), 1)]
         for n in sorted(self.layers):
             t = self.layers[n].get(x)
             if t is not None:
-                out = out + t
-        return out
+                terms.extend(t.items())
+        return Tensor(2, terms)
 
     def term_counts(self) -> Dict[int, int]:
         return {n: sum(len(t) for t in d.values()) for n, d in sorted(self.layers.items())}
@@ -114,27 +112,28 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
     its own coproduct components (both instances here are closed under taking
     components). Layer n+1 is recovered from layers <= n, verified to satisfy
     its defining equation exactly, and the loop stops when a layer vanishes
-    identically (guaranteed by the grading).
+    identically (guaranteed by the grading). Within one degree step the
+    layers do not change, so each generator's total and each monomial's
+    coproduct is computed once per step.
     """
     elems = sorted(x for x in basis if degree(x) <= max_degree)
     if not elems:
         return CoproductLayers({}, degree)
+    layers: Dict[int, Dict] = {1: {}}
     for x in elems:
         d = degree(x)
         if d < 1:
             raise ValueError("degrees must be positive, got %d for %s" % (d, x.text()))
-        for (a, b), _ in rho(x).terms():
+        graft = rho(x)
+        for (a, b), _ in graft.terms():
             if degree(a) + degree(b) != d:
                 raise ValueError(
                     "pre-Lie map does not preserve degree on %s: %s (x) %s"
                     % (x.text(), a.text(), b.text())
                 )
+        if graft:
+            layers[1][x] = monomialize(graft)
     min_deg = min(degree(x) for x in elems)
-    layers: Dict[int, Dict] = {1: {}}
-    for x in elems:
-        t = monomialize(rho(x))
-        if t:
-            layers[1][x] = t
 
     # At step n, layers holds exactly the layers 1..n, so its total is the
     # coproduct truncated above layer n.
@@ -142,24 +141,24 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
     n = 1
     bound = max_degree // max(min_deg, 1) + 1
     while True:
+        total = functools.cache(result.total)
+        cop = functools.cache(lambda m: cop_free(total, m))
         nxt: Dict = {}
         for v in elems:
-            t = result.total(v)
-            a3 = t.slot_expand(1, lambda m: cop_free(result.total, m), 2)
-            b3 = t.slot_expand(0, lambda m: cop_free(result.total, m), 2)
-            r = Tensor.zero(3)
-            for key, c in (a3 - b3).terms():
-                m1, m2, m3 = key
-                if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and len(m1) + len(m2) == n + 1:
-                    r = r + Tensor.single(key, c)
+            t = total(v)
+            a3 = t.slot_expand(1, cop, 2)
+            b3 = t.slot_expand(0, cop, 2)
+            r = Tensor(3, (
+                ((m1, m2, m3), c)
+                for (m1, m2, m3), c in (a3 - b3).items()
+                if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and len(m1) + len(m2) == n + 1
+            ))
             if not r:
                 continue
             # Invert the (generator (x) Sym^n) split of the left monomial.
-            layer = Tensor.zero(2)
-            for (m1, m2, m3), c in r.terms():
-                if len(m1) == 1:
-                    layer = layer + Tensor.single((m1 * m2, m3), c)
-            layer = Fraction(1, n + 1) * layer
+            layer = Fraction(1, n + 1) * Tensor(
+                2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1)
+            )
             check = layer.slot_expand(0, delta0_prime, 2) - r
             if check:
                 raise ValueError(

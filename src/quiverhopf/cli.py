@@ -27,7 +27,7 @@ from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
 from .linear import format_scalar
 from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver, all_paths
 from .trees import all_rooted_trees, rho, tree_coproduct, tree_to_json
-from .verify import LAWS
+from .verify import LAWS, run_laws
 
 _CUT_PAIR = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
 
@@ -142,13 +142,20 @@ def cmd_eta(args, out) -> int:
 
 def cmd_bridge(args, out) -> int:
     q = _quiver(args)
+    # The least degree: a trivial path has degree 2, a one-vertex tree degree 1.
+    least = 2 if args.instance == "paths" else 1
+    if args.max_degree < least:
+        raise ValueError(
+            "--max-degree %d is below %d, the least degree of the %s instance"
+            % (args.max_degree, least, args.instance)
+        )
     if args.instance == "paths":
-        basis = all_paths(q, max(args.max_degree - 2, 0))
+        basis = all_paths(q, args.max_degree - 2)
         instance = GradedPreLieCoalgebra(tuple(basis), path_degree, delta_p_rt)
         direct = path_coproduct
     else:
         label = q.trivial(q.vertices[0])
-        basis = all_rooted_trees(max(args.max_degree - 1, 0), (label,), flags=(False,))
+        basis = all_rooted_trees(args.max_degree - 1, (label,), flags=(False,))
         instance = GradedPreLieCoalgebra(tuple(basis), tree_degree, rho)
         direct = tree_coproduct
     pre = instance.check()
@@ -169,11 +176,9 @@ def cmd_bridge(args, out) -> int:
 def cmd_verify(args, out) -> int:
     q = _quiver(args)
     groups = {args.law, args.theorem}
+    laws = [law for law in LAWS if not groups.isdisjoint(law.groups)]
     reports = []
-    for law in LAWS:
-        if groups.isdisjoint(law.groups):
-            continue
-        rep = law.run(q, args.max_len, args.sign_convention)
+    for law, rep in run_laws(laws, q, args.max_len, args.sign_convention):
         if law.is_note(args.sign_convention):
             print("note: %s" % rep.line(), file=out)
         else:

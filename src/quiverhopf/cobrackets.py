@@ -9,7 +9,7 @@ extension happens at the call site when needed.
 
 from __future__ import annotations
 
-from .linear import TAU12_2, Tensor, tensor, wedge
+from .linear import TAU12_2, Tensor
 from .quiver import Necklace, Path, omega
 
 
@@ -31,16 +31,16 @@ def delta_or_on_word(p: Path) -> Tensor:
     if not p.is_closed():
         raise ValueError("delta_or needs a closed word")
     n = len(p.letters)
-    out = Tensor.zero(2)
+    terms = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = omega(p.letters[i - 1], p.letters[j - 1])
             if not w:
                 continue
-            first = _cyclic_segment(p, j + 1, (i - j - 1) % n, p.letters[j - 1].tgt)
-            second = _cyclic_segment(p, i + 1, j - i - 1, p.letters[i - 1].tgt)
-            out = out + w * wedge(Necklace(first), Necklace(second))
-    return out
+            first = Necklace(_cyclic_segment(p, j + 1, (i - j - 1) % n, p.letters[j - 1].tgt))
+            second = Necklace(_cyclic_segment(p, i + 1, j - i - 1, p.letters[i - 1].tgt))
+            terms += [((first, second), w), ((second, first), -w)]
+    return Tensor(2, terms)
 
 
 def delta_or(x: Necklace) -> Tensor:
@@ -62,7 +62,7 @@ def delta_p_rt(x: Path) -> Tensor:
     closed paths.
     """
     n = len(x.letters)
-    out = Tensor.zero(2)
+    terms = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = omega(x.letters[i - 1], x.letters[j - 1])
@@ -70,8 +70,8 @@ def delta_p_rt(x: Path) -> Tensor:
                 continue
             inner = Path(x.letters[i - 1].tgt, x.letters[i : j - 1])
             outer = Path(x.start, x.letters[: i - 1] + x.letters[j:])
-            out = out + (-w) * tensor(inner, outer)
-    return out
+            terms.append(((inner, outer), -w))
+    return Tensor(2, terms)
 
 
 def delta_rt(x: Path) -> Tensor:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .linear import SYM_UNIT, BasisElement, Monomial, Tensor, tensor
+from .linear import SYM_UNIT, BasisElement, Monomial, Tensor
 from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
 
 
@@ -350,12 +350,12 @@ def chord_delta_p_rt(d: PathDiagram) -> Tensor:
     Removing a chord sends the chords nested inside it to the inner factor and
     the rest to the outer factor, with the usual sign from the matched letters.
     """
-    out = Tensor.zero(2)
+    terms = []
     for c in d.cut.pairs:
         w = omega(d.path.letters[c[0] - 1], d.path.letters[c[1] - 1])
         outer, inners = remove_chords(d, Cut((c,)))
-        out = out + (-w) * tensor(inners[c], outer)
-    return out
+        terms.append(((inners[c], outer), -w))
+    return Tensor(2, terms)
 
 
 def _necklace_diagram(d: PathDiagram) -> NecklaceDiagram:
@@ -365,14 +365,14 @@ def _necklace_diagram(d: PathDiagram) -> NecklaceDiagram:
 def chord_delta_or(x: NecklaceDiagram) -> Tensor:
     """Cobracket on necklace chord diagrams: antisymmetrized chord removal."""
     base = PathDiagram(x.path, x.cut)
-    out = Tensor.zero(2)
+    terms = []
     for c in x.cut.pairs:
         w = omega(x.path.letters[c[0] - 1], x.path.letters[c[1] - 1])
         outer, inners = remove_chords(base, Cut((c,)))
         x1 = _necklace_diagram(inners[c])
         x2 = _necklace_diagram(outer)
-        out = out + (-w) * (tensor(x1, x2) - tensor(x2, x1))
-    return out
+        terms += [((x1, x2), -w), ((x2, x1), w)]
+    return Tensor(2, terms)
 
 
 def chord_coproduct(d: PathDiagram) -> Tensor:
@@ -382,12 +382,12 @@ def chord_coproduct(d: PathDiagram) -> Tensor:
     contributes 1 (x) X. Each component inherits the residual chords; the
     sign is the product of -omega over the removed chords only.
     """
-    out = Tensor.single((Monomial((d,)), SYM_UNIT))
+    terms = [((Monomial((d,)), SYM_UNIT), 1)]
     for sub in simple_subcuts(d.cut):
         sign = Fraction(1)
         for i, j in sub.pairs:
             sign *= -omega(d.path.letters[i - 1], d.path.letters[j - 1])
         outer, inners = remove_chords(d, sub)
         left = Monomial(tuple(inners[c] for c in sub.pairs))
-        out = out + sign * Tensor.single((left, Monomial((outer,))))
-    return out
+        terms.append(((left, Monomial((outer,))), sign))
+    return Tensor(2, terms)

@@ -11,6 +11,7 @@ structure in sight and to be injective via the point-tree projection.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable
 
@@ -38,12 +39,12 @@ def path_coproduct(x: Path) -> Tensor:
     X (x) 1 plus, for every simple cut, sign times (product of chord
     components) (x) (outer component); the empty cut supplies 1 (x) X.
     """
-    out = Tensor.single((Monomial((x,)), SYM_UNIT))
+    terms = [((Monomial((x,)), SYM_UNIT), 1)]
     for h in enumerate_cuts(x, simple_only=True):
         comps = cut_components(x, h)
         left = Monomial(tuple(comps.chords[c] for c in h.pairs))
-        out = out + epsilon(x, h) * Tensor.single((left, Monomial((comps.outer,))))
-    return out
+        terms.append(((left, Monomial((comps.outer,))), epsilon(x, h)))
+    return Tensor(2, terms)
 
 
 def path_antipode(x: Path) -> LinComb:
@@ -54,10 +55,7 @@ def path_antipode(x: Path) -> LinComb:
 
 def s_rt(x: Path) -> LinComb:
     """Sum of all chord diagrams on a path, each with coefficient 1."""
-    acc = LinComb()
-    for h in enumerate_cuts(x):
-        acc = acc + LinComb.single(PathDiagram(x, h))
-    return acc
+    return LinComb((PathDiagram(x, h), 1) for h in enumerate_cuts(x))
 
 
 def s_or(x: Necklace) -> LinComb:
@@ -66,10 +64,7 @@ def s_or(x: Necklace) -> LinComb:
     Cuts of the canonical representative that agree after rotation give the
     same diagram, so symmetric necklaces produce coefficients larger than 1.
     """
-    acc = LinComb()
-    for h in enumerate_cuts(x.rep):
-        acc = acc + LinComb.single(NecklaceDiagram(x.rep, h))
-    return acc
+    return LinComb((NecklaceDiagram(x.rep, h), 1) for h in enumerate_cuts(x.rep))
 
 
 def eta_rt(x: Path) -> LinComb:
@@ -92,16 +87,12 @@ def nc_coproduct(x: Path) -> Tensor:
     Like path_coproduct, except the severed components multiply as an ordered
     word, left to right by chord left endpoint.
     """
-    out = Tensor.single((Word((x,)), WORD_UNIT))
+    terms = [((Word((x,)), WORD_UNIT), 1)]
     for h in enumerate_cuts(x, simple_only=True):
         comps = cut_components(x, h)
         left = Word(tuple(comps.chords[c] for c in sorted(h.pairs)))
-        out = out + epsilon(x, h) * Tensor.single((left, Word((comps.outer,))))
-    return out
-
-
-def abelianize(w: Word) -> Monomial:
-    return Monomial(w.factors)
+        terms.append(((left, Word((comps.outer,))), epsilon(x, h)))
+    return Tensor(2, terms)
 
 
 def sym_extend(f: Callable[[object], LinComb]) -> Callable[[Monomial], LinComb]:
@@ -145,14 +136,11 @@ def verify_hopf_morphism(
 def point_projection(lc: LinComb) -> LinComb:
     """Restrict a combination of trees to the edgeless (point) trees, keeping
     the vertex label as the value."""
-    acc = LinComb()
-    for t, c in lc.terms():
-        if t.edge_count() == 0:
-            if isinstance(t, RootedTree):
-                acc = acc + LinComb.single(t.label, c)
-            else:
-                acc = acc + LinComb.single(t.labels[0], c)
-    return acc
+    return LinComb(
+        (t.label if isinstance(t, RootedTree) else t.labels[0], c)
+        for t, c in lc.items()
+        if t.edge_count() == 0
+    )
 
 
 def verify_injectivity(eta: Callable, sample, law: str) -> Report:
@@ -169,9 +157,7 @@ def coassoc_formula_terms(x: Path) -> Tensor:
     grouped surgery components: first-piece components (x) second-piece
     components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
     """
-    out = path_coproduct(x).slot_expand(
-        1, lambda m: Tensor.single((m, SYM_UNIT)), 2
-    )
+    terms = [((a, b, SYM_UNIT), c) for (a, b), c in path_coproduct(x).items()]
     for h in enumerate_cuts(x):
         if cut_order(x, h) > 2:
             continue
@@ -188,19 +174,19 @@ def coassoc_formula_terms(x: Path) -> Tensor:
                     continue
                 left = Monomial(tuple(comps.chords[c] for c in h1.pairs))
                 mid = Monomial(tuple(comps.chords[c] for c in h2.pairs))
-                out = out + sign * Tensor.single(
-                    (left, mid, Monomial((comps.outer,)))
-                )
-    return out
+                terms.append(((left, mid, Monomial((comps.outer,))), sign))
+    return Tensor(3, terms)
 
 
 def coassoc_formula_defect(x: Path) -> Tensor:
     """Compare (cop (x) 1)cop, (1 (x) cop)cop, and the order/precedence
     expansion on one path: (cop (x) 1)cop minus the expansion, or, if that
-    vanishes, minus (1 (x) cop)cop."""
+    vanishes, minus (1 (x) cop)cop. Both sides share one call-scoped memo
+    of the monomial coproducts."""
+    cop = functools.cache(lambda m: cop_free(path_coproduct, m))
     t = path_coproduct(x)
-    direct = t.slot_expand(0, lambda m: cop_free(path_coproduct, m), 2)
-    other = t.slot_expand(1, lambda m: cop_free(path_coproduct, m), 2)
+    direct = t.slot_expand(0, cop, 2)
+    other = t.slot_expand(1, cop, 2)
     formula = coassoc_formula_terms(x)
     return (direct - formula) or (direct - other)
 

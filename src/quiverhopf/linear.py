@@ -121,6 +121,10 @@ class LinComb:
         """Term list sorted by basis key: deterministic across runs."""
         return sorted(self._terms.items())
 
+    def items(self):
+        """Terms in no fixed order, for sums whose result does not depend on it."""
+        return self._terms.items()
+
     def support(self):
         return sorted(self._terms)
 
@@ -231,6 +235,10 @@ class Tensor:
 
     def terms(self):
         return sorted(self._terms.items())
+
+    def items(self):
+        """Terms in no fixed order, for sums whose result does not depend on it."""
+        return self._terms.items()
 
     def coeff(self, key) -> Fraction:
         return self._terms.get(tuple(key), Fraction(0))
@@ -383,15 +391,6 @@ TAU12_2 = (2, 1)
 TAU12_3 = (2, 1, 3)
 TAU123 = (2, 3, 1)  # cycle (123): 1 -> 2 -> 3 -> 1
 TAU132 = (3, 1, 2)  # cycle (132): 1 -> 3 -> 2 -> 1
-
-
-def perm_compose(p, q):
-    """Composition p after q in one-line notation: (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(q)))
-
-
-def all_permutations(n: int):
-    return list(itertools.permutations(range(1, n + 1)))
 
 
 class Monomial(BasisElement):

@@ -11,6 +11,8 @@ their own multiplication and unit.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import Callable
 
 from .linear import LinComb, Monomial, Tensor, Word
@@ -36,12 +38,11 @@ def cop_free(gen_cop: Callable, m) -> Tensor:
     unit = _unit_like(m)
     out = Tensor.single((unit, unit))
     for x in m.factors:
-        add = gen_cop(x)
-        acc = Tensor.zero(2)
-        for (a, b), c in out.terms():
-            for (a2, b2), c2 in add.terms():
-                acc = acc + Tensor.single((a * a2, b * b2), c * c2)
-        out = acc
+        add = gen_cop(x).items()
+        out = Tensor(
+            2,
+            (((a * a2, b * b2), c * c2) for (a, b), c in out.items() for (a2, b2), c2 in add),
+        )
     return out
 
 
@@ -52,24 +53,16 @@ def reduced_cop(gen_cop: Callable, m) -> Tensor:
     monomial's coproduct are exactly m (x) 1 and 1 (x) m, so this is the usual
     reduced coproduct.
     """
-    full = cop_free(gen_cop, m)
-    out = Tensor.zero(2)
-    for (a, b), c in full.terms():
-        if a.is_unit() or b.is_unit():
-            continue
-        out = out + Tensor.single((a, b), c)
-    return out
+    return Tensor(
+        2,
+        (((a, b), c) for (a, b), c in cop_free(gen_cop, m).items()
+         if not (a.is_unit() or b.is_unit())),
+    )
 
 
 def multiply_slots(t: Tensor) -> LinComb:
     """Multiply all tensor slots together: mu^n applied to an (n+1)-tensor."""
-    acc = LinComb()
-    for key, c in t.terms():
-        prod = key[0]
-        for x in key[1:]:
-            prod = prod * x
-        acc = acc + LinComb.single(prod, c)
-    return acc
+    return LinComb((functools.reduce(operator.mul, key), c) for key, c in t.items())
 
 
 def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
@@ -80,11 +73,15 @@ def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
     the grading; max_steps guards against a non-terminating (ungraded) input.
     This is the convolution-inverse series, so it is valid for the ordered
     (word) algebra as well, where it is automatically anti-multiplicative.
+    Within one call each generator's coproduct and each monomial's reduced
+    coproduct is computed once.
     """
     if m.is_unit():
         return LinComb.single(m, 1)
+    gen = functools.cache(gen_cop)
+    reduced = functools.cache(lambda x: reduced_cop(gen, x))
     result = LinComb.single(m, -1)
-    current = reduced_cop(gen_cop, m)  # arity 2
+    current = reduced(m)  # arity 2
     sign = 1
     steps = 0
     while current:
@@ -95,7 +92,7 @@ def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
                 "the coproduct does not strictly decrease any grading" % max_steps
             )
         result = result + sign * multiply_slots(current)
-        current = current.slot_expand(0, lambda x: reduced_cop(gen_cop, x), 2)
+        current = current.slot_expand(0, reduced, 2)
         sign = -sign
     return result
 
@@ -119,11 +116,7 @@ def antipode_monomial(gen_cop: Callable, m: Monomial, max_steps: int = 64) -> Li
 
 def mul_lincomb(a: LinComb, b: LinComb) -> LinComb:
     """Product of combinations of monomials/words, factor-wise."""
-    acc = LinComb()
-    for m1, c1 in a.terms():
-        for m2, c2 in b.terms():
-            acc = acc + LinComb.single(m1 * m2, c1 * c2)
-    return acc
+    return LinComb((m1 * m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
 
 
 def counit(lc: LinComb):
@@ -135,34 +128,31 @@ def counit(lc: LinComb):
 
 
 def coassoc_defect(gen_cop: Callable, m) -> Tensor:
-    """(cop (x) 1)cop(m) - (1 (x) cop)cop(m) as an arity-3 tensor."""
-    t = cop_free(gen_cop, m)
-    left = t.slot_expand(0, lambda a: cop_free(gen_cop, a), 2)
-    right = t.slot_expand(1, lambda b: cop_free(gen_cop, b), 2)
-    return left - right
+    """(cop (x) 1)cop(m) - (1 (x) cop)cop(m) as an arity-3 tensor.
+
+    Both sides share one call-scoped memo of the monomial coproducts.
+    """
+    cop = functools.cache(lambda a: cop_free(gen_cop, a))
+    t = cop(m)
+    return t.slot_expand(0, cop, 2) - t.slot_expand(1, cop, 2)
 
 
 def counit_defect(gen_cop: Callable, m) -> LinComb:
     """(eps (x) 1)cop(m) - m plus (1 (x) eps)cop(m) - m, collected together."""
-    t = cop_free(gen_cop, m)
-    left = LinComb()
-    right = LinComb()
-    for (a, b), c in t.terms():
-        if a.is_unit():
-            left = left + LinComb.single(b, c)
-        if b.is_unit():
-            right = right + LinComb.single(a, c)
+    t = cop_free(gen_cop, m).items()
+    left = LinComb((b, c) for (a, b), c in t if a.is_unit())
+    right = LinComb((a, c) for (a, b), c in t if b.is_unit())
     target = LinComb.single(m)
     return (left - target) + (right - target)
 
 
 def antipode_defect(gen_cop: Callable, m, antipode: Callable, max_steps: int = 64) -> LinComb:
     """mu(S (x) 1)cop(m) - eps(m)·1 for a monomial/word m."""
-    t = cop_free(gen_cop, m)
-    acc = LinComb()
-    for (a, b), c in t.terms():
-        for sa, ca in antipode(a).terms():
-            acc = acc + LinComb.single(sa * b, c * ca)
+    acc = LinComb(
+        (sa * b, c * ca)
+        for (a, b), c in cop_free(gen_cop, m).items()
+        for sa, ca in antipode(a).items()
+    )
     if m.is_unit():
         acc = acc - LinComb.single(_unit_like(m), 1)
     return acc

@@ -16,7 +16,7 @@ import itertools
 import json
 from typing import Callable, Tuple
 
-from .linear import SYM_UNIT, BasisElement, Monomial, TAU12_2, Tensor, tensor
+from .linear import SYM_UNIT, BasisElement, Monomial, TAU12_2, Tensor
 from .quiver import Necklace, Path, Quiver
 
 
@@ -89,14 +89,14 @@ def rho(t: RootedTree) -> Tensor:
     the cut-off subtree is rooted at its vertex formerly incident to the
     deleted edge, and all decorations restrict.
     """
-    out = Tensor.zero(2)
+    terms = []
     for idx, (flag, child) in enumerate(t.children):
         rest = t.children[:idx] + t.children[idx + 1 :]
-        out = out + tensor(child, RootedTree(t.label, rest))
-        for (t1, t2), c in rho(child).terms():
+        terms.append(((child, RootedTree(t.label, rest)), 1))
+        for (t1, t2), c in rho(child).items():
             replaced = t.children[:idx] + ((flag, t2),) + t.children[idx + 1 :]
-            out = out + c * tensor(t1, RootedTree(t.label, replaced))
-    return out
+            terms.append(((t1, RootedTree(t.label, replaced)), c))
+    return Tensor(2, terms)
 
 
 def rho_ss(t: RootedTree) -> Tensor:
@@ -132,10 +132,9 @@ def tree_coproduct(t: RootedTree) -> Tensor:
     T (x) 1 plus, for every admissible cut, the product of severed subtrees
     tensor the trunk; the empty cut supplies 1 (x) T.
     """
-    out = Tensor.single((Monomial((t,)), SYM_UNIT))
-    for comps, trunk in admissible_cuts(t):
-        out = out + Tensor.single((Monomial(comps), Monomial((trunk,))))
-    return out
+    terms = [((Monomial((t,)), SYM_UNIT), 1)]
+    terms.extend(((Monomial(comps), Monomial((trunk,))), 1) for comps, trunk in admissible_cuts(t))
+    return Tensor(2, terms)
 
 
 class OrientedTree(BasisElement):
@@ -160,9 +159,10 @@ class OrientedTree(BasisElement):
         if len(edge_list) != len(labels) - 1:
             raise ValueError("an oriented tree on n vertices needs n - 1 edges")
         best = None
+        below: dict = {}
         for r in range(len(labels)):
             for s in range(max(len(adj[r]), 1)):
-                key = self._serialize(labels, edge_list, adj, r, s)
+                key = self._serialize(labels, edge_list, adj, r, s, below)
                 if best is None or key < best[0]:
                     best = (key, r, s)
         BasisElement.__init__(self, "OT|" + best[0])
@@ -173,7 +173,16 @@ class OrientedTree(BasisElement):
         self.canon_rot = best[2]
 
     @staticmethod
-    def _serialize(labels, edge_list, adj, root: int, rot: int) -> str:
+    def _serialize(labels, edge_list, adj, root: int, rot: int, below=None) -> str:
+        """Planar serialization from root, its cyclic order started at rot.
+
+        The serialization of a non-root vertex depends only on the edge toward
+        the root, not on root or rot; below memoizes it per (vertex, edge) so
+        the candidates of one tree share it.
+        """
+        if below is None:
+            below = {}
+
         def other(eidx, v):
             u, w = edge_list[eidx]
             return w if u == v else u
@@ -188,8 +197,10 @@ class OrientedTree(BasisElement):
             parts = []
             for eidx in order:
                 w = other(eidx, v)
-                arrow = "^" if edge_list[eidx][1] == v else "v"
-                parts.append(arrow + ser(w, eidx))
+                sub = below.get((w, eidx))
+                if sub is None:
+                    sub = below[w, eidx] = ser(w, eidx)
+                parts.append(("^" if edge_list[eidx][1] == v else "v") + sub)
             return "{%s:%s}" % (labels[v].skey, "".join(parts))
 
         return ser(root, None)
@@ -258,10 +269,6 @@ class OrientedTree(BasisElement):
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def oriented_point(label: Necklace) -> OrientedTree:
-    return OrientedTree((label,), (), ((),))
-
-
 def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) -> OrientedTree:
     """Forget the root and corner of a decorated rooted tree.
 
@@ -300,11 +307,11 @@ def rho_ss_oriented(t: OrientedTree) -> Tensor:
     For every edge, the component the edge points to sits in the second slot
     of the positive term.
     """
-    out = Tensor.zero(2)
+    terms = []
     for eidx in range(len(t.edge_list)):
         t1, t2 = t.delete_edge(eidx)
-        out = out + tensor(t1, t2) - tensor(t2, t1)
-    return out
+        terms += [((t1, t2), 1), ((t2, t1), -1)]
+    return Tensor(2, terms)
 
 
 def all_rooted_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,)):

@@ -185,8 +185,11 @@ class Law:
     sign: str = ""
     holds: bool = True
 
+    def size(self, n: int) -> int:
+        return n if self.cap is None else min(n, self.cap)
+
     def sample(self, q, n: int):
-        return _resolve(self.sampler)(q, n if self.cap is None else min(n, self.cap))
+        return _resolve(self.sampler)(q, self.size(n))
 
     def check(self, sample, sign: str = "unsigned") -> Report:
         if self.sign not in ("", SELECTED):
@@ -201,6 +204,20 @@ class Law:
 
     def is_note(self, sign: str) -> bool:
         return self.sign not in ("", SELECTED, sign)
+
+
+def run_laws(laws, q, n: int, sign: str = "unsigned"):
+    """Yield (law, report) for each law in turn on q at size n.
+
+    Laws with the same sampler and capped size share one sample, so each
+    distinct sample is enumerated once per run.
+    """
+    samples: dict = {}
+    for law in laws:
+        key = (law.sampler, law.size(n))
+        if key not in samples:
+            samples[key] = law.sample(q, n)
+        yield law, law.check(samples[key], sign)
 
 
 _PRELIE, _LIE = "verify_prelie_coalgebra", "verify_lie_coalgebra"

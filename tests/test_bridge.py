@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from quiverhopf import bridge
 from quiverhopf.bridge import (
     compare_coproducts,
     delta0_prime,
@@ -13,6 +16,7 @@ from quiverhopf.cobrackets import delta_p_rt
 from quiverhopf.hopf import path_coproduct
 from quiverhopf.linear import BasisElement, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Path, all_paths
+from quiverhopf.symalg import cop_free
 from quiverhopf.trees import all_rooted_trees, point, rho, tree_coproduct
 
 
@@ -172,3 +176,29 @@ def test_graded_prelie_bundle(q1):
 
     bad_inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 2)), path_degree, bad)
     assert not bad_inst.check().ok
+
+
+def test_reconstruct_memos_are_call_scoped(q1, monkeypatch):
+    """Two equal calls do equal work: no memo outlives its call."""
+    rho_args, cop_args = [], []
+
+    def counting_rho(t):
+        rho_args.append(t)
+        return rho(t)
+
+    def counting_cop_free(gen_cop, m):
+        cop_args.append(m)
+        return cop_free(gen_cop, m)
+
+    monkeypatch.setattr(bridge, "cop_free", counting_cop_free)
+    basis = all_rooted_trees(4, (q1.trivial("1"),), flags=(False,))
+    runs = []
+    for _ in range(2):
+        del rho_args[:], cop_args[:]
+        layers = reconstruct_coproduct(basis, tree_degree, counting_rho, 5)
+        runs.append((layers.layers, len(rho_args), Counter(cop_args)))
+    assert runs[0] == runs[1]
+    layers, rho_calls, cop_calls = runs[0]
+    assert rho_calls == len(basis)
+    # One memo per degree step: a monomial is expanded at most once a step.
+    assert max(cop_calls.values()) <= len(layers)

@@ -1,8 +1,10 @@
 import io
 import json
+import os
 
 import pytest
 
+from quiverhopf import cuts
 from quiverhopf.cli import main
 from quiverhopf.verify import Report
 
@@ -98,6 +100,32 @@ def test_bridge_compare():
     assert "layer 2: 16 terms" in out
     assert "integral coefficients: yes" in out
     assert "PASS layered vs direct coproduct (14 elements)" in out
+
+
+def test_bridge_below_least_degree_rejected_paths(capsys):
+    # Paths have degree >= 2: degree 1 has no basis element to reconstruct.
+    rc, out = run(["bridge", "--instance", "paths", "--max-degree", "1", "--compare"])
+    assert (rc, out) == (2, "")
+    assert "below 2, the least degree of the paths instance" in capsys.readouterr().err
+
+
+def test_bridge_below_least_degree_rejected_trees(capsys):
+    rc, out = run(["bridge", "--instance", "trees", "--max-degree", "0", "--compare"])
+    assert (rc, out) == (2, "")
+    assert "below 1, the least degree of the trees instance" in capsys.readouterr().err
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("instance", ["paths", "trees"])
+def test_bridge_golden_output(instance):
+    # Captured before the bridge recursion memoized its coproducts.
+    with open(os.path.join(ROOT, "tests", "golden", "bridge_%s_two_loops_6.txt" % instance)) as f:
+        golden = f.read()
+    quiver = os.path.join(ROOT, "quivers", "two_loops.json")
+    argv = ["bridge", "--quiver", quiver, "--instance", instance, "--max-degree", "6", "--compare"]
+    assert run(argv) == (0, golden)
 
 
 def test_verify_laws_pass():
@@ -260,3 +288,22 @@ GOLDEN_VERIFY = [
 @pytest.mark.parametrize("argv, rc, stdout", GOLDEN_VERIFY)
 def test_verify_golden_output(argv, rc, stdout):
     assert run(["verify"] + argv + ["--max-len", "3"]) == (rc, stdout)
+
+
+def test_verify_enumerates_each_sample_once(monkeypatch):
+    calls = {"path_diagrams": 0, "necklace_diagrams": 0}
+
+    def counting(name):
+        original = getattr(cuts, name)
+
+        def wrapper(q, n):
+            calls[name] += 1
+            return original(q, n)
+
+        monkeypatch.setattr(cuts, name, wrapper)
+
+    counting("path_diagrams")
+    counting("necklace_diagrams")
+    rc, out = run(["verify", "--theorem", "2", "--max-len", "3"])
+    assert rc == 0, out
+    assert calls == {"path_diagrams": 1, "necklace_diagrams": 1}

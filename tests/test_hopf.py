@@ -1,6 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
+
+from quiverhopf import hopf
 
 from quiverhopf.cobrackets import delta_or, delta_p_rt
 from quiverhopf.cuts import (
@@ -15,7 +18,6 @@ from quiverhopf.cuts import (
 )
 from quiverhopf.dual import d_rt
 from quiverhopf.hopf import (
-    abelianize,
     coassoc_formula_terms,
     eta_or,
     eta_rt,
@@ -373,6 +375,10 @@ def test_nc_antipode_antimultiplicative(q1):
         assert lhs == rhs
 
 
+def abelianize(w: Word) -> Monomial:
+    return Monomial(w.factors)
+
+
 def test_nc_abelianization_matches_symmetric(q1, star2, two_loops):
     def ab_tensor(t):
         out = Tensor.zero(2)
@@ -393,3 +399,22 @@ def test_prelie_part_of_path_coproduct_is_delta_p_rt(q1, two_loops):
             assert monomialize(extract_prelie(path_coproduct, x)) == monomialize(
                 delta_p_rt(x)
             )
+
+
+def test_path_antipode_memo_is_call_scoped(two_loops, monkeypatch):
+    """Two equal calls do equal work: no memo outlives its call."""
+    seen = []
+
+    def counting_path_coproduct(x):
+        seen.append(x)
+        return path_coproduct(x)
+
+    monkeypatch.setattr(hopf, "path_coproduct", counting_path_coproduct)
+    x = two_loops.parse_path("v a b a* b a* b*")
+    runs = []
+    for _ in range(2):
+        del seen[:]
+        runs.append((hopf.path_antipode(x), Counter(seen)))
+    assert runs[0] == runs[1]
+    # Within one call each path's coproduct is computed once.
+    assert set(runs[0][1].values()) == {1}

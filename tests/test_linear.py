@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,6 @@ from quiverhopf.linear import (
     LinComb,
     Monomial,
     Word,
-    all_permutations,
-    perm_compose,
     sym_mul,
     tensor,
     wedge,
@@ -23,6 +22,15 @@ def b(name):
 
 
 A, B, C = b("a"), b("b"), b("c")
+
+
+def perm_compose(p, q):
+    """Composition p after q in one-line notation: (p*q)(i) = p(q(i))."""
+    return tuple(p[q[i] - 1] for i in range(len(q)))
+
+
+def all_permutations(n: int):
+    return list(itertools.permutations(range(1, n + 1)))
 
 small_scalars = st.integers(min_value=-4, max_value=4).map(Fraction)
 elems = st.sampled_from([A, B, C])

@@ -7,19 +7,22 @@ from quiverhopf.verify import FAMILY, LAWS
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_verification_sweep_script_prints_every_law():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_verification_sweep.py"),
-         "--max-len", "3"],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_verification_sweep_script_prints_every_law():
+    proc = run_script("run_verification_sweep.py", "--max-len", "3")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     sections = proc.stdout.split("== ")[1:]
     assert [s.split(" ", 1)[0] for s in sections] == list(FAMILY)
@@ -30,3 +33,10 @@ def test_verification_sweep_script_prints_every_law():
             assert any(
                 line.startswith(("PASS %s (" % label, "FAIL %s: " % label)) for line in lines
             ), (label, section)
+
+
+def test_bridge_layers_script_passes():
+    proc = run_script("bridge_layers.py", "--max-degree", "5")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    passes = [line for line in proc.stdout.splitlines() if line.strip().startswith("PASS ")]
+    assert len(passes) == 2, proc.stdout

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from quiverhopf.trees import (
     all_oriented_trees,
     all_rooted_trees,
     oriented_from_rooted,
-    oriented_point,
     point,
     rho,
     rho_ss,
@@ -22,6 +22,10 @@ from quiverhopf.trees import (
     tree_to_json,
 )
 from quiverhopf.verify import verify_lie_coalgebra, verify_prelie_coalgebra
+
+
+def oriented_point(label: Necklace) -> OrientedTree:
+    return OrientedTree((label,), (), ((),))
 
 
 def labels2(q1):
@@ -315,3 +319,74 @@ def test_antipode_series_requires_decreasing_grading(q1):
 
     with pytest.raises(RuntimeError):
         antipode_free(stuck_cop, Monomial((p,)), max_steps=16)
+
+
+def naive_serialize(t: OrientedTree, root: int, rot: int) -> str:
+    """Planar serialization of t from root, the root's cyclic order started at rot.
+
+    Recomputed in full for every candidate: an oracle for the key that
+    OrientedTree builds with shared subtree strings.
+    """
+
+    def ser(v, parent_edge):
+        es = t.adj[v]
+        if parent_edge is None:
+            order = es[rot:] + es[:rot]
+        else:
+            k = es.index(parent_edge)
+            order = es[k + 1 :] + es[:k]
+        out = "{%s:" % t.labels[v].skey
+        for eidx in order:
+            a, b = t.edge_list[eidx]
+            w = b if a == v else a
+            out += ("^" if b == v else "v") + ser(w, eidx)
+        return out + "}"
+
+    return ser(root, None)
+
+
+def assert_canonical(t: OrientedTree):
+    key, root, rot = min(
+        (naive_serialize(t, r, s), r, s)
+        for r in range(t.vertex_count())
+        for s in range(max(len(t.adj[r]), 1))
+    )
+    assert (t.skey, t.canon_root, t.canon_rot) == ("OT|" + key, root, rot)
+
+
+def test_oriented_canonical_key_matches_naive_minimum(q1):
+    labs = necklace_labels(q1)
+    trees = all_oriented_trees(4, labs, flags=(False, True))
+    assert len(trees) > 100
+    for t in trees:
+        assert_canonical(t)
+        for eidx in range(t.edge_count()):
+            for part in t.delete_edge(eidx):
+                assert_canonical(part)
+
+
+def random_rooted_tree(rng, edges, labels):
+    nodes = [[rng.choice(labels), []]]
+    for _ in range(edges):
+        parent = rng.choice(nodes)
+        child = [rng.choice(labels), []]
+        parent[1].insert(rng.randrange(len(parent[1]) + 1), (rng.random() < 0.5, child))
+        nodes.append(child)
+
+    def build(node):
+        return RootedTree(node[0], tuple((up, build(c)) for up, c in node[1]))
+
+    return build(nodes[0])
+
+
+def test_oriented_canonical_key_matches_naive_minimum_large(q1):
+    rng = random.Random(7)
+    labels = labels2(q1)
+    for edges in (12, 14, 16, 16):
+        t = oriented_from_rooted(random_rooted_tree(rng, edges, labels), Necklace)
+        assert t.edge_count() == edges
+        assert_canonical(t)
+    # A symmetric star: every root rotation ties, so the first one must win.
+    x = labels[0]
+    star = RootedTree(x, tuple((False, chain([x, x])) for _ in range(6)))
+    assert_canonical(oriented_from_rooted(star, Necklace))
