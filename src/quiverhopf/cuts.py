@@ -94,7 +94,8 @@ def enumerate_cuts(p: Path, simple_only: bool = False):
 
     Non-crossing matchings are generated segment-recursively: the first free
     position is either unmatched or matched to a compatible later position,
-    which seals off the enclosed segment.
+    which seals off the enclosed segment. For simple cuts the sealed segment
+    stays unmatched, so only nesting-free cuts are generated.
     """
     letters = p.letters
 
@@ -107,14 +108,11 @@ def enumerate_cuts(p: Path, simple_only: bool = False):
         want = letters[lo - 1].star()
         for q in range(lo + 1, hi + 1):
             if letters[q - 1] == want:
-                for left in gen(lo + 1, q - 1):
+                for left in ((),) if simple_only else gen(lo + 1, q - 1):
                     for right in gen(q + 1, hi):
                         yield ((lo, q),) + left + right
 
-    cuts = [Cut(ps) for ps in gen(1, len(letters))]
-    if simple_only:
-        cuts = [h for h in cuts if h.is_simple()]
-    return sorted(cuts)
+    return sorted([Cut(ps) for ps in gen(1, len(letters))])
 
 
 def epsilon(p: Path, h: Cut) -> Fraction:
@@ -138,34 +136,54 @@ class CutComponents:
     chords: Dict[Tuple[int, int], Path]
 
 
-def _encloser(pairs, pos: int):
-    """Innermost chord strictly containing a position, or None."""
-    best = None
-    for i, j in pairs:
-        if i < pos < j and (best is None or i > best[0]):
-            best = (i, j)
-    return best
+def _surgery(p: Path, cut: Cut, sub) -> dict:
+    """Cut a word along the chords `sub` of `cut`, in one left-to-right pass.
+
+    Each letter that is not an endpoint of a chord in `sub` joins the piece of
+    the innermost open chord of `sub`, or the outer piece. The other chords of
+    `cut` cannot cross, so each lies inside one piece and is renumbered there.
+    Returns {chord or None: (Path, renumbered pairs)}; None is the outer piece,
+    which keeps the basepoint, and a chord's piece starts at the target of its
+    left letter.
+    """
+    letters = p.letters
+    ends = {}  # left endpoint -> its chord, right endpoint -> None
+    for c in sub:
+        ends[c[0]] = c
+        ends[c[1]] = None
+    partner = {j: i for i, j in cut.pairs if i not in ends}
+    outer = ([], [])
+    pieces = {None: outer}
+    stack = [outer]
+    new_index = {}
+    for pos, lt in enumerate(letters, 1):
+        if pos in ends:
+            c = ends[pos]
+            if c is None:
+                stack.pop()
+            else:
+                piece = pieces[c] = ([], [])
+                stack.append(piece)
+        else:
+            word, pairs = stack[-1]
+            word.append(lt)
+            new_index[pos] = len(word)
+            if pos in partner:
+                pairs.append((new_index[partner[pos]], len(word)))
+    out = {None: (Path(p.start, tuple(outer[0])), outer[1])}
+    for c in sub:
+        word, pairs = pieces[c]
+        out[c] = (Path(letters[c[0] - 1].tgt, tuple(word)), pairs)
+    return out
 
 
 def cut_components(p: Path, h: Cut) -> CutComponents:
     """Delete all matched letters and reglue: one piece per chord plus the outer piece."""
     validate_cut(p, h)
-    matched = {k for pair in h.pairs for k in pair}
-    groups: Dict[Tuple[int, int], list] = {pair: [] for pair in h.pairs}
-    outer_positions = []
-    for pos in range(1, len(p.letters) + 1):
-        if pos in matched:
-            continue
-        c = _encloser(h.pairs, pos)
-        if c is None:
-            outer_positions.append(pos)
-        else:
-            groups[c].append(pos)
-    outer = Path(p.start, tuple(p.letters[k - 1] for k in outer_positions))
-    chords = {}
-    for (i, j), positions in groups.items():
-        chords[(i, j)] = Path(p.letters[i - 1].tgt, tuple(p.letters[k - 1] for k in positions))
-    return CutComponents(outer=outer, chords=chords)
+    pieces = _surgery(p, h, h.pairs)
+    return CutComponents(
+        outer=pieces[None][0], chords={c: pieces[c][0] for c in h.pairs}
+    )
 
 
 def cut_order_at(p: Path, h: Cut, v) -> int:
@@ -266,7 +284,6 @@ class NecklaceDiagram(BasisElement):
             if best is None or cand[:2] < best[:2]:
                 best = cand
         word, moved = best[2], best[3]
-        validate_cut(word, moved)
         BasisElement.__init__(self, "CN|[%s] / %s" % (word.skey[2:], moved.text()))
         self.path = word
         self.cut = moved
@@ -306,42 +323,9 @@ def remove_chords(d: PathDiagram, sub: Cut):
             raise ValueError("chord %r is not part of the cut %s" % (c, d.cut.text()))
     if not sub.is_simple():
         raise ValueError("subcut %s is not simple" % sub.text())
-    letters = d.path.letters
-    regions = {c: set(range(c[0], c[1] + 1)) for c in sub.pairs}
-
-    def group_of(pos: int):
-        for c, region in regions.items():
-            if pos in region:
-                return c
-        return None
-
-    positions: Dict = {c: [] for c in sub.pairs}
-    positions[None] = []
-    for pos in range(1, len(letters) + 1):
-        g = group_of(pos)
-        if g is not None and pos in g:
-            continue  # a removed matched letter
-        positions[g].append(pos)
-    residual: Dict = {c: [] for c in sub.pairs}
-    residual[None] = []
-    for c2 in d.cut.pairs:
-        if c2 in regions:
-            continue
-        g_i, g_j = group_of(c2[0]), group_of(c2[1])
-        if g_i != g_j:
-            raise AssertionError("chord %r straddles surgery components" % (c2,))
-        residual[g_i].append(c2)
-
-    def build(g, start_vertex) -> PathDiagram:
-        pos_list = positions[g]
-        new_index = {old: k + 1 for k, old in enumerate(pos_list)}
-        word = Path(start_vertex, tuple(letters[k - 1] for k in pos_list))
-        new_cut = Cut(tuple((new_index[i], new_index[j]) for i, j in residual[g]))
-        return PathDiagram(word, new_cut)
-
-    outer = build(None, d.path.start)
-    inners = {c: build(c, letters[c[0] - 1].tgt) for c in sub.pairs}
-    return outer, inners
+    pieces = _surgery(d.path, d.cut, sub.pairs)
+    outer = PathDiagram(pieces[None][0], Cut(pieces[None][1]))
+    return outer, {c: PathDiagram(pieces[c][0], Cut(pieces[c][1])) for c in sub.pairs}
 
 
 def chord_delta_p_rt(d: PathDiagram) -> Tensor:
@@ -358,20 +342,13 @@ def chord_delta_p_rt(d: PathDiagram) -> Tensor:
     return Tensor(2, terms)
 
 
-def _necklace_diagram(d: PathDiagram) -> NecklaceDiagram:
-    return NecklaceDiagram(d.path, d.cut)
-
-
 def chord_delta_or(x: NecklaceDiagram) -> Tensor:
     """Cobracket on necklace chord diagrams: antisymmetrized chord removal."""
-    base = PathDiagram(x.path, x.cut)
     terms = []
-    for c in x.cut.pairs:
-        w = omega(x.path.letters[c[0] - 1], x.path.letters[c[1] - 1])
-        outer, inners = remove_chords(base, Cut((c,)))
-        x1 = _necklace_diagram(inners[c])
-        x2 = _necklace_diagram(outer)
-        terms += [((x1, x2), -w), ((x2, x1), w)]
+    for (inner, outer), coef in chord_delta_p_rt(PathDiagram(x.path, x.cut)).items():
+        x1 = NecklaceDiagram(inner.path, inner.cut)
+        x2 = NecklaceDiagram(outer.path, outer.cut)
+        terms += [((x1, x2), coef), ((x2, x1), -coef)]
     return Tensor(2, terms)
 
 
@@ -384,10 +361,7 @@ def chord_coproduct(d: PathDiagram) -> Tensor:
     """
     terms = [((Monomial((d,)), SYM_UNIT), 1)]
     for sub in simple_subcuts(d.cut):
-        sign = Fraction(1)
-        for i, j in sub.pairs:
-            sign *= -omega(d.path.letters[i - 1], d.path.letters[j - 1])
         outer, inners = remove_chords(d, sub)
         left = Monomial(tuple(inners[c] for c in sub.pairs))
-        terms.append(((left, Monomial((outer,))), sign))
+        terms.append(((left, Monomial((outer,))), epsilon(d.path, sub)))
     return Tensor(2, terms)

@@ -26,25 +26,32 @@ from .cuts import (
     precedes,
 )
 from .dual import d_or, d_rt
-from .linear import SYM_UNIT, WORD_UNIT, LinComb, Monomial, Tensor, Word
+from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
 from .quiver import Necklace, Path
 from .symalg import antipode_monomial, cop_free, mul_lincomb
 from .verify import Report, verify_defect
 from .trees import RootedTree
 
 
-def path_coproduct(x: Path) -> Tensor:
-    """Simple-cut coproduct on a path, valued in monomial pairs.
+def _cut_coproduct(x: Path, kind) -> Tensor:
+    """Simple-cut coproduct on a path, valued in pairs of `kind` (Monomial or
+    Word).
 
     X (x) 1 plus, for every simple cut, sign times (product of chord
-    components) (x) (outer component); the empty cut supplies 1 (x) X.
+    components, left to right by chord left endpoint) (x) (outer component);
+    the empty cut supplies 1 (x) X.
     """
-    terms = [((Monomial((x,)), SYM_UNIT), 1)]
+    terms = [((kind((x,)), kind(())), 1)]
     for h in enumerate_cuts(x, simple_only=True):
         comps = cut_components(x, h)
-        left = Monomial(tuple(comps.chords[c] for c in h.pairs))
-        terms.append(((left, Monomial((comps.outer,))), epsilon(x, h)))
+        left = kind(tuple(comps.chords[c] for c in h.pairs))
+        terms.append(((left, kind((comps.outer,))), epsilon(x, h)))
     return Tensor(2, terms)
+
+
+def path_coproduct(x: Path) -> Tensor:
+    """Simple-cut coproduct on a path, valued in monomial pairs."""
+    return _cut_coproduct(x, Monomial)
 
 
 def path_antipode(x: Path) -> LinComb:
@@ -82,17 +89,9 @@ def eta_or(x: Necklace, signed: bool = False) -> LinComb:
 
 
 def nc_coproduct(x: Path) -> Tensor:
-    """Ordered-tensor coproduct on a path, valued in word pairs.
-
-    Like path_coproduct, except the severed components multiply as an ordered
-    word, left to right by chord left endpoint.
-    """
-    terms = [((Word((x,)), WORD_UNIT), 1)]
-    for h in enumerate_cuts(x, simple_only=True):
-        comps = cut_components(x, h)
-        left = Word(tuple(comps.chords[c] for c in sorted(h.pairs)))
-        terms.append(((left, Word((comps.outer,))), epsilon(x, h)))
-    return Tensor(2, terms)
+    """Ordered-tensor coproduct on a path, valued in word pairs: the severed
+    components multiply as an ordered word."""
+    return _cut_coproduct(x, Word)
 
 
 def sym_extend(f: Callable[[object], LinComb]) -> Callable[[Monomial], LinComb]:

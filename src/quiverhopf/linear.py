@@ -113,10 +113,6 @@ class LinComb:
     def single(x: BasisElement, c=1) -> "LinComb":
         return LinComb(((x, c),))
 
-    @staticmethod
-    def zero() -> "LinComb":
-        return LinComb()
-
     def terms(self):
         """Term list sorted by basis key: deterministic across runs."""
         return sorted(self._terms.items())
@@ -124,9 +120,6 @@ class LinComb:
     def items(self):
         """Terms in no fixed order, for sums whose result does not depend on it."""
         return self._terms.items()
-
-    def support(self):
-        return sorted(self._terms)
 
     def coeff(self, x) -> Fraction:
         return self._terms.get(x, Fraction(0))

@@ -19,7 +19,7 @@ _BAD_ID_CHARS = set('*|{}()[]/,;"\' \t\n')
 
 def _check_id(s: str, what: str) -> str:
     if not isinstance(s, str):
-        s = str(s)
+        raise ValueError("%s identifier %r must be a string" % (what, s))
     if not s or any(ch in _BAD_ID_CHARS for ch in s):
         raise ValueError("bad %s identifier %r (empty or contains reserved characters)" % (what, s))
     return s
@@ -76,13 +76,15 @@ class Quiver:
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(_check_id(v, "vertex") for v in vertices)
+        if not self.vertices:
+            raise ValueError("a quiver needs at least one vertex")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         vset = set(self.vertices)
         self.edges = {}
         for eid, src, tgt in edges:
             eid = _check_id(eid, "edge")
-            src, tgt = str(src), str(tgt)
+            src, tgt = _check_id(src, "source"), _check_id(tgt, "target")
             if eid in self.edges:
                 raise ValueError("duplicate edge id %r" % eid)
             if src not in vset or tgt not in vset:
@@ -112,11 +114,17 @@ class Quiver:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Quiver":
+        """Build from the JSON schema, coercing nothing: a 'vertices' list and an
+        'edges' list of {"id", "source", "target"} objects, every id a string."""
         try:
-            vertices = data["vertices"]
-            edges = [(e["id"], e["source"], e["target"]) for e in data["edges"]]
+            vertices, edges = data["vertices"], data["edges"]
+            if not (isinstance(vertices, list) and isinstance(edges, list)):
+                raise TypeError("'vertices' and 'edges' must be lists")
+            edges = [(e["id"], e["source"], e["target"]) for e in edges]
         except (KeyError, TypeError) as exc:
-            raise ValueError("quiver input must have 'vertices' and 'edges' entries: %s" % exc)
+            raise ValueError(
+                "quiver input must have a 'vertices' list and an 'edges' list of objects: %s" % exc
+            )
         return cls(vertices, edges)
 
     @classmethod

@@ -128,6 +128,65 @@ def test_bridge_golden_output(instance):
     assert run(argv) == (0, golden)
 
 
+# A nested two_loops word: (1,4) encloses (2,3), and (5,6) sits beside it.
+NESTED_WORD = "v a b b* a* a a*"
+
+GOLDEN_SURGERY = [
+    ("chords_signs_two_loops", ["chords", "--path", NESTED_WORD, "--with-signs"]),
+    ("chords_simple_two_loops", ["chords", "--path", NESTED_WORD, "--simple"]),
+    ("coproduct_two_loops", ["coproduct", "--input", NESTED_WORD]),
+    ("coproduct_ordered_two_loops", ["coproduct", "--input", NESTED_WORD, "--ordered"]),
+    ("dualtree_two_loops", ["dualtree", "--path", NESTED_WORD, "--cut", "(1,4)(2,3)(5,6)"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_SURGERY)
+def test_surgery_golden_output(name, argv):
+    # Captured before the cut surgery became one pass.
+    with open(os.path.join(ROOT, "tests", "golden", name + ".txt")) as f:
+        golden = f.read()
+    quiver = os.path.join(ROOT, "quivers", "two_loops.json")
+    assert run(argv + ["--quiver", quiver]) == (0, golden)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [],
+        {"vertices": ["1"]},
+        {"vertices": "12", "edges": []},
+        {"vertices": [1, 2], "edges": []},
+        {"vertices": ["1", "2"], "edges": {"e": ["1", "2"]}},
+        {"vertices": ["1", "2"], "edges": ["e"]},
+        {"vertices": ["1", "2"], "edges": [{"id": "e", "source": "1"}]},
+        {"vertices": ["1", "2"], "edges": [{"id": 5, "source": "1", "target": "2"}]},
+        {"vertices": ["1", "2"], "edges": [{"id": "e", "source": 1, "target": "2"}]},
+        {"vertices": ["1", "2"], "edges": [{"id": "e", "source": "1", "target": 2}]},
+    ],
+)
+def test_malformed_quiver_json_rejected(data, tmp_path, capsys):
+    qfile = tmp_path / "bad.json"
+    qfile.write_text(json.dumps(data))
+    assert run(["coproduct", "--quiver", str(qfile), "--input", "1"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bridge", "--instance", "trees", "--max-degree", "3"],
+        ["bridge", "--instance", "paths", "--max-degree", "3"],
+        ["verify", "--theorem", "1", "--max-len", "2"],
+    ],
+)
+def test_empty_quiver_rejected(argv, tmp_path, capsys):
+    qfile = tmp_path / "empty.json"
+    qfile.write_text(json.dumps({"vertices": [], "edges": []}))
+    assert run(argv + ["--quiver", str(qfile)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: a quiver needs at least one vertex\n"
+
+
 def test_verify_laws_pass():
     for law in ("prelie", "lie"):
         rc, out = run(["verify", "--law", law, "--max-len", "4"])

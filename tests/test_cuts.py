@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quiverhopf.cuts import (
     Cut,
+    CutComponents,
     NecklaceDiagram,
     PathDiagram,
     chord_coproduct,
@@ -65,6 +66,40 @@ def oracle_cuts(p):
     return sorted(set(results))
 
 
+def nesting_free(pairs):
+    """True iff no pair lies strictly inside another, by direct inspection."""
+    return not any(i1 < i2 < j2 < j1 for i1, j1 in pairs for i2, j2 in pairs)
+
+
+def sliced_surgery(p, cut_pairs, sub_pairs):
+    """Independent surgery: remove the chords of sub_pairs one at a time, from
+    the innermost outward, by slicing the word the way delta_p_rt does.
+
+    The word is a list of (original position, letter); the letters strictly
+    inside a chord become its piece, the rest stays. Returns
+    {chord or None: (Path, renumbered residual pairs)}, None being the outer
+    piece; a residual chord is renumbered inside the piece holding both ends.
+    """
+    word = list(enumerate(p.letters, 1))
+    pieces = {}
+    for i, j in sorted(sub_pairs, key=lambda c: c[1] - c[0]):
+        a = [pos for pos, _ in word].index(i)
+        b = [pos for pos, _ in word].index(j)
+        pieces[(i, j)] = (p.letters[i - 1].tgt, word[a + 1 : b])
+        word = word[:a] + word[b + 1 :]
+    pieces[None] = (p.start, word)
+    out = {}
+    for key, (start, entries) in pieces.items():
+        index = {pos: k + 1 for k, (pos, _) in enumerate(entries)}
+        residual = [
+            (index[i], index[j])
+            for i, j in cut_pairs
+            if (i, j) not in sub_pairs and i in index and j in index
+        ]
+        out[key] = (Path(start, tuple(lt for _, lt in entries)), sorted(residual))
+    return out
+
+
 def ee4(q1):
     e = q1.letter("e")
     return Path("1", (e, e.star(), e, e.star()))
@@ -96,7 +131,11 @@ def test_enumerate_cuts_single_letter(q1):
 def test_enumeration_matches_oracle_exhaustive(q1, loop, q2, two_loops):
     for q in (q1, loop, q2, two_loops):
         for p in all_paths(q, 6):
-            assert [c.pairs for c in enumerate_cuts(p)] == oracle_cuts(p)
+            expect = oracle_cuts(p)
+            assert [c.pairs for c in enumerate_cuts(p)] == expect
+            assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
+                ps for ps in expect if nesting_free(ps)
+            ]
 
 
 def test_enumeration_matches_oracle_random(two_loops, q2):
@@ -247,6 +286,37 @@ def test_remove_chords_matches_components_on_simple_cuts(q1, two_loops):
                     assert inners[c].cut == Cut(())
 
 
+def test_cut_components_match_sliced_surgery(two_loops, loop_edge):
+    checked = 0
+    for q in (two_loops, loop_edge):
+        for p in all_paths(q, 6):
+            for h in enumerate_cuts(p):
+                pieces = sliced_surgery(p, h.pairs, h.pairs)
+                expect = CutComponents(
+                    outer=pieces[None][0], chords={c: pieces[c][0] for c in h.pairs}
+                )
+                assert cut_components(p, h) == expect
+                checked += any(not nesting_free([c, d]) for c in h.pairs for d in h.pairs)
+    assert checked  # nested cuts were among those compared
+
+
+def test_remove_chords_matches_sliced_surgery(two_loops, loop_edge):
+    checked = 0
+    for q in (two_loops, loop_edge):
+        for p in all_paths(q, 6):
+            for h in enumerate_cuts(p):
+                d = PathDiagram(p, h)
+                for sub in simple_subcuts(h):
+                    pieces = sliced_surgery(p, h.pairs, sub.pairs)
+                    outer, inners = remove_chords(d, sub)
+                    assert outer == PathDiagram(pieces[None][0], Cut(pieces[None][1]))
+                    assert set(inners) == set(sub.pairs)
+                    for c in sub.pairs:
+                        assert inners[c] == PathDiagram(pieces[c][0], Cut(pieces[c][1]))
+                    checked += len(pieces[None][1]) > 0
+    assert checked  # residual chords were renumbered in some outer pieces
+
+
 def test_chord_delta_p_rt_one_chord(q1):
     e = q1.letter("e")
     d = PathDiagram(Path("1", (e, e.star())), Cut(((1, 2),)))
@@ -362,7 +432,11 @@ def two_loop_paths(draw):
 
 @given(two_loop_paths())
 def test_enumeration_matches_oracle_hypothesis(p):
-    assert [c.pairs for c in enumerate_cuts(p)] == oracle_cuts(p)
+    expect = oracle_cuts(p)
+    assert [c.pairs for c in enumerate_cuts(p)] == expect
+    assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
+        ps for ps in expect if nesting_free(ps)
+    ]
 
 
 @given(two_loop_paths())

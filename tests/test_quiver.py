@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from quiverhopf.quiver import (
@@ -124,6 +126,20 @@ def test_quiver_validation():
         Quiver(("x",), (("x", "x", "x"),))
     with pytest.raises(ValueError):
         Quiver(("a b",), ())
+    with pytest.raises(ValueError):
+        Quiver((), ())  # no vertices
+    with pytest.raises(ValueError):
+        Quiver((1, "2"), ())  # a number is not an id
+    with pytest.raises(ValueError):
+        Quiver(("1", "2"), (("e", 1, "2"),))
+
+
+def test_sample_quiver_files_load():
+    qdir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers")
+    names = sorted(os.listdir(qdir))
+    assert len(names) == 4
+    for name in names:
+        assert Quiver.load(os.path.join(qdir, name)).vertices
 
 
 def test_quiver_json_roundtrip(q2, tmp_path):
