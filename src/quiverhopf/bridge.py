@@ -7,7 +7,8 @@ coming from coassociativity in low symmetric degree: the unknown layer enters
 only through the split of its left monomial into a single generator times the
 rest, which is inverted by multiplying back and dividing by the factor count.
 The division is the one place exact rationals are genuinely needed; the
-reconstructed constants come out integral again, which the tests assert.
+reconstructed constants come out integral again, which the tests assert, and
+an integral quotient is stored as an int.
 """
 
 from __future__ import annotations
@@ -105,6 +106,12 @@ class CoproductLayers:
         )
 
 
+def _divide(c, d: int):
+    """Exact quotient c / d, kept as an int when it is integral."""
+    q = Fraction(c, d)
+    return q.numerator if q.denominator == 1 else q
+
+
 def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: int) -> CoproductLayers:
     """Build every coproduct layer above a degree-preserving pre-Lie map.
 
@@ -156,9 +163,10 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
             if not r:
                 continue
             # Invert the (generator (x) Sym^n) split of the left monomial.
-            layer = Fraction(1, n + 1) * Tensor(
+            split = Tensor(
                 2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1)
             )
+            layer = Tensor(2, ((key, _divide(c, n + 1)) for key, c in split.items()))
             check = layer.slot_expand(0, delta0_prime, 2) - r
             if check:
                 raise ValueError(

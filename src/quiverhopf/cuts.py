@@ -115,10 +115,10 @@ def enumerate_cuts(p: Path, simple_only: bool = False):
     return sorted([Cut(ps) for ps in gen(1, len(letters))])
 
 
-def epsilon(p: Path, h: Cut) -> Fraction:
+def epsilon(p: Path, h: Cut) -> int:
     """Sign of a cut: the product of -omega over its chords (1 for the empty cut)."""
     validate_cut(p, h)
-    sign = Fraction(1)
+    sign = 1
     for i, j in h.pairs:
         sign *= -omega(p.letters[i - 1], p.letters[j - 1])
     return sign
@@ -206,13 +206,8 @@ def cut_order(p: Path, h: Cut) -> int:
     """Maximum nesting depth over all word positions."""
     validate_cut(p, h)
     n = len(p.letters)
-    best = 0
-    for k in range(n + 1):
-        v = Fraction(2 * k + 1, 2)
-        depth = sum(1 for i, j in h.pairs if i < v < j)
-        if depth > best:
-            best = depth
-    return best
+    # Position k + 1/2 lies inside chord (i, j) exactly when i <= k < j.
+    return max(sum(1 for i, j in h.pairs if i <= k < j) for k in range(n + 1))
 
 
 def precedes(h1: Cut, h2: Cut) -> bool:
@@ -271,19 +266,19 @@ class NecklaceDiagram(BasisElement):
             raise ValueError("necklace diagram needs a closed word")
         validate_cut(path, cut)
         n = len(path.letters)
-        best = None
-        for k in range(max(n, 1)):
-            word = rotate(path, k) if n else path
-            moved = Cut(
-                tuple(
-                    tuple(sorted((((i - k - 1) % n) + 1, ((j - k - 1) % n) + 1)))
-                    for i, j in cut.pairs
-                )
+        keys = tuple(lt.sort_key for lt in path.letters) * 2
+        words = [keys[k : k + n] for k in range(max(n, 1))]
+        least = min(words)
+
+        def rotated_pairs(k):
+            return sorted(
+                tuple(sorted(((i - k - 1) % n + 1, (j - k - 1) % n + 1))) for i, j in cut.pairs
             )
-            cand = (tuple(lt.sort_key for lt in word.letters), moved.pairs, word, moved)
-            if best is None or cand[:2] < best[:2]:
-                best = cand
-        word, moved = best[2], best[3]
+
+        # Only rotations with the least word compare their cuts; the first
+        # rotation wins a tie, and only the winner is built.
+        pairs, k = min((rotated_pairs(k), k) for k, w in enumerate(words) if w == least)
+        word, moved = rotate(path, k), Cut(pairs)
         BasisElement.__init__(self, "CN|[%s] / %s" % (word.skey[2:], moved.text()))
         self.path = word
         self.cut = moved

@@ -156,7 +156,12 @@ def coassoc_formula_terms(x: Path) -> Tensor:
     grouped surgery components: first-piece components (x) second-piece
     components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
     """
-    terms = [((a, b, SYM_UNIT), c) for (a, b), c in path_coproduct(x).items()]
+    return _formula_terms(x, path_coproduct(x))
+
+
+def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
+    """coassoc_formula_terms(x), given the coproduct cop_x of x."""
+    terms = [((a, b, SYM_UNIT), c) for (a, b), c in cop_x.items()]
     for h in enumerate_cuts(x):
         if cut_order(x, h) > 2:
             continue
@@ -180,13 +185,14 @@ def coassoc_formula_terms(x: Path) -> Tensor:
 def coassoc_formula_defect(x: Path) -> Tensor:
     """Compare (cop (x) 1)cop, (1 (x) cop)cop, and the order/precedence
     expansion on one path: (cop (x) 1)cop minus the expansion, or, if that
-    vanishes, minus (1 (x) cop)cop. Both sides share one call-scoped memo
-    of the monomial coproducts."""
-    cop = functools.cache(lambda m: cop_free(path_coproduct, m))
-    t = path_coproduct(x)
+    vanishes, minus (1 (x) cop)cop. All three share one call-scoped memo of
+    the path coproducts, so each path is expanded once per call."""
+    gen = functools.cache(path_coproduct)
+    cop = functools.cache(lambda m: cop_free(gen, m))
+    t = gen(x)
     direct = t.slot_expand(0, cop, 2)
     other = t.slot_expand(1, cop, 2)
-    formula = coassoc_formula_terms(x)
+    formula = _formula_terms(x, t)
     return (direct - formula) or (direct - other)
 
 

@@ -1,30 +1,35 @@
 """Exact linear algebra over canonical basis elements.
 
-Free modules with rational coefficients, tensor powers with a permutation
+Free modules with exact coefficients, tensor powers with a permutation
 action, and symmetric/ordered monomials. All values are immutable and
 hashable; equality and iteration order go through canonical string keys, so
 every computation downstream is deterministic across runs. Scalars are exact
-rationals throughout -- no floats anywhere.
+throughout -- no floats anywhere: a coefficient is a Python int, and becomes
+a Fraction only after an actual division (the bridge reconstruction is the
+one place that divides). Both print the same text.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Union
 
-Scalar = Fraction
+# A coefficient: an int, or a Fraction once something has divided.
+Scalar = Union[int, Fraction]
 
 
-def as_scalar(c) -> Fraction:
-    """Coerce an int to Fraction; floats are rejected to keep everything exact."""
-    if isinstance(c, Fraction):
+def as_scalar(c) -> Scalar:
+    """Accept an int (a bool as 0/1) or a Fraction as it is; floats are rejected
+    to keep everything exact."""
+    if type(c) is int or isinstance(c, Fraction):
         return c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError("scalar must be int or Fraction, got %s" % type(c).__name__)
 
 
-def format_scalar(c: Fraction, structured: bool = False) -> str:
+def format_scalar(c: Scalar, structured: bool = False) -> str:
     if structured:
         return "%d/%d" % (c.numerator, c.denominator)
     if c.denominator == 1:
@@ -78,7 +83,7 @@ class BasisElement:
         return self.text()
 
 
-def _accumulate(acc: dict, key, c: Fraction):
+def _accumulate(acc: dict, key, c: Scalar):
     c0 = acc.get(key)
     if c0 is None:
         if c:
@@ -92,7 +97,7 @@ def _accumulate(acc: dict, key, c: Fraction):
 
 
 class LinComb:
-    """Finite rational linear combination of basis elements.
+    """Finite exact linear combination of basis elements.
 
     Zero coefficients are dropped eagerly, so equality is plain dict equality
     and ``bool`` tests for zero.
@@ -121,8 +126,8 @@ class LinComb:
         """Terms in no fixed order, for sums whose result does not depend on it."""
         return self._terms.items()
 
-    def coeff(self, x) -> Fraction:
-        return self._terms.get(x, Fraction(0))
+    def coeff(self, x) -> Scalar:
+        return self._terms.get(x, 0)
 
     def __bool__(self):
         return bool(self._terms)
@@ -195,7 +200,7 @@ class LinComb:
 class Tensor:
     """Element of the n-fold tensor power of a free module.
 
-    Terms map n-tuples of basis elements to nonzero rationals; the arity is
+    Terms map n-tuples of basis elements to nonzero scalars; the arity is
     fixed per value. Operations between tensors require equal arities.
     """
 
@@ -233,8 +238,8 @@ class Tensor:
         """Terms in no fixed order, for sums whose result does not depend on it."""
         return self._terms.items()
 
-    def coeff(self, key) -> Fraction:
-        return self._terms.get(tuple(key), Fraction(0))
+    def coeff(self, key) -> Scalar:
+        return self._terms.get(tuple(key), 0)
 
     def __bool__(self):
         return bool(self._terms)
@@ -365,7 +370,7 @@ def tensor(*factors) -> Tensor:
     acc: dict = {}
     for combo in itertools.product(*(lc._terms.items() for lc in lcs)):
         key = tuple(x for x, _ in combo)
-        c = Fraction(1)
+        c = 1
         for _, ci in combo:
             c *= ci
         _accumulate(acc, key, c)

@@ -10,7 +10,6 @@ rotation, stored by their lexicographically minimal rotation.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .linear import BasisElement
 
@@ -221,15 +220,15 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def omega(a: Letter, b: Letter) -> Fraction:
+def omega(a: Letter, b: Letter) -> int:
     """Pairing of double-quiver letters.
 
     +1 on (e, e*), -1 on (e*, e), and 0 whenever b is not the reverse of a.
     Antisymmetric on matched pairs by construction.
     """
     if b.eid == a.eid and b.starred != a.starred:
-        return Fraction(-1) if a.starred else Fraction(1)
-    return Fraction(0)
+        return -1 if a.starred else 1
+    return 0
 
 
 class Path(BasisElement):
@@ -309,13 +308,10 @@ class Necklace(BasisElement):
             raise ValueError("necklace requires a closed path, got %s" % p.text())
         rep = p
         if p.letters:
-            best = None
-            for k in range(len(p.letters)):
-                cand = rotate(p, k)
-                kk = tuple(lt.sort_key for lt in cand.letters)
-                if best is None or kk < best[0]:
-                    best = (kk, cand)
-            rep = best[1]
+            # Compare rotations of the key tuple; min keeps the first on a tie.
+            n = len(p.letters)
+            keys = tuple(lt.sort_key for lt in p.letters) * 2
+            rep = rotate(p, min(range(n), key=lambda k: keys[k : k + n]))
         BasisElement.__init__(self, "N|" + rep.skey[2:])
         self.rep = rep
 

@@ -160,7 +160,14 @@ class OrientedTree(BasisElement):
             raise ValueError("an oriented tree on n vertices needs n - 1 edges")
         best = None
         below: dict = {}
+        # A serialization from root r starts with heads[r], so a root whose
+        # head does not start with the least head cannot hold the minimum.
+        # (One head can be a proper prefix of another: ':' is an id character.)
+        heads = ["{%s:" % lab.skey for lab in labels]
+        least = min(heads)
         for r in range(len(labels)):
+            if not heads[r].startswith(least):
+                continue
             for s in range(max(len(adj[r]), 1)):
                 key = self._serialize(labels, edge_list, adj, r, s, below)
                 if best is None or key < best[0]:

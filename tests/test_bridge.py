@@ -1,9 +1,11 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from quiverhopf import bridge
 from quiverhopf.bridge import (
+    CoproductLayers,
     compare_coproducts,
     delta0_prime,
     extract_prelie,
@@ -202,3 +204,27 @@ def test_reconstruct_memos_are_call_scoped(q1, monkeypatch):
     assert rho_calls == len(basis)
     # One memo per degree step: a monomial is expanded at most once a step.
     assert max(cop_calls.values()) <= len(layers)
+
+
+def test_reconstructed_layers_are_int(two_loops):
+    # The division by n + 1 comes out integral, and is stored as an int.
+    paths = all_paths(two_loops, 4)
+    trees = all_rooted_trees(5, (two_loops.trivial("v"),))
+    for layers in (
+        reconstruct_coproduct(paths, path_degree, delta_p_rt, 6),
+        reconstruct_coproduct(trees, tree_degree, rho, 6),
+    ):
+        assert layers.max_layer() >= 2
+        assert layers.all_integral()
+        for d in layers.layers.values():
+            for t in d.values():
+                assert {type(c) for _, c in t.items()} == {int}
+
+
+def test_non_integral_layer_is_reported(q1):
+    x = q1.trivial("1")
+    half = Tensor(2, (((M(x, x), M(x)), Fraction(1, 2)),))
+    assert not CoproductLayers({2: {x: half}}, tree_degree).all_integral()
+    assert CoproductLayers({2: {x: 2 * half}}, tree_degree).all_integral()
+    assert bridge._divide(3, 2) == Fraction(3, 2)
+    assert type(bridge._divide(4, 2)) is int and bridge._divide(4, 2) == 2

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from quiverhopf import cuts
+from quiverhopf import cuts, hopf, symalg
 from quiverhopf.cli import main
 from quiverhopf.verify import Report
 
@@ -116,6 +116,7 @@ def test_bridge_below_least_degree_rejected_trees(capsys):
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TWO_LOOPS = os.path.join(ROOT, "quivers", "two_loops.json")
 
 
 @pytest.mark.parametrize("instance", ["paths", "trees"])
@@ -147,6 +148,30 @@ def test_surgery_golden_output(name, argv):
         golden = f.read()
     quiver = os.path.join(ROOT, "quivers", "two_loops.json")
     assert run(argv + ["--quiver", quiver]) == (0, golden)
+
+
+# Commands that print coefficients, on a two_loops word with two chords and its
+# necklace; captured while coefficients were still Fractions.
+COEFF_WORD = "v a b b* a*"
+GOLDEN_COEFFICIENTS = [
+    ("eta_path_two_loops", ["eta", "--input", COEFF_WORD]),
+    ("eta_necklace_unsigned_two_loops",
+     ["eta", "--input", "[a b b* a*]", "--sign-convention", "unsigned"]),
+    ("eta_necklace_signed_two_loops",
+     ["eta", "--input", "[a b b* a*]", "--sign-convention", "signed"]),
+    ("antipode_two_loops", ["antipode", "--input", COEFF_WORD]),
+    ("cobracket_or_two_loops", ["cobracket", "--kind", "or", "--input", "[a b b* a*]"]),
+    ("cobracket_p_rt_two_loops", ["cobracket", "--kind", "p-rt", "--input", COEFF_WORD]),
+    ("cobracket_rt_two_loops", ["cobracket", "--kind", "rt", "--input", COEFF_WORD]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "structured"])
+@pytest.mark.parametrize("name, argv", GOLDEN_COEFFICIENTS)
+def test_coefficient_golden_output(name, argv, fmt):
+    with open(os.path.join(ROOT, "tests", "golden", "%s_%s.txt" % (name, fmt))) as f:
+        golden = f.read()
+    assert run(argv + ["--quiver", TWO_LOOPS, "--format", fmt]) == (0, golden)
 
 
 @pytest.mark.parametrize(
@@ -366,3 +391,52 @@ def test_verify_enumerates_each_sample_once(monkeypatch):
     rc, out = run(["verify", "--theorem", "2", "--max-len", "3"])
     assert rc == 0, out
     assert calls == {"path_diagrams": 1, "necklace_diagrams": 1}
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_coassoc_expands_each_path_once_per_defect(monkeypatch):
+    calls = count_calls(monkeypatch, hopf, "path_coproduct")
+    argv = ["verify", "--theorem", "coassoc", "--max-len", "3", "--quiver", TWO_LOOPS]
+    assert run(argv) == (
+        0,
+        "PASS coassociativity: direct, formula, and flipped (85 elements)\n"
+        "PASS coassociativity: ordered coproduct (85 elements)\n",
+    )
+    # 85 paths, each expanded once in its own defect, plus the components of
+    # each once per defect (323 when every defect expanded its path 3 times).
+    assert len(calls) == 153
+
+
+ANTIPODE_PASS = (
+    "PASS antipode axiom: paths (85 elements)\n"
+    "PASS antipode axiom: chord diagrams (137 elements)\n"
+    "PASS antipode axiom: ordered paths (85 elements)\n"
+)
+
+
+def test_antipode_sweep_computes_each_series_once(monkeypatch):
+    calls = count_calls(monkeypatch, symalg, "antipode_free")
+    argv = ["verify", "--theorem", "antipode", "--max-len", "3", "--quiver", TWO_LOOPS]
+    counts = []
+    for _ in range(2):
+        del calls[:]
+        assert run(argv) == (0, ANTIPODE_PASS)
+        counts.append(len(calls))
+    # One series per distinct (law, generator); a second run repeats them all,
+    # so no memo outlives its sweep (532 calls without the memo).
+    assert counts == [308, 308]
+    per_law = {}
+    for args in calls:
+        per_law.setdefault(args[0], []).append(args[1])
+    assert all(len(ms) == len(set(ms)) for ms in per_law.values())

@@ -25,7 +25,7 @@ from quiverhopf.cuts import (
     simple_subcuts,
 )
 from quiverhopf.linear import Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.quiver import Path, all_paths
+from quiverhopf.quiver import Path, all_closed_paths, all_paths, rotate
 from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
 
 
@@ -365,6 +365,47 @@ def test_necklace_diagram_canonicalization(q1):
     x = ee4(q1)
     assert NecklaceDiagram(x, Cut(((1, 2),))) == NecklaceDiagram(x, Cut(((3, 4),)))
     assert NecklaceDiagram(x, Cut(((2, 3),))) == NecklaceDiagram(x, Cut(((1, 4),)))
+
+
+def brute_necklace_diagram(path, cut):
+    """Every rotated Path and Cut built in full; the least (word, cut) wins, the
+    first rotation on a tie. An oracle for NecklaceDiagram's key-only choice.
+
+    Also reports whether the cut decided: another rotation had the least word
+    but a different cut.
+    """
+    n = len(path.letters)
+    cands = []
+    for k in range(max(n, 1)):
+        word = rotate(path, k) if n else path
+        moved = Cut(
+            tuple(
+                tuple(sorted((((i - k - 1) % n) + 1, ((j - k - 1) % n) + 1)))
+                for i, j in cut.pairs
+            )
+        )
+        cands.append(((tuple(lt.sort_key for lt in word.letters), moved.pairs), word, moved))
+    best = cands[0]
+    for cand in cands[1:]:
+        if cand[0] < best[0]:
+            best = cand
+    decided = any(c[0][0] == best[0][0] and c[0][1] != best[0][1] for c in cands)
+    return best[1], best[2], decided
+
+
+def test_necklace_diagram_matches_brute_force(two_loops, loop_edge):
+    decided = 0
+    for q in (two_loops, loop_edge):
+        for p in all_closed_paths(q, 6):
+            for h in enumerate_cuts(p):
+                word, moved, by_cut = brute_necklace_diagram(p, h)
+                d = NecklaceDiagram(p, h)
+                assert (d.path.skey, d.cut, d.skey) == (
+                    word.skey, moved, "CN|[%s] / %s" % (word.skey[2:], moved.text())
+                )
+                decided += by_cut
+    # Periodic words such as (a a*)^3 tie on the word, so the cut decides.
+    assert decided > 100
 
 
 def test_chord_coproduct_one_chord(q1):

@@ -418,3 +418,24 @@ def test_path_antipode_memo_is_call_scoped(two_loops, monkeypatch):
     assert runs[0] == runs[1]
     # Within one call each path's coproduct is computed once.
     assert set(runs[0][1].values()) == {1}
+
+
+def test_structure_maps_have_int_coefficients(q1, two_loops, loop_edge):
+    from quiverhopf.verify import tree_sample
+
+    paths = all_paths(two_loops, 4) + all_paths(loop_edge, 3)
+    necklaces = all_necklaces(two_loops, 4) + all_necklaces(loop_edge, 4)
+    trees = tree_sample(q1, 3)
+    values = []
+    for x in paths:
+        values += [delta_p_rt(x), path_coproduct(x), nc_coproduct(x), eta_rt(x)]
+        values += [path_antipode(x)] if len(x) <= 3 else []
+    for x in necklaces:
+        values += [delta_or(x), eta_or(x), eta_or(x, signed=True)]
+    for t in trees:
+        values += [rho(t), tree_coproduct(t)]
+    for d in path_diagrams(two_loops, 3):
+        values.append(chord_coproduct(d))
+    assert len(values) > 1500
+    coefficient_types = {type(c) for v in values for _, c in v.items()}
+    assert coefficient_types == {int}

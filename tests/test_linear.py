@@ -11,6 +11,8 @@ from quiverhopf.linear import (
     LinComb,
     Monomial,
     Word,
+    as_scalar,
+    format_scalar,
     sym_mul,
     tensor,
     wedge,
@@ -47,6 +49,24 @@ def test_lincomb_drops_zeros():
 def test_lincomb_rejects_floats():
     with pytest.raises(TypeError):
         LinComb(((A, 0.5),))
+
+
+def test_scalars_stay_int_until_a_division():
+    assert as_scalar(3) == 3 and type(as_scalar(3)) is int
+    assert as_scalar(True) == 1 and type(as_scalar(True)) is int
+    half = Fraction(1, 2)
+    assert as_scalar(half) is half
+    x = LinComb(((A, 3), (B, -2)))
+    assert [type(c) for _, c in x.terms()] == [int, int]
+    assert type(x.coeff(C)) is int and x.coeff(C) == 0
+    assert type((2 * x - x).coeff(A)) is int
+    y = Fraction(1, 2) * x
+    assert y.coeff(A) == Fraction(3, 2) and y.coeff(B) == -1
+    assert (2 * y) == x
+    t = tensor(x, x)
+    assert all(type(c) is int for _, c in t.terms())
+    assert type(t.coeff((A, C))) is int
+    assert format_scalar(-1, structured=True) == format_scalar(Fraction(-1), structured=True)
 
 
 @given(lincombs, lincombs, lincombs)

@@ -3,9 +3,11 @@ import os
 import pytest
 
 from quiverhopf.quiver import (
+    Necklace,
     ParseError,
     Path,
     Quiver,
+    all_closed_paths,
     all_necklaces,
     all_paths,
     canonical_necklace,
@@ -79,6 +81,31 @@ def test_necklace_rotation_invariance(q2):
         base = canonical_necklace(p)
         for k in range(len(p.letters)):
             assert canonical_necklace(rotate(p, k)) == base
+
+
+def brute_necklace_rep(p: Path) -> Path:
+    """Every rotation built as a Path; the least letter word wins, the first
+    rotation on a tie. An oracle for Necklace's key-only choice."""
+    best = None
+    for k in range(max(len(p.letters), 1)):
+        cand = rotate(p, k)
+        key = tuple(lt.sort_key for lt in cand.letters)
+        if best is None or key < best[0]:
+            best = (key, cand)
+    return best[1]
+
+
+def test_necklace_rep_matches_brute_force(two_loops, loop_edge):
+    count = 0
+    for q in (two_loops, loop_edge):
+        for p in all_closed_paths(q, 6):
+            rep = brute_necklace_rep(p)
+            n = Necklace(p)
+            assert (n.rep.skey, n.skey) == (rep.skey, "N|" + rep.skey[2:])
+            count += 1
+    # Periodic words, whose rotations tie, are among those compared.
+    assert two_loops.parse_path("v a a* a a* a a*") in all_closed_paths(two_loops, 6)
+    assert count > 5000
 
 
 def test_all_paths_counts(q1):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.quiver import Necklace
+from quiverhopf.quiver import Necklace, Quiver
 from quiverhopf.symalg import antipode_defect, antipode_monomial, coassoc_defect, counit_defect
 from quiverhopf.trees import (
     OrientedTree,
@@ -390,3 +390,38 @@ def test_oriented_canonical_key_matches_naive_minimum_large(q1):
     x = labels[0]
     star = RootedTree(x, tuple((False, chain([x, x])) for _ in range(6)))
     assert_canonical(oriented_from_rooted(star, Necklace))
+
+
+def test_oriented_canonical_key_repeated_least_label(q1):
+    # The least label sits on four vertices, so four roots stay candidates.
+    x, y = labels2(q1)
+    t = RootedTree(
+        y,
+        (
+            (False, chain([x, y, x])),
+            (True, chain([y, x], [True])),
+            (False, RootedTree(x, ((True, point(y)), (False, point(y))))),
+        ),
+    )
+    o = oriented_from_rooted(t, Necklace)
+    assert sum(lab == Necklace(x) for lab in o.labels) == 4
+    assert_canonical(o)
+
+
+@pytest.mark.parametrize("long_id", ["v:w", "v:A"])
+def test_oriented_canonical_key_prefix_heads(long_id):
+    # ':' is an id character, so the head "{N|v:" is a proper prefix of the
+    # head "{N|v:w:": both kinds of root must stay candidates. With "v:A"
+    # the longer head holds the minimum ('A' sorts before '^' and 'v').
+    q = Quiver(("v", long_id), ())
+    labels = (q.trivial("v"), q.trivial(long_id))
+    long_root = Necklace(q.trivial("v:A"))
+    rng = random.Random(11)
+    mixed = long_wins = 0
+    for edges in (1, 2, 3, 4, 6, 8, 10, 12):
+        t = oriented_from_rooted(random_rooted_tree(rng, edges, labels), Necklace)
+        assert_canonical(t)
+        mixed += len(set(t.labels)) == 2
+        long_wins += len(set(t.labels)) == 2 and t.labels[t.canon_root] == long_root
+    assert mixed >= 6
+    assert long_wins == (mixed if long_id == "v:A" else 0)
