@@ -9,36 +9,28 @@ import argparse
 import sys
 import time
 
-from quiverhopf.bridge import (
-    GradedPreLieCoalgebra,
-    compare_coproducts,
-    path_degree,
-    tree_degree,
-)
-from quiverhopf.cobrackets import delta_p_rt
-from quiverhopf.hopf import path_coproduct
-from quiverhopf.quiver import ONE_EDGE_QUIVER, Quiver, all_paths
-from quiverhopf.trees import all_rooted_trees, rho, tree_coproduct
+from quiverhopf.bridge import compare_coproducts, instance
+from quiverhopf.quiver import ONE_EDGE_QUIVER, Quiver
 
 
-def show(name, instance, direct, max_degree) -> bool:
+def show(name, inst, direct, max_degree) -> bool:
     t0 = time.time()
-    pre = instance.check()
+    pre = inst.check()
     if not pre.ok:
         print("%s: %s" % (name, pre.line()))
         return False
-    layers = instance.reconstruct(max_degree)
+    layers = inst.reconstruct(max_degree)
     counts = layers.term_counts()
     print(
         "%s: %d basis elements, layers {%s}, integral=%s"
         % (
             name,
-            len(instance.basis),
+            len(inst.basis),
             ", ".join("%d: %d" % (n, c) for n, c in counts.items()),
             layers.all_integral(),
         )
     )
-    rep = compare_coproducts(layers, direct, instance.basis)
+    rep = compare_coproducts(layers, direct, inst.basis)
     print("   %s  (%.2fs)" % (rep.line(), time.time() - t0))
     return rep.ok
 
@@ -49,21 +41,17 @@ def main() -> int:
     parser.add_argument("--quiver", help="quiver JSON file (default: e: 1 -> 2)")
     args = parser.parse_args()
     q = Quiver.load(args.quiver) if args.quiver else ONE_EDGE_QUIVER
-    ok = True
-    paths = GradedPreLieCoalgebra(
-        tuple(all_paths(q, max(args.max_degree - 2, 0))), path_degree, delta_p_rt
-    )
-    ok &= show("paths", paths, path_coproduct, args.max_degree)
     # Plane-tree counts grow Catalan-fast; keep the tree demo at the desk
     # scale (5 edges) unless a smaller cap was requested.
     tdeg = min(args.max_degree, 6)
-    label = q.trivial(q.vertices[0])
-    trees = GradedPreLieCoalgebra(
-        tuple(all_rooted_trees(max(tdeg - 1, 0), (label,), flags=(False,))),
-        tree_degree,
-        rho,
-    )
-    ok &= show("trees", trees, tree_coproduct, tdeg)
+    try:
+        paths = instance(q, "paths", args.max_degree)
+        trees = instance(q, "trees", tdeg)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    ok = show("paths", *paths, args.max_degree)
+    ok &= show("trees", *trees, tdeg)
     return 0 if ok else 1
 
 

@@ -8,7 +8,6 @@ from .linear import (
     Scalar,
     Tensor,
     Word,
-    sym_mul,
     tensor,
     wedge,
 )
@@ -20,7 +19,6 @@ from .quiver import (
     Quiver,
     all_necklaces,
     all_paths,
-    canonical_necklace,
     compose,
     omega,
     rotate,
@@ -36,7 +34,6 @@ from .cuts import (
     chord_delta_p_rt,
     cut_components,
     cut_order,
-    cut_order_at,
     enumerate_cuts,
     epsilon,
     precedes,
@@ -61,9 +58,6 @@ from .hopf import (
     path_coproduct,
     s_or,
     s_rt,
-    verify_coassoc_formula,
-    verify_hopf_morphism,
-    verify_injectivity,
 )
 from .bridge import (
     CoproductLayers,
@@ -75,6 +69,13 @@ from .bridge import (
     reconstruct_coproduct,
     tree_degree,
 )
-from .verify import Report, verify_coalgebra_morphism, verify_lie_coalgebra, verify_prelie_coalgebra
+from .verify import (
+    Report,
+    verify_coalgebra_morphism,
+    verify_hopf_morphism,
+    verify_injectivity,
+    verify_lie_coalgebra,
+    verify_prelie_coalgebra,
+)
 
 __version__ = "0.1.0"

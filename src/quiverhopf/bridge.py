@@ -18,8 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
+from .cobrackets import delta_p_rt
+from .hopf import path_coproduct
 from .linear import Monomial, Tensor
+from .quiver import Quiver, all_paths
 from .symalg import cop_free
+from .trees import all_rooted_trees, rho, tree_coproduct
 from .verify import Report, verify_defect, verify_prelie_coalgebra
 
 
@@ -76,13 +80,6 @@ class CoproductLayers:
     def __init__(self, layers: Dict[int, Dict], degree: Callable):
         self.layers = layers
         self.degree = degree
-
-    def layer(self, n: int, x) -> Tensor:
-        t = self.layers.get(n, {}).get(x)
-        return t if t is not None else Tensor.zero(2)
-
-    def max_layer(self) -> int:
-        return max([n for n, d in self.layers.items() if d], default=0)
 
     def total(self, x) -> Tensor:
         whole = Monomial((x,))
@@ -228,3 +225,29 @@ class GradedPreLieCoalgebra:
 
     def reconstruct(self, max_degree: int) -> CoproductLayers:
         return reconstruct_coproduct(self.basis, self.degree, self.rho, max_degree)
+
+
+def instance(q: Quiver, kind: str, max_degree: int) -> Tuple[GradedPreLieCoalgebra, Callable]:
+    """The "paths" or "trees" instance on q up to max_degree, with its direct
+    coproduct.
+
+    Paths carry delta_p_rt and the cut coproduct. Trees are rooted trees
+    labelled by the trivial path at the first vertex of q, with plain edges,
+    and carry rho and the forest coproduct. A degree cap below the instance's
+    least degree (a trivial path has degree 2, a one-vertex tree degree 1)
+    is an error, since such an instance has nothing to check.
+    """
+    if kind not in ("paths", "trees"):
+        raise ValueError("unknown bridge instance %r" % (kind,))
+    least = 2 if kind == "paths" else 1
+    if max_degree < least:
+        raise ValueError(
+            "--max-degree %d is below %d, the least degree of the %s instance"
+            % (max_degree, least, kind)
+        )
+    if kind == "paths":
+        basis = all_paths(q, max_degree - 2)
+        return GradedPreLieCoalgebra(tuple(basis), path_degree, delta_p_rt), path_coproduct
+    label = q.trivial(q.vertices[0])
+    basis = all_rooted_trees(max_degree - 1, (label,), flags=(False,))
+    return GradedPreLieCoalgebra(tuple(basis), tree_degree, rho), tree_coproduct

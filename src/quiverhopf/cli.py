@@ -14,19 +14,14 @@ import json
 import re
 import sys
 
-from .bridge import (
-    GradedPreLieCoalgebra,
-    compare_coproducts,
-    path_degree,
-    tree_degree,
-)
+from .bridge import compare_coproducts, instance as bridge_instance
 from .cobrackets import delta_or, delta_p_rt, delta_rt
 from .cuts import Cut, cut_components, cut_order, enumerate_cuts, epsilon
 from .dual import dual_rooted_tree
 from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
 from .linear import format_scalar
-from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver, all_paths
-from .trees import all_rooted_trees, rho, tree_coproduct, tree_to_json
+from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver
+from .trees import tree_to_json
 from .verify import LAWS, run_laws
 
 _CUT_PAIR = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
@@ -142,22 +137,7 @@ def cmd_eta(args, out) -> int:
 
 def cmd_bridge(args, out) -> int:
     q = _quiver(args)
-    # The least degree: a trivial path has degree 2, a one-vertex tree degree 1.
-    least = 2 if args.instance == "paths" else 1
-    if args.max_degree < least:
-        raise ValueError(
-            "--max-degree %d is below %d, the least degree of the %s instance"
-            % (args.max_degree, least, args.instance)
-        )
-    if args.instance == "paths":
-        basis = all_paths(q, args.max_degree - 2)
-        instance = GradedPreLieCoalgebra(tuple(basis), path_degree, delta_p_rt)
-        direct = path_coproduct
-    else:
-        label = q.trivial(q.vertices[0])
-        basis = all_rooted_trees(args.max_degree - 1, (label,), flags=(False,))
-        instance = GradedPreLieCoalgebra(tuple(basis), tree_degree, rho)
-        direct = tree_coproduct
+    instance, direct = bridge_instance(q, args.instance, args.max_degree)
     pre = instance.check()
     if not pre.ok:
         print(pre.line(), file=out)
@@ -167,7 +147,7 @@ def cmd_bridge(args, out) -> int:
         print("layer %d: %d terms" % (n, count), file=out)
     print("integral coefficients: %s" % ("yes" if layers.all_integral() else "NO"), file=out)
     if args.compare:
-        rep = compare_coproducts(layers, direct, basis)
+        rep = compare_coproducts(layers, direct, instance.basis)
         print(rep.line(), file=out)
         return 0 if rep.ok else 1
     return 0

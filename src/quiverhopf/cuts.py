@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .linear import SYM_UNIT, BasisElement, Monomial, Tensor
@@ -184,22 +183,6 @@ def cut_components(p: Path, h: Cut) -> CutComponents:
     return CutComponents(
         outer=pieces[None][0], chords={c: pieces[c][0] for c in h.pairs}
     )
-
-
-def cut_order_at(p: Path, h: Cut, v) -> int:
-    """Nesting depth at a half-integer position of the word.
-
-    Counts chords (i, j) with i < v < j; the basepoint positions 1/2 and
-    n + 1/2 always have depth 0.
-    """
-    w = Fraction(v)
-    if w.denominator != 2:
-        raise ValueError("position must be a half-integer, got %s" % v)
-    n = len(p.letters)
-    if not Fraction(1, 2) <= w <= Fraction(2 * n + 1, 2):
-        raise ValueError("position %s outside [1/2, %d + 1/2]" % (v, n))
-    validate_cut(p, h)
-    return sum(1 for i, j in h.pairs if i < w < j)
 
 
 def cut_order(p: Path, h: Cut) -> int:

@@ -5,15 +5,14 @@ The coproduct of a path sums over its simple cuts: the severed closed pieces
 multiply on the left, the basepointed remainder sits on the right, weighted
 by the cut sign. S maps a path (necklace) to the sum of all its chord
 diagrams; composing with the dual-tree map gives the embedding into decorated
-trees, which the verification helpers below check to be a morphism for every
-structure in sight and to be injective via the point-tree projection.
+trees, which the checkers in `verify` show to be a morphism for every
+structure in sight and to be injective via the point-tree projection below.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable
 
 from .cuts import (
     Cut,
@@ -28,8 +27,7 @@ from .cuts import (
 from .dual import d_or, d_rt
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
 from .quiver import Necklace, Path
-from .symalg import antipode_monomial, cop_free, mul_lincomb
-from .verify import Report, verify_defect
+from .symalg import antipode_monomial, cop_free
 from .trees import RootedTree
 
 
@@ -94,44 +92,6 @@ def nc_coproduct(x: Path) -> Tensor:
     return _cut_coproduct(x, Word)
 
 
-def sym_extend(f: Callable[[object], LinComb]) -> Callable[[Monomial], LinComb]:
-    """Extend a generator map multiplicatively to symmetric monomials.
-
-    f sends a generator to a combination of target generators; the result
-    sends a monomial to the product of the images, as a combination of target
-    monomials.
-    """
-
-    def ext(m: Monomial) -> LinComb:
-        acc = LinComb.single(Monomial(()), 1)
-        for x in m.factors:
-            acc = mul_lincomb(acc, f(x).map_basis(lambda y: LinComb.single(Monomial((y,)))))
-        return acc
-
-    return ext
-
-
-def verify_hopf_morphism(
-    f: Callable, cop_src: Callable, cop_tgt: Callable, sample, law: str
-) -> Report:
-    """Check that the multiplicative extension of f intertwines two coproducts.
-
-    cop_src/cop_tgt are generator-level monomial-slot coproducts; f maps a
-    source generator to a LinComb of target generators. The check runs on
-    generators, which suffices multiplicatively.
-    """
-    fs = sym_extend(f)
-
-    def defect(x):
-        lhs = cop_src(x).slot_map(0, fs).slot_map(1, fs)
-        rhs = Tensor.zero(2)
-        for y, c in f(x).terms():
-            rhs = rhs + c * cop_tgt(y)
-        return lhs - rhs
-
-    return verify_defect(defect, sample, law)
-
-
 def point_projection(lc: LinComb) -> LinComb:
     """Restrict a combination of trees to the edgeless (point) trees, keeping
     the vertex label as the value."""
@@ -140,12 +100,6 @@ def point_projection(lc: LinComb) -> LinComb:
         for t, c in lc.items()
         if t.edge_count() == 0
     )
-
-
-def verify_injectivity(eta: Callable, sample, law: str) -> Report:
-    """Check the point-tree projection of eta returns each input with
-    coefficient exactly 1: injectivity on the span of the sample."""
-    return verify_defect(lambda x: point_projection(eta(x)) - LinComb.single(x), sample, law)
 
 
 def coassoc_formula_terms(x: Path) -> Tensor:
@@ -194,10 +148,3 @@ def coassoc_formula_defect(x: Path) -> Tensor:
     other = t.slot_expand(1, cop, 2)
     formula = _formula_terms(x, t)
     return (direct - formula) or (direct - other)
-
-
-def verify_coassoc_formula(x: Path) -> Report:
-    """The coassociativity and order/precedence checks on one path."""
-    return verify_defect(
-        coassoc_formula_defect, (x,), "coassociativity: direct, formula, and flipped"
-    )

@@ -1,9 +1,10 @@
 """Exact linear algebra over canonical basis elements.
 
-Free modules with exact coefficients, tensor powers with a permutation
-action, and symmetric/ordered monomials. All values are immutable and
-hashable; equality and iteration order go through canonical string keys, so
-every computation downstream is deterministic across runs. Scalars are exact
+One free module with exact coefficients (LinComb), whose subclass Tensor
+keys it by n-tuples to give tensor powers with a permutation action, and
+symmetric/ordered monomials. All values are immutable; equality and
+iteration order go through canonical string keys, so every computation
+downstream is deterministic across runs. Scalars are exact
 throughout -- no floats anywhere: a coefficient is a Python int, and becomes
 a Fraction only after an actual division (the bridge reconstruction is the
 one place that divides). Both print the same text.
@@ -96,11 +97,30 @@ def _accumulate(acc: dict, key, c: Scalar):
             del acc[key]
 
 
+def _combine(a: "LinComb", b: "LinComb", sign: int) -> "LinComb":
+    """a + sign * b: the one body of + and - for every free-module value."""
+    if type(b) is not type(a):
+        raise TypeError("cannot combine %s with %s" % (type(a).__name__, type(b).__name__))
+    acc = dict(a._terms)
+    for key, c in b._terms.items():
+        _accumulate(acc, key, sign * c)
+    return a._like(acc)
+
+
+def _tensor(arity: int, acc: dict) -> "Tensor":
+    """A Tensor holding an already accumulated term dict."""
+    out = object.__new__(Tensor)
+    out.arity = arity
+    out._terms = acc
+    return out
+
+
 class LinComb:
     """Finite exact linear combination of basis elements.
 
     Zero coefficients are dropped eagerly, so equality is plain dict equality
-    and ``bool`` tests for zero.
+    and ``bool`` tests for zero. Values of different types never mix: adding
+    a LinComb to a Tensor, or comparing them, is a type error or unequal.
     """
 
     __slots__ = ("_terms",)
@@ -114,12 +134,21 @@ class LinComb:
             _accumulate(acc, x, as_scalar(c))
         self._terms = acc
 
+    def _like(self, acc: dict) -> "LinComb":
+        """A value of this type (and arity) holding an accumulated term dict."""
+        out = object.__new__(LinComb)
+        out._terms = acc
+        return out
+
+    def _show(self, x) -> str:
+        return x.text()
+
     @staticmethod
     def single(x: BasisElement, c=1) -> "LinComb":
         return LinComb(((x, c),))
 
     def terms(self):
-        """Term list sorted by basis key: deterministic across runs."""
+        """Term list sorted by key: deterministic across runs."""
         return sorted(self._terms.items())
 
     def items(self):
@@ -138,37 +167,23 @@ class LinComb:
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
             return not self._terms
-        return isinstance(other, LinComb) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __add__(self, other):
-        acc = dict(self._terms)
-        for x, c in other._terms.items():
-            _accumulate(acc, x, c)
-        out = LinComb()
-        out._terms = acc
-        return out
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
-        acc = dict(self._terms)
-        for x, c in other._terms.items():
-            _accumulate(acc, x, -c)
-        out = LinComb()
-        out._terms = acc
-        return out
+        return _combine(self, other, -1)
 
     def __neg__(self):
         return (-1) * self
 
     def __rmul__(self, c):
         c = as_scalar(c)
-        if not c:
-            return LinComb()
-        out = LinComb()
-        out._terms = {x: c * v for x, v in self._terms.items()}
-        return out
+        return self._like({k: c * v for k, v in self._terms.items()} if c else {})
 
     def __mul__(self, c):
         return self.__rmul__(c)
@@ -179,32 +194,30 @@ class LinComb:
         for x, c in self._terms.items():
             for y, cy in f(x)._terms.items():
                 _accumulate(acc, y, c * cy)
-        out = LinComb()
-        out._terms = acc
-        return out
+        return LinComb._like(self, acc)
 
     def text(self, structured: bool = False) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for x, c in self.terms():
-            parts.append("%s * %s" % (format_scalar(c, structured), x.text()))
-        return "\n".join(parts)
+        return "\n".join(
+            "%s * %s" % (format_scalar(c, structured), self._show(k)) for k, c in self.terms()
+        )
 
     def __repr__(self):
-        return "LinComb(%s)" % " + ".join(
-            "%s*%s" % (c, x.text()) for x, c in self.terms()
+        return "%s(%s)" % (
+            type(self).__name__,
+            " + ".join("%s*%s" % (c, self._show(k)) for k, c in self.terms()),
         )
 
 
-class Tensor:
+class Tensor(LinComb):
     """Element of the n-fold tensor power of a free module.
 
-    Terms map n-tuples of basis elements to nonzero scalars; the arity is
-    fixed per value. Operations between tensors require equal arities.
+    A LinComb whose keys are n-tuples of basis elements; the arity is fixed
+    per value. Operations between tensors require equal arities.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms=()):
         if arity < 1:
@@ -222,6 +235,12 @@ class Tensor:
         self.arity = arity
         self._terms = acc
 
+    def _like(self, acc: dict) -> "Tensor":
+        return _tensor(self.arity, acc)
+
+    def _show(self, key) -> str:
+        return " (x) ".join(x.text() for x in key)
+
     @staticmethod
     def single(key, c=1) -> "Tensor":
         key = tuple(key)
@@ -231,69 +250,25 @@ class Tensor:
     def zero(arity: int) -> "Tensor":
         return Tensor(arity)
 
-    def terms(self):
-        return sorted(self._terms.items())
-
-    def items(self):
-        """Terms in no fixed order, for sums whose result does not depend on it."""
-        return self._terms.items()
-
     def coeff(self, key) -> Scalar:
         return self._terms.get(tuple(key), 0)
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __len__(self):
-        return len(self._terms)
-
     def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self._terms
-        return (
-            isinstance(other, Tensor)
-            and self.arity == other.arity
-            and self._terms == other._terms
-        )
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+        if type(other) is Tensor and other.arity != self.arity:
+            return False
+        return LinComb.__eq__(self, other)
 
     def _check(self, other):
-        if self.arity != other.arity:
+        if type(other) is Tensor and other.arity != self.arity:
             raise ValueError("tensor arity mismatch: %d vs %d" % (self.arity, other.arity))
 
     def __add__(self, other):
         self._check(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            _accumulate(acc, k, c)
-        out = Tensor(self.arity)
-        out._terms = acc
-        return out
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
         self._check(other)
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            _accumulate(acc, k, -c)
-        out = Tensor(self.arity)
-        out._terms = acc
-        return out
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, c):
-        c = as_scalar(c)
-        if not c:
-            return Tensor(self.arity)
-        out = Tensor(self.arity)
-        out._terms = {k: c * v for k, v in self._terms.items()}
-        return out
-
-    def __mul__(self, c):
-        return self.__rmul__(c)
+        return _combine(self, other, -1)
 
     def permute(self, images) -> "Tensor":
         """Permute tensor slots: output slot k holds input slot sigma^(-1)(k).
@@ -307,11 +282,9 @@ class Tensor:
         inv = [0] * n
         for i, s in enumerate(images):
             inv[s - 1] = i
-        out = Tensor(n)
-        out._terms = {
-            tuple(key[inv[k]] for k in range(n)): c for key, c in self._terms.items()
-        }
-        return out
+        return _tensor(
+            n, {tuple(key[inv[k]] for k in range(n)): c for key, c in self._terms.items()}
+        )
 
     def slot_map(self, slot: int, f) -> "Tensor":
         """Apply a linear map f: elem -> LinComb inside one slot (0-based)."""
@@ -319,13 +292,10 @@ class Tensor:
         for key, c in self._terms.items():
             for y, cy in f(key[slot])._terms.items():
                 _accumulate(acc, key[:slot] + (y,) + key[slot + 1 :], c * cy)
-        out = Tensor(self.arity)
-        out._terms = acc
-        return out
+        return _tensor(self.arity, acc)
 
     def slot_expand(self, slot: int, f, m: int) -> "Tensor":
         """Expand one slot through f: elem -> Tensor(m); arity grows by m - 1."""
-        out_arity = self.arity + m - 1
         acc: dict = {}
         for key, c in self._terms.items():
             sub = f(key[slot])
@@ -333,30 +303,11 @@ class Tensor:
                 raise ValueError("slot_expand: expected arity %d, got %d" % (m, sub.arity))
             for skey, sc in sub._terms.items():
                 _accumulate(acc, key[:slot] + skey + key[slot + 1 :], c * sc)
-        out = Tensor(out_arity)
-        out._terms = acc
-        return out
-
-    def text(self, structured: bool = False) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for key, c in self.terms():
-            parts.append(
-                "%s * %s"
-                % (format_scalar(c, structured), " (x) ".join(x.text() for x in key))
-            )
-        return "\n".join(parts)
-
-    def __repr__(self):
-        return "Tensor(%d: %s)" % (
-            self.arity,
-            " + ".join("%s*%s" % (c, "(x)".join(x.text() for x in k)) for k, c in self.terms()),
-        )
+        return _tensor(self.arity + m - 1, acc)
 
 
 def as_lincomb(x) -> LinComb:
-    if isinstance(x, LinComb):
+    if type(x) is LinComb:
         return x
     if isinstance(x, BasisElement):
         return LinComb.single(x)
@@ -366,7 +317,6 @@ def as_lincomb(x) -> LinComb:
 def tensor(*factors) -> Tensor:
     """Tensor product of linear combinations (or bare basis elements)."""
     lcs = [as_lincomb(f) for f in factors]
-    arity = len(lcs)
     acc: dict = {}
     for combo in itertools.product(*(lc._terms.items() for lc in lcs)):
         key = tuple(x for x, _ in combo)
@@ -374,9 +324,7 @@ def tensor(*factors) -> Tensor:
         for _, ci in combo:
             c *= ci
         _accumulate(acc, key, c)
-    out = Tensor(arity)
-    out._terms = acc
-    return out
+    return _tensor(len(lcs), acc)
 
 
 def wedge(x, y) -> Tensor:
@@ -420,11 +368,6 @@ class Monomial(BasisElement):
 
 
 SYM_UNIT = Monomial(())
-
-
-def sym_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product in the symmetric algebra: multiset union of the factors."""
-    return m1 * m2
 
 
 class Word(BasisElement):

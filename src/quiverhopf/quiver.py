@@ -327,11 +327,6 @@ class Necklace(BasisElement):
         return "[%s]" % " ".join(lt.text() for lt in self.rep.letters)
 
 
-def canonical_necklace(p: Path) -> Necklace:
-    """Canonicalize a closed path; non-closed nonempty input is an error."""
-    return Necklace(p)
-
-
 def all_paths(q: Quiver, max_len: int):
     """Every path of length <= max_len, ordered by (length, key)."""
     letters_by_src: dict = {}

@@ -2,11 +2,11 @@
 
 A generator-level coproduct (basis element -> arity-2 tensor over monomials
 or words) extends multiplicatively to all monomials. This module supplies
-that extension, the reduced coproduct obtained by dropping unit slots, the
-geometric-series antipode, counit evaluation, and coassociativity/counit/
-antipode defect computations used by the law checkers. Everything works for
-both Monomial (symmetric) and Word (ordered) coefficients because both carry
-their own multiplication and unit.
+that extension, the multiplicative extension of any generator map, the
+reduced coproduct obtained by dropping unit slots, the geometric-series
+antipode, and the coassociativity and antipode defects used by the law
+checkers. Everything works for both Monomial (symmetric) and Word (ordered)
+coefficients because both carry their own multiplication and unit.
 """
 
 from __future__ import annotations
@@ -15,18 +15,11 @@ import functools
 import operator
 from typing import Callable
 
-from .linear import LinComb, Monomial, Tensor, Word
+from .linear import LinComb, Monomial, Tensor
 
 
 def _unit_like(m):
     return type(m)(())
-
-
-def promote(x, kind=Monomial):
-    """Wrap a bare generator into a one-factor monomial/word."""
-    if isinstance(x, (Monomial, Word)):
-        return x
-    return kind((x,))
 
 
 def cop_free(gen_cop: Callable, m) -> Tensor:
@@ -97,21 +90,13 @@ def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
     return result
 
 
-def antipode_gen(gen_cop: Callable, x, kind=Monomial, max_steps: int = 64) -> LinComb:
-    """Antipode of a single generator, as a combination of monomials/words."""
-    return antipode_free(gen_cop, promote(x, kind), max_steps)
-
-
 def antipode_monomial(gen_cop: Callable, m: Monomial, max_steps: int = 64) -> LinComb:
     """Antipode of a symmetric monomial via (anti)multiplicativity.
 
     In the commutative case S(xy) = S(y)S(x) = S(x)S(y), so the product of
     the per-generator antipodes.
     """
-    result = LinComb.single(Monomial(()), 1)
-    for x in m.factors:
-        result = mul_lincomb(result, antipode_gen(gen_cop, x, Monomial, max_steps))
-    return result
+    return multiplicative(lambda x: antipode_free(gen_cop, Monomial((x,)), max_steps), m)
 
 
 def mul_lincomb(a: LinComb, b: LinComb) -> LinComb:
@@ -119,12 +104,17 @@ def mul_lincomb(a: LinComb, b: LinComb) -> LinComb:
     return LinComb((m1 * m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
 
 
-def counit(lc: LinComb):
-    """Coefficient of the unit monomial: the counit of the free bialgebra."""
-    for m, c in lc.terms():
-        if m.is_unit():
-            return c
-    return 0
+def multiplicative(f: Callable, m) -> LinComb:
+    """Multiplicative extension of a generator map to a monomial/word.
+
+    The product of f(x) over the factors x of m, in order, starting from the
+    unit of m's monoid; f sends a generator to a combination of monomials or
+    words of that monoid.
+    """
+    out = LinComb.single(_unit_like(m))
+    for x in m.factors:
+        out = mul_lincomb(out, f(x))
+    return out
 
 
 def coassoc_defect(gen_cop: Callable, m) -> Tensor:
@@ -137,16 +127,7 @@ def coassoc_defect(gen_cop: Callable, m) -> Tensor:
     return t.slot_expand(0, cop, 2) - t.slot_expand(1, cop, 2)
 
 
-def counit_defect(gen_cop: Callable, m) -> LinComb:
-    """(eps (x) 1)cop(m) - m plus (1 (x) eps)cop(m) - m, collected together."""
-    t = cop_free(gen_cop, m).items()
-    left = LinComb((b, c) for (a, b), c in t if a.is_unit())
-    right = LinComb((a, c) for (a, b), c in t if b.is_unit())
-    target = LinComb.single(m)
-    return (left - target) + (right - target)
-
-
-def antipode_defect(gen_cop: Callable, m, antipode: Callable, max_steps: int = 64) -> LinComb:
+def antipode_defect(gen_cop: Callable, m, antipode: Callable) -> LinComb:
     """mu(S (x) 1)cop(m) - eps(m)·1 for a monomial/word m."""
     acc = LinComb(
         (sa * b, c * ca)

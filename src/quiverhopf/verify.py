@@ -57,14 +57,8 @@ def verify_defect(defect: Callable, sample, law: str) -> Report:
 
 
 def _lift(f: Callable, lc: LinComb) -> Tensor:
-    """Linear extension of a basis-level tensor-valued map."""
-    out = None
-    for x, c in lc.terms():
-        t = c * f(x)
-        out = t if out is None else out + t
-    if out is None:
-        return Tensor.zero(2)
-    return out
+    """Linear extension of a basis-level map f into arity-2 tensors."""
+    return Tensor(2, ((k, c * ck) for y, c in lc.items() for k, ck in f(y).items()))
 
 
 def verify_prelie_coalgebra(delta0: Callable, sample, law: str = "pre-Lie coaxiom") -> Report:
@@ -109,18 +103,44 @@ def verify_coalgebra_morphism(
     )
 
 
+def verify_hopf_morphism(
+    f: Callable, cop_src: Callable, cop_tgt: Callable, sample, law: str
+) -> Report:
+    """Check that the multiplicative extension of f intertwines two coproducts.
+
+    cop_src/cop_tgt are generator-level monomial-slot coproducts; f maps a
+    source generator to a LinComb of target generators. The check runs on
+    generators, which suffices multiplicatively.
+    """
+
+    def f_mono(x):
+        return LinComb((Monomial((y,)), c) for y, c in f(x).items())
+
+    fs = functools.partial(symalg.multiplicative, f_mono)
+    return verify_defect(
+        lambda x: cop_src(x).slot_map(0, fs).slot_map(1, fs) - _lift(cop_tgt, f(x)),
+        sample,
+        law,
+    )
+
+
+def verify_injectivity(eta: Callable, sample, law: str) -> Report:
+    """Check the point-tree projection of eta returns each input with
+    coefficient exactly 1: injectivity on the span of the sample."""
+    return verify_defect(
+        lambda x: hopf.point_projection(eta(x)) - LinComb.single(x), sample, law
+    )
+
+
 def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator of the symmetric algebra.
 
-    Within one call each generator's antipode is computed once, and a
-    monomial's antipode is the product of its generators' antipodes.
+    Within one call each generator's coproduct and antipode is computed once,
+    and a monomial's antipode is the product of its generators' antipodes.
     """
-    gen_antipode = functools.cache(functools.partial(symalg.antipode_gen, gen_cop))
-    one = LinComb.single(Monomial(()), 1)
-
-    def antipode(m):
-        return functools.reduce(symalg.mul_lincomb, map(gen_antipode, m.factors), one)
-
+    gen_cop = functools.cache(gen_cop)
+    gen_antipode = functools.cache(lambda x: symalg.antipode_free(gen_cop, Monomial((x,))))
+    antipode = functools.partial(symalg.multiplicative, gen_antipode)
     return verify_defect(
         lambda x: symalg.antipode_defect(gen_cop, Monomial((x,)), antipode), sample, law
     )
@@ -129,8 +149,10 @@ def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
 def verify_ordered_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator of the ordered algebra.
 
-    Within one call each word's antipode is computed once.
+    Within one call each generator's coproduct and each word's antipode is
+    computed once.
     """
+    gen_cop = functools.cache(gen_cop)
     antipode = functools.cache(functools.partial(symalg.antipode_free, gen_cop))
     return verify_defect(
         lambda x: symalg.antipode_defect(gen_cop, Word((x,)), antipode), sample, law
@@ -227,8 +249,8 @@ def run_laws(laws, q, n: int, sign: str = "unsigned"):
 
 
 _PRELIE, _LIE = "verify_prelie_coalgebra", "verify_lie_coalgebra"
-_MORPHISM, _HOPF = "verify_coalgebra_morphism", "hopf.verify_hopf_morphism"
-_INJECTIVE = "hopf.verify_injectivity"
+_MORPHISM, _HOPF = "verify_coalgebra_morphism", "verify_hopf_morphism"
+_INJECTIVE = "verify_injectivity"
 _PATHS, _NECKLACES = "quiver.all_paths", "quiver.all_necklaces"
 _PATH_DIAGRAMS, _NECKLACE_DIAGRAMS = "cuts.path_diagrams", "cuts.necklace_diagrams"
 

@@ -14,15 +14,16 @@ import sys
 from quiverhopf.bridge import (
     compare_coproducts,
     extract_prelie,
+    instance,
     monomialize,
     path_degree,
     reconstruct_coproduct,
-    tree_degree,
 )
 from quiverhopf.cobrackets import delta_p_rt
 from quiverhopf.cuts import chord_coproduct, enumerate_cuts, epsilon, path_diagrams
 from quiverhopf.dual import d_or, d_rt, dual_rooted_tree
 from quiverhopf.hopf import (
+    coassoc_formula_defect,
     eta_or,
     eta_rt,
     nc_coproduct,
@@ -30,7 +31,6 @@ from quiverhopf.hopf import (
     path_coproduct,
     s_or,
     s_rt,
-    verify_coassoc_formula,
 )
 from quiverhopf.linear import LinComb, Monomial, Tensor, Word
 from quiverhopf.quiver import Necklace, Path, all_necklaces, all_paths
@@ -39,7 +39,6 @@ from quiverhopf.symalg import (
     antipode_free,
     antipode_monomial,
     coassoc_defect,
-    counit_defect,
 )
 from quiverhopf.trees import (
     RootedTree,
@@ -50,7 +49,8 @@ from quiverhopf.trees import (
     rho_ss_oriented,
     tree_coproduct,
 )
-from quiverhopf.verify import FAMILY, LAWS, verify_lie_coalgebra
+from quiverhopf.verify import FAMILY, LAWS, verify_defect, verify_lie_coalgebra
+from support import counit_defect, layer
 
 Q1, LOOP, TWO_LOOPS, LOOP_EDGE, TRIANGLE = (
     FAMILY[name] for name in ("one_edge", "loop", "two_loops", "loop_edge", "triangle")
@@ -209,11 +209,13 @@ def test_criterion_3_hopf_laws():
             break
     # Order/precedence expansion of the triple coproduct, term for term.
     for q, max_len in ((Q1, 6), (LOOP, 5), (TWO_LOOPS, 4)):
-        for x in all_paths(q, max_len):
-            rep = verify_coassoc_formula(x)
-            if not rep.ok:
-                failures.append(rep.line())
-                break
+        rep = verify_defect(
+            coassoc_formula_defect,
+            all_paths(q, max_len),
+            "coassociativity: direct, formula, and flipped",
+        )
+        if not rep.ok:
+            failures.append(rep.line())
     report_criterion(
         3,
         "Hopf laws for Sym paths / chord diagrams / trees and the ordered coproduct,"
@@ -237,7 +239,7 @@ def test_criterion_4_theorem_2_morphisms():
                     % signed.witness[0].text()
                 )
             continue
-        sizes = HOPF_SIZES if law.checker == "hopf.verify_hopf_morphism" else THEOREM_SIZES
+        sizes = HOPF_SIZES if law.checker == "verify_hopf_morphism" else THEOREM_SIZES
         failures.extend(collect(law.run(q, n) for q, n in sizes))
     report_criterion(4, "Theorem-2 morphisms at desk scale", failures)
 
@@ -285,8 +287,11 @@ def test_criterion_5_theorem_1():
 def test_criterion_6_bridge():
     failures = []
     for q in (Q1, LOOP):
-        basis = all_paths(q, 6)
-        layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
+        paths, direct = instance(q, "paths", 8)
+        basis = paths.basis
+        if basis != tuple(all_paths(q, 6)) or direct is not path_coproduct:
+            failures.append("the paths instance is not all paths of length <= 6")
+        layers = paths.reconstruct(8)
         rep = compare_coproducts(layers, path_coproduct, basis)
         if not rep.ok:
             failures.append(rep.line())
@@ -299,9 +304,14 @@ def test_criterion_6_bridge():
             if monomialize(delta_p_rt(x)) != monomialize(extract_prelie(layers.total, x)):
                 failures.append("extracted pre-Lie differs from delta_p_rt at %s" % x.text())
                 break
+    trees, direct = instance(Q1, "trees", 6)
+    tree_basis = trees.basis
     label = Q1.trivial("1")
-    tree_basis = all_rooted_trees(5, (label,), flags=(False,))
-    tree_layers = reconstruct_coproduct(tree_basis, tree_degree, rho, 6)
+    if tree_basis != tuple(all_rooted_trees(5, (label,), flags=(False,))) or (
+        direct is not tree_coproduct
+    ):
+        failures.append("the trees instance is not the 1-labelled trees with <= 5 edges")
+    tree_layers = trees.reconstruct(6)
     rep = compare_coproducts(tree_layers, tree_coproduct, tree_basis)
     if not rep.ok:
         failures.append(rep.line())
@@ -364,7 +374,7 @@ def test_criterion_7_concrete_counts():
     if path_antipode(two) != want:
         failures.append("antipode of e e* is not -e e* - triv_2 triv_1")
     layers = reconstruct_coproduct(all_paths(Q1, 6), path_degree, delta_p_rt, 8)
-    if layers.layer(2, x) != Tensor.single((Monomial((t2, t2)), Monomial((t1,)))):
+    if layer(layers, 2, x) != Tensor.single((Monomial((t2, t2)), Monomial((t1,)))):
         failures.append("layer 2 of e e* e e* is not triv_2^2 (x) triv_1")
     report_criterion(7, "concrete counts on e e* e e* over the one-edge quiver", failures)
 

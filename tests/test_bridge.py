@@ -20,10 +20,16 @@ from quiverhopf.linear import BasisElement, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Path, all_paths
 from quiverhopf.symalg import cop_free
 from quiverhopf.trees import all_rooted_trees, point, rho, tree_coproduct
+from support import layer
 
 
 def M(*xs):
     return Monomial(xs)
+
+
+def max_layer(layers: CoproductLayers) -> int:
+    """The highest layer with a nonzero entry, or 0 when there is none."""
+    return max([n for n, d in layers.layers.items() if d], default=0)
 
 
 def test_delta0_prime_single(q1):
@@ -80,10 +86,10 @@ def test_reconstruct_paths_layer_values(q1):
     layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
     e = q1.letter("e")
     x2 = Path("1", (e, e.star()))
-    assert layers.layer(2, x2) == 0
+    assert layer(layers, 2, x2) == 0
     x4 = Path("1", (e, e.star(), e, e.star()))
     t1, t2 = q1.trivial("1"), q1.trivial("2")
-    assert layers.layer(2, x4) == Tensor.single((M(t2, t2), M(t1)))
+    assert layer(layers, 2, x4) == Tensor.single((M(t2, t2), M(t1)))
     assert layers.all_integral()
 
 
@@ -115,7 +121,7 @@ def test_reconstruct_zero_map(q1):
     for x in basis:
         whole, unit = M(x), Monomial(())
         assert layers.total(x) == Tensor.single((whole, unit)) + Tensor.single((unit, whole))
-    assert layers.max_layer() == 0
+    assert max_layer(layers) == 0
 
 
 def test_reconstruct_rejects_degree_breaking_map(q1):
@@ -162,7 +168,7 @@ def test_term_counts_reported(q1):
     layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
     counts = layers.term_counts()
     assert counts[1] > 0 and counts[2] > 0
-    assert layers.max_layer() >= 2
+    assert max_layer(layers) >= 2
 
 
 def test_graded_prelie_bundle(q1):
@@ -214,7 +220,7 @@ def test_reconstructed_layers_are_int(two_loops):
         reconstruct_coproduct(paths, path_degree, delta_p_rt, 6),
         reconstruct_coproduct(trees, tree_degree, rho, 6),
     ):
-        assert layers.max_layer() >= 2
+        assert max_layer(layers) >= 2
         assert layers.all_integral()
         for d in layers.layers.values():
             for t in d.values():
@@ -228,3 +234,20 @@ def test_non_integral_layer_is_reported(q1):
     assert CoproductLayers({2: {x: 2 * half}}, tree_degree).all_integral()
     assert bridge._divide(3, 2) == Fraction(3, 2)
     assert type(bridge._divide(4, 2)) is int and bridge._divide(4, 2) == 2
+
+
+def test_instance_builder(q1, two_loops):
+    paths, direct = bridge.instance(q1, "paths", 5)
+    assert paths.basis == tuple(all_paths(q1, 3)) and direct is path_coproduct
+    assert (paths.degree, paths.rho) == (path_degree, delta_p_rt)
+    trees, direct = bridge.instance(two_loops, "trees", 4)
+    label = two_loops.trivial("v")
+    assert trees.basis == tuple(all_rooted_trees(3, (label,), flags=(False,)))
+    assert (trees.degree, trees.rho, direct) == (tree_degree, rho, tree_coproduct)
+    assert len(bridge.instance(q1, "paths", 2)[0].basis) == 2
+    assert bridge.instance(q1, "trees", 1)[0].basis == (point(q1.trivial("1")),)
+    for kind, least in (("paths", 2), ("trees", 1)):
+        with pytest.raises(ValueError, match="below %d, the least degree" % least):
+            bridge.instance(q1, kind, least - 1)
+    with pytest.raises(ValueError, match="unknown bridge instance"):
+        bridge.instance(q1, "forests", 5)

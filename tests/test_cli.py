@@ -440,3 +440,22 @@ def test_antipode_sweep_computes_each_series_once(monkeypatch):
     for args in calls:
         per_law.setdefault(args[0], []).append(args[1])
     assert all(len(ms) == len(set(ms)) for ms in per_law.values())
+
+
+def test_antipode_sweep_expands_each_generator_once(monkeypatch):
+    """One generator-coproduct memo per sweep, shared by series and defect."""
+    maps = {"path_coproduct": hopf, "nc_coproduct": hopf, "chord_coproduct": cuts}
+    calls = {name: count_calls(monkeypatch, module, name) for name, module in maps.items()}
+    argv = ["verify", "--theorem", "antipode", "--max-len", "3", "--quiver", TWO_LOOPS]
+    for _ in range(2):
+        for seen in calls.values():
+            del seen[:]
+        assert run(argv) == (0, ANTIPODE_PASS)
+        # One call per distinct input, and a second run repeats them all, so
+        # no memo outlives its sweep (214, 214 and 326 calls without it).
+        counts = {name: (len(seen), len(set(seen))) for name, seen in calls.items()}
+        assert counts == {
+            "path_coproduct": (85, 85),
+            "nc_coproduct": (85, 85),
+            "chord_coproduct": (137, 137),
+        }

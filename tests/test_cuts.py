@@ -15,7 +15,6 @@ from quiverhopf.cuts import (
     chord_delta_p_rt,
     cut_components,
     cut_order,
-    cut_order_at,
     enumerate_cuts,
     epsilon,
     necklace_diagrams,
@@ -23,6 +22,7 @@ from quiverhopf.cuts import (
     precedes,
     remove_chords,
     simple_subcuts,
+    validate_cut,
 )
 from quiverhopf.linear import Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Path, all_closed_paths, all_paths, rotate
@@ -230,6 +230,22 @@ def test_cut_components_endpoints(q1, loop_edge):
                     assert piece.start == p.letters[i - 1].tgt
                     assert piece.end == p.letters[j - 1].src
                     assert piece.is_closed()
+
+
+def cut_order_at(p: Path, h: Cut, v) -> int:
+    """Nesting depth at a half-integer position of the word.
+
+    Counts chords (i, j) with i < v < j; the basepoint positions 1/2 and
+    n + 1/2 always have depth 0.
+    """
+    w = Fraction(v)
+    if w.denominator != 2:
+        raise ValueError("position must be a half-integer, got %s" % v)
+    n = len(p.letters)
+    if not Fraction(1, 2) <= w <= Fraction(2 * n + 1, 2):
+        raise ValueError("position %s outside [1/2, %d + 1/2]" % (v, n))
+    validate_cut(p, h)
+    return sum(1 for i, j in h.pairs if i < w < j)
 
 
 def test_cut_order_at(q1):

@@ -10,10 +10,10 @@ from quiverhopf.linear import (
     BasisElement,
     LinComb,
     Monomial,
+    Tensor,
     Word,
     as_scalar,
     format_scalar,
-    sym_mul,
     tensor,
     wedge,
 )
@@ -37,6 +37,15 @@ def all_permutations(n: int):
 small_scalars = st.integers(min_value=-4, max_value=4).map(Fraction)
 elems = st.sampled_from([A, B, C])
 lincombs = st.lists(st.tuples(elems, small_scalars), max_size=4).map(LinComb)
+tensors2 = st.lists(st.tuples(st.tuples(elems, elems), small_scalars), max_size=4).map(
+    lambda terms: Tensor(2, terms)
+)
+# Three values of one kind: linear combinations, or arity-2 tensors.
+triples = st.one_of(*(st.tuples(s, s, s) for s in (lincombs, tensors2)))
+
+
+def zero_like(x):
+    return LinComb() if type(x) is LinComb else Tensor(x.arity)
 
 
 def test_lincomb_drops_zeros():
@@ -69,16 +78,17 @@ def test_scalars_stay_int_until_a_division():
     assert format_scalar(-1, structured=True) == format_scalar(Fraction(-1), structured=True)
 
 
-@given(lincombs, lincombs, lincombs)
-def test_module_axioms(x, y, z):
+@given(triples)
+def test_module_axioms(xyz):
+    x, y, z = xyz
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
-    assert x - x == LinComb()
+    assert x - x == zero_like(x)
     assert 2 * (x + y) == 2 * x + 2 * y
     assert (Fraction(1, 2) * x) * 2 == x
 
 
-@given(lincombs, small_scalars, small_scalars)
+@given(st.one_of(lincombs, tensors2), small_scalars, small_scalars)
 def test_scalar_action(x, c, d):
     assert c * (d * x) == (c * d) * x
     assert (c + d) * x == c * x + d * x
@@ -117,6 +127,11 @@ def test_wedge():
     assert wedge(2 * LinComb.single(A), LinComb.single(B)) == 2 * wedge(A, B)
 
 
+def sym_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product in the symmetric algebra: multiset union of the factors."""
+    return m1 * m2
+
+
 def test_sym_mul():
     ma, mb = Monomial((A,)), Monomial((B,))
     assert sym_mul(ma, mb) == Monomial((A, B)) == Monomial((B, A))
@@ -152,3 +167,34 @@ def test_slot_map_and_expand():
     assert t.slot_map(0, swap) == tensor(B, B)
     dup = lambda x: tensor(x, x)
     assert t.slot_expand(1, dup, 2) == tensor(A, B, B)
+
+
+def test_tensor_is_a_lincomb_over_tuple_keys():
+    assert issubclass(Tensor, LinComb)
+    t = tensor(A, B) + 2 * tensor(B, A)
+    assert t.coeff([B, A]) == 2
+    assert t.text() == "1 * X|a (x) X|b\n2 * X|b (x) X|a"
+    assert repr(t) == "Tensor(1*X|a (x) X|b + 2*X|b (x) X|a)"
+    assert repr(LinComb(((A, 1), (B, -1)))) == "LinComb(1*X|a + -1*X|b)"
+    assert -t == (-1) * t == t * (-1)
+
+
+def test_zeros_of_different_shapes_differ():
+    assert Tensor(2) != Tensor(3)
+    assert LinComb() != Tensor(2) and Tensor(2) != LinComb()
+    assert LinComb() == 0 and Tensor(2) == 0 and Tensor(3) == 0
+    assert tensor(A, B) != LinComb.single(A)
+
+
+def test_mixed_operands_raise():
+    a, t = LinComb.single(A), tensor(A, B)
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(TypeError):
+            op(a, t)
+        with pytest.raises(TypeError):
+            op(t, a)
+        with pytest.raises(ValueError):
+            op(t, tensor(A, B, C))
+    with pytest.raises(TypeError):
+        tensor(t, A)
+

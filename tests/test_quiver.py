@@ -10,7 +10,6 @@ from quiverhopf.quiver import (
     all_closed_paths,
     all_necklaces,
     all_paths,
-    canonical_necklace,
     compose,
     omega,
     rotate,
@@ -62,6 +61,11 @@ def test_path_validation(q1):
         Path("2", (e,))
     with pytest.raises(ValueError):
         Path("1", (e, e))
+
+
+def canonical_necklace(p: Path) -> Necklace:
+    """Canonicalize a closed path; non-closed nonempty input is an error."""
+    return Necklace(p)
 
 
 def test_canonical_necklace(q1):

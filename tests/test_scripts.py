@@ -40,3 +40,10 @@ def test_bridge_layers_script_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     passes = [line for line in proc.stdout.splitlines() if line.strip().startswith("PASS ")]
     assert len(passes) == 2, proc.stdout
+
+
+def test_bridge_layers_script_rejects_degree_below_paths():
+    proc = run_script("bridge_layers.py", "--max-degree", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "below 2, the least degree of the paths instance" in proc.stderr

@@ -5,7 +5,7 @@ import pytest
 
 from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Necklace, Quiver
-from quiverhopf.symalg import antipode_defect, antipode_monomial, coassoc_defect, counit_defect
+from quiverhopf.symalg import antipode_defect, antipode_monomial, coassoc_defect
 from quiverhopf.trees import (
     OrientedTree,
     RootedTree,
@@ -22,6 +22,7 @@ from quiverhopf.trees import (
     tree_to_json,
 )
 from quiverhopf.verify import verify_lie_coalgebra, verify_prelie_coalgebra
+from support import counit_defect
 
 
 def oriented_point(label: Necklace) -> OrientedTree:
