@@ -158,7 +158,8 @@ def cmd_verify(args, out) -> int:
     groups = {args.law, args.theorem}
     laws = [law for law in LAWS if not groups.isdisjoint(law.groups)]
     reports = []
-    for law, rep in run_laws(laws, q, args.max_len, args.sign_convention):
+    stats = (lambda line: print(line, file=sys.stderr)) if args.stats else None
+    for law, rep in run_laws(laws, q, args.max_len, args.sign_convention, stats):
         if law.is_note(args.sign_convention):
             print("note: %s" % rep.line(), file=out)
         else:
@@ -222,6 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=("1", "2", "coassoc", "antipode", "injective"))
     p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--sign-convention", choices=("signed", "unsigned"), default="unsigned")
+    p.add_argument(
+        "--stats", action="store_true",
+        help="print per-law and per-map counters to stderr",
+    )
     p.set_defaults(func=cmd_verify)
 
     return parser

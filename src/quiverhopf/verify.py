@@ -9,12 +9,15 @@ acceptance suite check, with its printed label, its `verify` groups, its
 checker and maps, its sample generator and size cap, and its expected
 verdict. The structure maps are named, not held: they are looked up in their
 modules when a law runs, so each sweep calls whatever the module attribute is
-bound to at that moment.
+bound to at that moment. Registry maps are memoized in one place: Law.check
+wraps each map in a memo, and run_laws shares one memo per map key among
+the laws of a run, from the first law that names the key to the last.
 """
 
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -135,10 +138,9 @@ def verify_injectivity(eta: Callable, sample, law: str) -> Report:
 def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator of the symmetric algebra.
 
-    Within one call each generator's coproduct and antipode is computed once,
-    and a monomial's antipode is the product of its generators' antipodes.
+    Within one call each generator's antipode series is computed once, and a
+    monomial's antipode is the product of its generators' antipodes.
     """
-    gen_cop = functools.cache(gen_cop)
     gen_antipode = functools.cache(lambda x: symalg.antipode_free(gen_cop, Monomial((x,))))
     antipode = functools.partial(symalg.multiplicative, gen_antipode)
     return verify_defect(
@@ -149,10 +151,8 @@ def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
 def verify_ordered_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator of the ordered algebra.
 
-    Within one call each generator's coproduct and each word's antipode is
-    computed once.
+    Within one call each word's antipode series is computed once.
     """
-    gen_cop = functools.cache(gen_cop)
     antipode = functools.cache(functools.partial(symalg.antipode_free, gen_cop))
     return verify_defect(
         lambda x: symalg.antipode_defect(gen_cop, Word((x,)), antipode), sample, law
@@ -192,6 +192,17 @@ def _resolve(name: str):
     return getattr(globals()[module], attr) if module else globals()[attr]
 
 
+def _memo(key):
+    """A memo of the map a key names, bound to its sign convention.
+
+    Its cache_info() counts the calls (hits + misses) and the distinct
+    inputs (misses).
+    """
+    name, sign = key
+    f = _resolve(name)
+    return functools.cache(functools.partial(f, signed=True) if sign else f)
+
+
 @dataclass(frozen=True)
 class Law:
     """One swept law.
@@ -219,13 +230,35 @@ class Law:
     def sample(self, q, n: int):
         return _resolve(self.sampler)(q, self.size(n))
 
-    def check(self, sample, sign: str = "unsigned") -> Report:
-        if self.sign not in ("", SELECTED):
-            sign = self.sign
-        maps = [_resolve(name) for name in self.maps]
-        if self.sign:
-            maps[0] = functools.partial(maps[0], signed=sign == "signed")
-        return _resolve(self.checker)(*maps, sample, self.label.format(sign=sign))
+    def convention(self, sign: str) -> str:
+        """The sign convention this law runs under when the run selected sign."""
+        return sign if self.sign in ("", SELECTED) else self.sign
+
+    def title(self, sign: str) -> str:
+        return self.label.format(sign=self.convention(sign))
+
+    def keys(self, sign: str = "unsigned") -> Tuple[Tuple[str, str], ...]:
+        """The memo key of each map: its name, and "signed" when it is bound
+        to the signed convention. Unsigned is the default of every map that
+        takes a convention, so a map bound to it shares the unbound map's memo.
+        """
+        signed = bool(self.sign) and self.convention(sign) == "signed"
+        return tuple(
+            (name, "signed" if signed and i == 0 else "") for i, name in enumerate(self.maps)
+        )
+
+    def check(self, sample, sign: str = "unsigned", memos: Optional[dict] = None) -> Report:
+        """Run the checker on a sample with memoized maps.
+
+        memos holds the memo of each map key and gains the ones it lacks;
+        without it, the memos last for this one check.
+        """
+        memos = {} if memos is None else memos
+        keys = self.keys(sign)
+        for key in keys:
+            if key not in memos:
+                memos[key] = _memo(key)
+        return _resolve(self.checker)(*(memos[k] for k in keys), sample, self.title(sign))
 
     def run(self, q, n: int, sign: str = "unsigned") -> Report:
         return self.check(self.sample(q, n), sign)
@@ -234,18 +267,46 @@ class Law:
         return self.sign not in ("", SELECTED, sign)
 
 
-def run_laws(laws, q, n: int, sign: str = "unsigned"):
+def _map_stats(key, info, law: str) -> str:
+    """The --stats line of a released memo, from its cache_info()."""
+    calls = info.hits + info.misses
+    return 'stats: map %s: %d calls, %d distinct, repeat share %.2f, released after "%s"' % (
+        "%s (%s)" % key if key[1] else key[0], calls, info.misses,
+        info.hits / calls if calls else 0.0, law)
+
+
+def run_laws(laws, q, n: int, sign: str = "unsigned", stats: Optional[Callable] = None):
     """Yield (law, report) for each law in turn on q at size n.
 
     Laws with the same sampler and capped size share one sample, so each
-    distinct sample is enumerated once per run.
+    distinct sample is enumerated once per run. Laws that name the same map
+    key (Law.keys) share one memo of it, so within the run the map computes
+    each input once. The memo is made at the first law that names the key
+    and dropped right after the last one, so none outlives the run.
+
+    stats, if given, is called with one line of text after each law (elements
+    checked, seconds spent) and one for each memo as it is dropped (calls,
+    distinct inputs, repeat share, and the law after which it was dropped).
     """
+    laws = list(laws)
+    last = {key: i for i, law in enumerate(laws) for key in law.keys(sign)}
     samples: dict = {}
-    for law in laws:
+    memos: dict = {}
+    for i, law in enumerate(laws):
+        t0 = time.perf_counter()
         key = (law.sampler, law.size(n))
         if key not in samples:
             samples[key] = law.sample(q, n)
-        yield law, law.check(samples[key], sign)
+        report = law.check(samples[key], sign, memos)
+        title = law.title(sign)
+        if stats:
+            stats('stats: law "%s": %d elements, %.3f s'
+                  % (title, report.checked, time.perf_counter() - t0))
+        for done in [k for k, j in last.items() if j == i]:
+            info = memos.pop(done).cache_info()
+            if stats:
+                stats(_map_stats(done, info, title))
+        yield law, report
 
 
 _PRELIE, _LIE = "verify_prelie_coalgebra", "verify_lie_coalgebra"

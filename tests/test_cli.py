@@ -1,12 +1,13 @@
 import io
 import json
 import os
+import re
 
 import pytest
 
 from quiverhopf import cuts, hopf, symalg
 from quiverhopf.cli import main
-from quiverhopf.verify import Report
+from quiverhopf.verify import LAWS, Report
 
 
 def run(argv):
@@ -372,6 +373,33 @@ GOLDEN_VERIFY = [
 @pytest.mark.parametrize("argv, rc, stdout", GOLDEN_VERIFY)
 def test_verify_golden_output(argv, rc, stdout):
     assert run(["verify"] + argv + ["--max-len", "3"]) == (rc, stdout)
+
+
+LAW_STATS = re.compile(r'^stats: law "(.+)": (\d+) elements, \d+\.\d{3} s$')
+MAP_STATS = re.compile(
+    r'^stats: map (.+): (\d+) calls, (\d+) distinct, repeat share \d\.\d\d, released after "(.+)"$'
+)
+
+
+@pytest.mark.parametrize("argv, rc, stdout", GOLDEN_VERIFY)
+def test_verify_stats_go_to_stderr_only(argv, rc, stdout, capsys):
+    argv = ["verify"] + argv + ["--max-len", "3"]
+    assert run(argv) == (rc, stdout)
+    assert capsys.readouterr().err == ""
+    assert run(argv + ["--stats"]) == (rc, stdout)
+    err = capsys.readouterr().err.splitlines()
+    sign = "signed" if "signed" in argv else "unsigned"
+    laws = [law for law in LAWS if set(argv) & set(law.groups)]
+    law_lines = [LAW_STATS.match(line) for line in err if LAW_STATS.match(line)]
+    map_lines = [MAP_STATS.match(line) for line in err if MAP_STATS.match(line)]
+    assert len(law_lines) + len(map_lines) == len(err)
+    assert [m.group(1) for m in law_lines] == [law.title(sign) for law in laws]
+    # One line per map key, released after the last law that names it.
+    last = {key: law.title(sign) for law in laws for key in law.keys(sign)}
+    assert sorted((m.group(1), m.group(4)) for m in map_lines) == sorted(
+        ("%s (%s)" % key if key[1] else key[0], title) for key, title in last.items()
+    )
+    assert all(int(m.group(2)) >= int(m.group(3)) > 0 for m in map_lines)
 
 
 def test_verify_enumerates_each_sample_once(monkeypatch):
