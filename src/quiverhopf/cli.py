@@ -16,12 +16,12 @@ import sys
 
 from .bridge import compare_coproducts, instance as bridge_instance
 from .cobrackets import delta_or, delta_p_rt, delta_rt
-from .cuts import Cut, cut_components, cut_order, enumerate_cuts, epsilon
+from .cuts import Cut, PathDiagram, cut_components, cut_order, enumerate_cuts, epsilon
 from .dual import dual_rooted_tree
 from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
 from .linear import format_scalar
 from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver
-from .trees import tree_to_json
+from .trees import OrientedTree, tree_to_json
 from .verify import LAWS, run_laws
 
 _CUT_PAIR = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
@@ -44,11 +44,9 @@ def _size(text: str) -> int:
 
 
 def _tree_text(t) -> str:
-    return json.dumps(
-        tree_to_json(t) if hasattr(t, "children") else t.to_json(),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    if isinstance(t, OrientedTree):
+        return t.text()
+    return json.dumps(tree_to_json(t), sort_keys=True, separators=(",", ":"))
 
 
 def _quiver(args) -> Quiver:
@@ -97,11 +95,12 @@ def cmd_chords(args, out) -> int:
     q = _quiver(args)
     p = q.parse_path(args.path)
     for h in enumerate_cuts(p, simple_only=args.simple):
-        comps = cut_components(p, h)
+        d = PathDiagram(p, h)
+        comps = cut_components(d)
         fields = [h.text()]
         if args.with_signs:
-            fields.append("eps=%s" % format_scalar(epsilon(p, h)))
-        fields.append("ord=%d" % cut_order(p, h))
+            fields.append("eps=%s" % format_scalar(epsilon(d)))
+        fields.append("ord=%d" % cut_order(h))
         fields.append("outer=%s" % comps.outer.text())
         for c in h.pairs:
             fields.append("(%d,%d)->%s" % (c[0], c[1], comps.chords[c].text()))
@@ -111,11 +110,9 @@ def cmd_chords(args, out) -> int:
 
 def cmd_dualtree(args, out) -> int:
     q = _quiver(args)
-    p = q.parse_path(args.path)
-    h = _parse_cut(args.cut)
-    t = dual_rooted_tree(p, h)
-    print("eps=%s" % format_scalar(epsilon(p, h)), file=out)
-    print(_tree_text(t), file=out)
+    d = PathDiagram(q.parse_path(args.path), _parse_cut(args.cut))
+    print("eps=%s" % format_scalar(epsilon(d)), file=out)
+    print(_tree_text(dual_rooted_tree(d)), file=out)
     return 0
 
 

@@ -22,31 +22,36 @@ from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
 class Cut:
     """A set of chords: position pairs (i < j), pairwise non-crossing.
 
-    Structural validity (distinctness, order, non-crossing) is enforced here;
-    the letter-matching condition depends on a word and is checked by
-    validate_cut. Simplicity means no chord nests inside another.
+    Distinctness, order and non-crossing are checked here, by one left-to-right
+    scan that also records in `parents` the innermost chord enclosing each
+    chord of `pairs` (None at the top level). The diagram constructors check
+    the cut against a word. Simplicity means no chord nests inside another.
     """
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "parents")
 
     def __init__(self, pairs=()):
         ps = sorted((int(i), int(j)) for i, j in pairs)
         flat = [k for p in ps for k in p]
         if len(set(flat)) != len(flat):
             raise ValueError("cut endpoints must be distinct: %r" % (ps,))
+        parents = []
+        open_chords = []  # chords enclosing the scan position, innermost last
         for i, j in ps:
             if not 1 <= i < j:
                 raise ValueError("cut pair (%d, %d) must satisfy 1 <= i < j" % (i, j))
-        for (i1, j1), (i2, j2) in itertools.combinations(ps, 2):
-            if i1 < i2 < j1 < j2:
-                raise ValueError("cut pairs (%d,%d) and (%d,%d) cross" % (i1, j1, i2, j2))
+            while open_chords and open_chords[-1][1] < i:
+                open_chords.pop()
+            parent = open_chords[-1] if open_chords else None
+            if parent and parent[1] < j:
+                raise ValueError("cut pairs (%d,%d) and (%d,%d) cross" % (parent + (i, j)))
+            parents.append(parent)
+            open_chords.append((i, j))
         self.pairs = tuple(ps)
+        self.parents = tuple(parents)
 
     def is_simple(self) -> bool:
-        for (i1, j1), (i2, j2) in itertools.combinations(self.pairs, 2):
-            if i1 < i2 < j2 < j1:
-                return False
-        return True
+        return all(parent is None for parent in self.parents)
 
     def __eq__(self, other):
         return isinstance(other, Cut) and self.pairs == other.pairs
@@ -76,7 +81,8 @@ EMPTY_CUT = Cut(())
 
 
 def validate_cut(p: Path, cut: Cut) -> None:
-    """Check the cut against a word: indices in range, letters mutual reverses."""
+    """Check the cut against a word: indices in range, letters mutual reverses.
+    Only the two diagram constructors call this; the maps on diagrams rely on it."""
     n = len(p.letters)
     for i, j in cut.pairs:
         if j > n:
@@ -114,13 +120,18 @@ def enumerate_cuts(p: Path, simple_only: bool = False):
     return sorted([Cut(ps) for ps in gen(1, len(letters))])
 
 
-def epsilon(p: Path, h: Cut) -> int:
-    """Sign of a cut: the product of -omega over its chords (1 for the empty cut)."""
-    validate_cut(p, h)
+def _sign(letters, pairs) -> int:
+    """The product of -omega over the chords `pairs` of a word."""
     sign = 1
-    for i, j in h.pairs:
-        sign *= -omega(p.letters[i - 1], p.letters[j - 1])
+    for i, j in pairs:
+        sign *= -omega(letters[i - 1], letters[j - 1])
     return sign
+
+
+def epsilon(d: PathDiagram | NecklaceDiagram) -> int:
+    """Sign of a chord diagram (path or necklace): the product of -omega over
+    its chords (1 for the empty cut)."""
+    return _sign(d.path.letters, d.cut.pairs)
 
 
 @dataclass(frozen=True)
@@ -176,21 +187,21 @@ def _surgery(p: Path, cut: Cut, sub) -> dict:
     return out
 
 
-def cut_components(p: Path, h: Cut) -> CutComponents:
-    """Delete all matched letters and reglue: one piece per chord plus the outer piece."""
-    validate_cut(p, h)
-    pieces = _surgery(p, h, h.pairs)
+def cut_components(d: PathDiagram | NecklaceDiagram) -> CutComponents:
+    """Delete all matched letters of a chord diagram (path or necklace) and
+    reglue: one piece per chord plus the outer piece."""
+    pieces = _surgery(d.path, d.cut, d.cut.pairs)
     return CutComponents(
-        outer=pieces[None][0], chords={c: pieces[c][0] for c in h.pairs}
+        outer=pieces[None][0], chords={c: pieces[c][0] for c in d.cut.pairs}
     )
 
 
-def cut_order(p: Path, h: Cut) -> int:
-    """Maximum nesting depth over all word positions."""
-    validate_cut(p, h)
-    n = len(p.letters)
-    # Position k + 1/2 lies inside chord (i, j) exactly when i <= k < j.
-    return max(sum(1 for i, j in h.pairs if i <= k < j) for k in range(n + 1))
+def cut_order(h: Cut) -> int:
+    """Maximum nesting depth of a cut: its longest chain of enclosing chords."""
+    depth = {None: 0}
+    for c, parent in zip(h.pairs, h.parents):
+        depth[c] = depth[parent] + 1
+    return max(depth.values())
 
 
 def precedes(h1: Cut, h2: Cut) -> bool:
@@ -219,7 +230,7 @@ def simple_subcuts(h: Cut):
 
 
 class PathDiagram(BasisElement):
-    """A path together with a cut of its word: a basis chord diagram."""
+    """A path with a cut that the constructor checks against it: a basis chord diagram."""
 
     __slots__ = ("path", "cut")
 
@@ -239,7 +250,7 @@ class NecklaceDiagram(BasisElement):
     The representative minimizes the (word, cut) pair: among rotations with
     the smallest letter word, the one with the smallest rotated cut wins.
     Cuts are rotation-stable (non-crossing is a circular condition), so this
-    is well defined.
+    is well defined. The constructor checks the cut against the word.
     """
 
     __slots__ = ("path", "cut")
@@ -289,11 +300,12 @@ def necklace_diagrams(q, max_len: int):
     return [seen[k] for k in sorted(seen)]
 
 
-def remove_chords(d: PathDiagram, sub: Cut):
+def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):
     """Cut out a simple subcut: the outer diagram plus one diagram per removed chord.
 
-    Chords of the remaining cut fall entirely inside one component and are
-    relabeled by the induced position map.
+    d is a path or necklace diagram; the pieces are path diagrams. Chords of
+    the remaining cut fall entirely inside one component and are relabeled by
+    the induced position map. Checks that sub is a simple subset of d.cut.
     """
     pairs = set(d.cut.pairs)
     for c in sub.pairs:
@@ -306,7 +318,7 @@ def remove_chords(d: PathDiagram, sub: Cut):
     return outer, {c: PathDiagram(pieces[c][0], Cut(pieces[c][1])) for c in sub.pairs}
 
 
-def chord_delta_p_rt(d: PathDiagram) -> Tensor:
+def chord_delta_p_rt(d: PathDiagram | NecklaceDiagram) -> Tensor:
     """Comultiplication on path chord diagrams: remove one chord at a time.
 
     Removing a chord sends the chords nested inside it to the inner factor and
@@ -314,16 +326,15 @@ def chord_delta_p_rt(d: PathDiagram) -> Tensor:
     """
     terms = []
     for c in d.cut.pairs:
-        w = omega(d.path.letters[c[0] - 1], d.path.letters[c[1] - 1])
         outer, inners = remove_chords(d, Cut((c,)))
-        terms.append(((inners[c], outer), -w))
+        terms.append(((inners[c], outer), _sign(d.path.letters, (c,))))
     return Tensor(2, terms)
 
 
 def chord_delta_or(x: NecklaceDiagram) -> Tensor:
     """Cobracket on necklace chord diagrams: antisymmetrized chord removal."""
     terms = []
-    for (inner, outer), coef in chord_delta_p_rt(PathDiagram(x.path, x.cut)).items():
+    for (inner, outer), coef in chord_delta_p_rt(x).items():
         x1 = NecklaceDiagram(inner.path, inner.cut)
         x2 = NecklaceDiagram(outer.path, outer.cut)
         terms += [((x1, x2), coef), ((x2, x1), -coef)]
@@ -341,5 +352,5 @@ def chord_coproduct(d: PathDiagram) -> Tensor:
     for sub in simple_subcuts(d.cut):
         outer, inners = remove_chords(d, sub)
         left = Monomial(tuple(inners[c] for c in sub.pairs))
-        terms.append(((left, Monomial((outer,))), epsilon(d.path, sub)))
+        terms.append(((left, Monomial((outer,))), _sign(d.path.letters, sub.pairs)))
     return Tensor(2, terms)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .cuts import Cut, NecklaceDiagram, PathDiagram, cut_components, epsilon
 from .linear import LinComb
-from .quiver import Necklace, Path
+from .quiver import Necklace
 from .trees import OrientedTree, RootedTree, oriented_from_rooted
 
 
@@ -22,37 +22,28 @@ def nesting_children(cut: Cut):
     """Forest structure on the chords: children are immediately nested chords.
 
     Returns a map from a chord (or None for the top level) to the list of its
-    immediate children, each list ordered by left endpoint.
+    immediate children, each list ordered by left endpoint (from Cut.parents).
     """
     kids = {None: []}
-    for c in cut.pairs:
+    for c, parent in zip(cut.pairs, cut.parents):
         kids[c] = []
-    for c in cut.pairs:
-        parent = None
-        for d in cut.pairs:
-            if d != c and d[0] < c[0] and c[1] < d[1]:
-                if parent is None or d[0] > parent[0]:
-                    parent = d
         kids[parent].append(c)
-    for lst in kids.values():
-        lst.sort()
     return kids
 
 
-def dual_rooted_tree(p: Path, h: Cut) -> RootedTree:
-    """Dual decorated rooted tree of a path chord diagram.
+def dual_rooted_tree(d: PathDiagram | NecklaceDiagram) -> RootedTree:
+    """Dual decorated rooted tree of a chord diagram (path or necklace).
 
     The root is the unbounded face labeled by the outer component; each chord
     face is labeled by its surgery component. The edge dual to chord (i, j)
     points away from the root iff letter i is unstarred.
     """
-    comps = cut_components(p, h)
-    kids = nesting_children(h)
+    comps = cut_components(d)
+    kids = nesting_children(d.cut)
+    letters = d.path.letters
 
     def build(c) -> RootedTree:
-        children = tuple(
-            (p.letters[d[0] - 1].starred, build(d)) for d in kids[c]
-        )
+        children = tuple((letters[k[0] - 1].starred, build(k)) for k in kids[c])
         label = comps.outer if c is None else comps.chords[c]
         return RootedTree(label, children)
 
@@ -65,12 +56,12 @@ def dual_oriented_tree(x: NecklaceDiagram) -> OrientedTree:
     Built from the canonical representative; the rotation lemma (checked by
     tests) makes the result representative-independent.
     """
-    return oriented_from_rooted(dual_rooted_tree(x.path, x.cut), Necklace)
+    return oriented_from_rooted(dual_rooted_tree(x), Necklace)
 
 
 def d_rt(x: PathDiagram) -> LinComb:
     """Chord-algebra-to-trees map on path diagrams: sign times the dual tree."""
-    return LinComb.single(dual_rooted_tree(x.path, x.cut), epsilon(x.path, x.cut))
+    return LinComb.single(dual_rooted_tree(x), epsilon(x))
 
 
 def d_or(x: NecklaceDiagram, signed: bool = False) -> LinComb:
@@ -80,5 +71,5 @@ def d_or(x: NecklaceDiagram, signed: bool = False) -> LinComb:
     morphism; the signed variant multiplies by the cut sign and is exposed for
     the convention comparison in the verification suite.
     """
-    coeff = epsilon(x.path, x.cut) if signed else 1
+    coeff = epsilon(x) if signed else 1
     return LinComb.single(dual_oriented_tree(x), coeff)

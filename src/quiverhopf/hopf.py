@@ -41,9 +41,10 @@ def _cut_coproduct(x: Path, kind) -> Tensor:
     """
     terms = [((kind((x,)), kind(())), 1)]
     for h in enumerate_cuts(x, simple_only=True):
-        comps = cut_components(x, h)
+        d = PathDiagram(x, h)
+        comps = cut_components(d)
         left = kind(tuple(comps.chords[c] for c in h.pairs))
-        terms.append(((left, kind((comps.outer,))), epsilon(x, h)))
+        terms.append(((left, kind((comps.outer,))), epsilon(d)))
     return Tensor(2, terms)
 
 
@@ -117,10 +118,11 @@ def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
     """coassoc_formula_terms(x), given the coproduct cop_x of x."""
     terms = [((a, b, SYM_UNIT), c) for (a, b), c in cop_x.items()]
     for h in enumerate_cuts(x):
-        if cut_order(x, h) > 2:
+        if cut_order(h) > 2:
             continue
-        comps = cut_components(x, h)
-        sign = epsilon(x, h)
+        d = PathDiagram(x, h)
+        comps = cut_components(d)
+        sign = epsilon(d)
         pairs = h.pairs
         for r in range(len(pairs) + 1):
             for first in itertools.combinations(pairs, r):

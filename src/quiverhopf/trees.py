@@ -137,6 +137,22 @@ def tree_coproduct(t: RootedTree) -> Tensor:
     return Tensor(2, terms)
 
 
+def _planar_children(edge_list, adj, v, parent_edge, rot: int):
+    """The edges below v in planar order, as (edge, far end, points at v): after
+    the edge toward the root (parent_edge), or from position rot at the root."""
+    es = adj[v]
+    if parent_edge is None:
+        order = es[rot:] + es[:rot]
+    else:
+        k = es.index(parent_edge)
+        order = es[k + 1 :] + es[:k]
+    out = []
+    for eidx in order:
+        a, b = edge_list[eidx]
+        out.append((eidx, a if b == v else b, b == v))
+    return out
+
+
 class OrientedTree(BasisElement):
     """Unrooted tree with cyclic edge orders, oriented edges, necklace labels.
 
@@ -190,24 +206,13 @@ class OrientedTree(BasisElement):
         if below is None:
             below = {}
 
-        def other(eidx, v):
-            u, w = edge_list[eidx]
-            return w if u == v else u
-
         def ser(v, parent_edge):
-            es = adj[v]
-            if parent_edge is None:
-                order = es[rot:] + es[:rot]
-            else:
-                k = es.index(parent_edge)
-                order = es[k + 1 :] + es[:k]
             parts = []
-            for eidx in order:
-                w = other(eidx, v)
+            for eidx, w, up in _planar_children(edge_list, adj, v, parent_edge, rot):
                 sub = below.get((w, eidx))
                 if sub is None:
                     sub = below[w, eidx] = ser(w, eidx)
-                parts.append(("^" if edge_list[eidx][1] == v else "v") + sub)
+                parts.append(("^" if up else "v") + sub)
             return "{%s:%s}" % (labels[v].skey, "".join(parts))
 
         return ser(root, None)
@@ -252,25 +257,16 @@ class OrientedTree(BasisElement):
         return component(u), component(v)
 
     def to_json(self) -> dict:
-        def other(eidx, v):
-            a, b = self.edge_list[eidx]
-            return b if a == v else a
-
-        def walk(v, parent_edge, rot):
-            es = self.adj[v]
-            if parent_edge is None:
-                order = es[rot:] + es[:rot]
-            else:
-                k = es.index(parent_edge)
-                order = es[k + 1 :] + es[:k]
-            children = []
-            for eidx in order:
-                w = other(eidx, v)
-                orient = "in" if self.edge_list[eidx][1] == v else "out"
-                children.append({"orient": orient, "node": walk(w, eidx, 0)})
+        def walk(v, parent_edge):
+            children = [
+                {"orient": "in" if up else "out", "node": walk(w, eidx)}
+                for eidx, w, up in _planar_children(
+                    self.edge_list, self.adj, v, parent_edge, self.canon_rot
+                )
+            ]
             return {"label": self.labels[v].text(), "children": children}
 
-        return walk(self.canon_root, None, self.canon_rot)
+        return walk(self.canon_root, None)
 
     def text(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

@@ -20,7 +20,7 @@ from quiverhopf.bridge import (
     reconstruct_coproduct,
 )
 from quiverhopf.cobrackets import delta_p_rt
-from quiverhopf.cuts import chord_coproduct, enumerate_cuts, epsilon, path_diagrams
+from quiverhopf.cuts import PathDiagram, chord_coproduct, enumerate_cuts, epsilon, path_diagrams
 from quiverhopf.dual import d_or, d_rt, dual_rooted_tree
 from quiverhopf.hopf import (
     coassoc_formula_defect,
@@ -260,7 +260,8 @@ def test_criterion_5_theorem_1():
         for x in all_paths(q, max_len):
             direct = LinComb()
             for h in enumerate_cuts(x):
-                direct = direct + LinComb.single(dual_rooted_tree(x, h), epsilon(x, h))
+                d = PathDiagram(x, h)
+                direct = direct + LinComb.single(dual_rooted_tree(d), epsilon(d))
             if eta_rt(x) != direct:
                 failures.append("eta_rt direct summation differs at %s" % x.text())
                 break

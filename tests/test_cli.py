@@ -282,6 +282,24 @@ def test_dualtree_rejects_unbalanced_cut(capsys):
 
 
 @pytest.mark.parametrize(
+    "cut, err",
+    [
+        ("(1,3)", "error: cut pair (1,3) joins e and e, which are not mutual reverses\n"),
+        ("(1,6)", "error: cut pair (1,6) out of range for a word of length 4\n"),
+    ],
+)
+def test_dualtree_rejects_cut_that_does_not_fit_the_word(cut, err, capsys):
+    assert run(["dualtree", "--path", "1 e e* e e*", "--cut", cut]) == (2, "")
+    assert capsys.readouterr().err == err
+
+
+def test_dualtree_rejects_crossing_cut(capsys):
+    assert run(["dualtree", "--path", "1 e e* e e*", "--cut", "(1,3),(2,4)"]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cross" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--law", "prelie", "--max-len", "-3"],

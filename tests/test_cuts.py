@@ -1,3 +1,5 @@
+import io
+import os
 import random
 from fractions import Fraction
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quiverhopf import cuts
+from quiverhopf.cli import main
 from quiverhopf.cuts import (
     Cut,
     CutComponents,
@@ -25,11 +29,23 @@ from quiverhopf.cuts import (
     validate_cut,
 )
 from quiverhopf.linear import Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.quiver import Path, all_closed_paths, all_paths, rotate
+from quiverhopf.dual import nesting_children
+from quiverhopf.hopf import eta_or, eta_rt
+from quiverhopf.quiver import Path, all_closed_paths, all_necklaces, all_paths, rotate
 from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
+from support import (
+    oracle_children,
+    oracle_order,
+    oracle_parent,
+    oracle_simple,
+    oracle_valid,
+)
 
 
 QUIVER_2L = FAMILY["two_loops"]
+TWO_LOOPS_FILE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "quivers", "two_loops.json"
+)
 
 
 def oracle_cuts(p):
@@ -64,11 +80,6 @@ def oracle_cuts(p):
 
     rec(0, [])
     return sorted(set(results))
-
-
-def nesting_free(pairs):
-    """True iff no pair lies strictly inside another, by direct inspection."""
-    return not any(i1 < i2 < j2 < j1 for i1, j1 in pairs for i2, j2 in pairs)
 
 
 def sliced_surgery(p, cut_pairs, sub_pairs):
@@ -134,7 +145,7 @@ def test_enumeration_matches_oracle_exhaustive(q1, loop, q2, two_loops):
             expect = oracle_cuts(p)
             assert [c.pairs for c in enumerate_cuts(p)] == expect
             assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
-                ps for ps in expect if nesting_free(ps)
+                ps for ps in expect if oracle_simple(ps)
             ]
 
 
@@ -171,44 +182,47 @@ def test_cut_validation(q1):
         Cut(((1, 3), (2, 4)))  # crossing
     with pytest.raises(ValueError):
         Cut(((1, 2), (2, 3)))  # shared endpoint
-    with pytest.raises(ValueError):
-        epsilon(x, Cut(((1, 3),)))  # letters not mutual reverses
+    # Letters not mutual reverses: the diagram constructors reject the cut.
+    with pytest.raises(ValueError, match="not mutual reverses"):
+        PathDiagram(x, Cut(((1, 3),)))
+    with pytest.raises(ValueError, match="not mutual reverses"):
+        NecklaceDiagram(x, Cut(((1, 3),)))
 
 
 def test_epsilon_values(q1):
     e = q1.letter("e")
     two = Path("1", (e, e.star()))
-    assert epsilon(two, Cut(((1, 2),))) == -1
+    assert epsilon(PathDiagram(two, Cut(((1, 2),)))) == -1
     x = ee4(q1)
-    assert epsilon(x, Cut(((1, 4), (2, 3)))) == -1
-    assert epsilon(x, Cut(())) == 1
-    assert epsilon(x, Cut(((1, 2), (3, 4)))) == 1
+    assert epsilon(PathDiagram(x, Cut(((1, 4), (2, 3))))) == -1
+    assert epsilon(PathDiagram(x, Cut(()))) == 1
+    assert epsilon(PathDiagram(x, Cut(((1, 2), (3, 4))))) == 1
 
 
 def test_epsilon_multiplicativity(q1, loop, two_loops):
     for q in (q1, loop, two_loops):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                eh = epsilon(p, h)
+                eh = epsilon(PathDiagram(p, h))
                 for c in h.pairs:
                     rest = Cut(tuple(d for d in h.pairs if d != c))
-                    assert epsilon(p, Cut((c,))) * epsilon(p, rest) == eh
+                    assert epsilon(PathDiagram(p, Cut((c,)))) * epsilon(PathDiagram(p, rest)) == eh
                 for sub in simple_subcuts(h):
                     rest = Cut(tuple(d for d in h.pairs if d not in set(sub.pairs)))
-                    assert epsilon(p, sub) * epsilon(p, rest) == eh
+                    assert epsilon(PathDiagram(p, sub)) * epsilon(PathDiagram(p, rest)) == eh
 
 
 def test_cut_components_two_letter(q1):
     e = q1.letter("e")
     two = Path("1", (e, e.star()))
-    comps = cut_components(two, Cut(((1, 2),)))
+    comps = cut_components(PathDiagram(two, Cut(((1, 2),))))
     assert comps.outer == q1.trivial("1")
     assert comps.chords == {(1, 2): q1.trivial("2")}
 
 
 def test_cut_components_nested(q1):
     x = ee4(q1)
-    comps = cut_components(x, Cut(((1, 4), (2, 3))))
+    comps = cut_components(PathDiagram(x, Cut(((1, 4), (2, 3)))))
     assert comps.outer == q1.trivial("1")
     assert comps.chords[(1, 4)] == q1.trivial("2")
     assert comps.chords[(2, 3)] == q1.trivial("1")
@@ -216,7 +230,7 @@ def test_cut_components_nested(q1):
 
 def test_cut_components_empty(q2):
     for p in all_paths(q2, 3):
-        comps = cut_components(p, Cut(()))
+        comps = cut_components(PathDiagram(p, Cut(())))
         assert comps.outer == p and comps.chords == {}
 
 
@@ -224,7 +238,7 @@ def test_cut_components_endpoints(q1, loop_edge):
     for q in (q1, loop_edge):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                comps = cut_components(p, h)
+                comps = cut_components(PathDiagram(p, h))
                 assert comps.outer.start == p.start and comps.outer.end == p.end
                 for (i, j), piece in comps.chords.items():
                     assert piece.start == p.letters[i - 1].tgt
@@ -262,23 +276,97 @@ def test_cut_order_at(q1):
 
 def test_cut_order(q1):
     x = ee4(q1)
-    assert cut_order(x, Cut(((1, 4), (2, 3)))) == 2
-    assert cut_order(x, Cut(())) == 0
+    assert cut_order(Cut(((1, 4), (2, 3)))) == 2
+    assert cut_order(Cut(())) == 0
     for h in enumerate_cuts(x):
         if h.pairs:
-            assert h.is_simple() == (cut_order(x, h) == 1)
+            assert h.is_simple() == (cut_order(h) == 1)
 
 
 def test_simplicity_iff_order_one(q1, loop, two_loops):
     for q in (q1, loop, two_loops):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                order = cut_order(p, h)
+                order = cut_order(h)
                 if h.pairs:
                     assert h.is_simple() == (order == 1)
                     assert (order >= 2) == (not h.is_simple())
                 else:
                     assert order == 0
+
+
+def check_nesting_against_oracles(h):
+    assert h.parents == tuple(oracle_parent(h.pairs, c) for c in h.pairs)
+    assert cut_order(h) == oracle_order(h.pairs)
+    assert h.is_simple() == oracle_simple(h.pairs)
+    assert nesting_children(h) == oracle_children(h.pairs)
+
+
+def test_nesting_scan_matches_oracles(two_loops, loop_edge):
+    nested = 0
+    for q in (two_loops, loop_edge):
+        for p in all_paths(q, 6):
+            for h in enumerate_cuts(p):
+                check_nesting_against_oracles(h)
+                nested += cut_order(h) >= 2
+    assert nested  # nested cuts were among those checked
+
+
+@st.composite
+def perfect_matchings(draw):
+    """Up to five pairs on distinct endpoints 1..2k, crossing or nested at random."""
+    ends = draw(st.permutations(range(1, 2 * draw(st.integers(0, 5)) + 1)))
+    return [tuple(sorted(ends[m : m + 2])) for m in range(0, len(ends), 2)]
+
+
+@given(
+    st.one_of(
+        perfect_matchings(),
+        # Raw pairs: shared endpoints, i >= j and 0 as well.
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=5),
+    )
+)
+def test_cut_scan_matches_oracles_hypothesis(pairs):
+    if not oracle_valid(pairs):
+        with pytest.raises(ValueError):
+            Cut(pairs)
+        return
+    h = Cut(pairs)
+    assert h.pairs == tuple(sorted(pairs))
+    check_nesting_against_oracles(h)
+
+
+def test_one_cut_check_per_diagram(monkeypatch, two_loops):
+    """Each chord diagram's cut is checked once, by its constructor; no map
+    that takes the diagram checks it again."""
+    counts = {"checks": 0, "diagrams": 0}
+    check = cuts.validate_cut
+
+    def counting_check(p, h):
+        counts["checks"] += 1
+        check(p, h)
+
+    monkeypatch.setattr(cuts, "validate_cut", counting_check)
+    for cls in (PathDiagram, NecklaceDiagram):
+
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            counts["diagrams"] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    for p in all_paths(two_loops, 5):
+        eta_rt(p)
+    for n in all_necklaces(two_loops, 5):
+        eta_or(n)
+        eta_or(n, signed=True)
+    for d in path_diagrams(two_loops, 4):
+        chord_coproduct(d)
+    for x in necklace_diagrams(two_loops, 4):
+        chord_delta_or(x)
+    argv = ["verify", "--theorem", "2", "--max-len", "3", "--quiver", TWO_LOOPS_FILE]
+    assert main(argv, out=io.StringIO()) == 0
+    assert counts["diagrams"] > 0
+    assert counts["checks"] == counts["diagrams"]
 
 
 def test_precedes(q1):
@@ -294,7 +382,7 @@ def test_remove_chords_matches_components_on_simple_cuts(q1, two_loops):
     for q in (q1, two_loops):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p, simple_only=True):
-                comps = cut_components(p, h)
+                comps = cut_components(PathDiagram(p, h))
                 outer, inners = remove_chords(PathDiagram(p, h), h)
                 assert outer.path == comps.outer and outer.cut == Cut(())
                 for c in h.pairs:
@@ -311,8 +399,8 @@ def test_cut_components_match_sliced_surgery(two_loops, loop_edge):
                 expect = CutComponents(
                     outer=pieces[None][0], chords={c: pieces[c][0] for c in h.pairs}
                 )
-                assert cut_components(p, h) == expect
-                checked += any(not nesting_free([c, d]) for c in h.pairs for d in h.pairs)
+                assert cut_components(PathDiagram(p, h)) == expect
+                checked += any(not oracle_simple([c, d]) for c in h.pairs for d in h.pairs)
     assert checked  # nested cuts were among those compared
 
 
@@ -492,14 +580,14 @@ def test_enumeration_matches_oracle_hypothesis(p):
     expect = oracle_cuts(p)
     assert [c.pairs for c in enumerate_cuts(p)] == expect
     assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
-        ps for ps in expect if nesting_free(ps)
+        ps for ps in expect if oracle_simple(ps)
     ]
 
 
 @given(two_loop_paths())
 def test_epsilon_multiplicative_hypothesis(p):
     for h in enumerate_cuts(p):
-        eh = epsilon(p, h)
+        eh = epsilon(PathDiagram(p, h))
         for c in h.pairs:
             rest = Cut(tuple(d for d in h.pairs if d != c))
-            assert epsilon(p, Cut((c,))) * epsilon(p, rest) == eh
+            assert epsilon(PathDiagram(p, Cut((c,)))) * epsilon(PathDiagram(p, rest)) == eh

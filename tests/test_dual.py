@@ -30,18 +30,18 @@ def test_nesting_children(q1):
 
 def test_dual_tree_empty_cut(q2):
     for p in all_paths(q2, 3):
-        assert dual_rooted_tree(p, Cut(())) == point(p)
+        assert dual_rooted_tree(PathDiagram(p, Cut(()))) == point(p)
 
 
 def test_dual_tree_one_chord(q1):
     e = q1.letter("e")
-    t = dual_rooted_tree(Path("1", (e, e.star())), Cut(((1, 2),)))
+    t = dual_rooted_tree(PathDiagram(Path("1", (e, e.star())), Cut(((1, 2),))))
     # Letter 1 is unstarred, so the dual edge points away from the root.
     assert t == RootedTree(q1.trivial("1"), ((False, point(q1.trivial("2"))),))
 
 
 def test_dual_tree_nested_chain(q1):
-    t = dual_rooted_tree(ee4(q1), Cut(((1, 4), (2, 3))))
+    t = dual_rooted_tree(PathDiagram(ee4(q1), Cut(((1, 4), (2, 3)))))
     # Chain root triv_1 - triv_2 - triv_1; the outer chord starts with e
     # (down-flag), the inner one with e* (up-flag).
     inner = RootedTree(q1.trivial("2"), ((True, point(q1.trivial("1"))),))
@@ -49,7 +49,7 @@ def test_dual_tree_nested_chain(q1):
 
 
 def test_dual_tree_side_by_side_corner_order(q1):
-    t = dual_rooted_tree(ee4(q1), Cut(((1, 2), (3, 4))))
+    t = dual_rooted_tree(PathDiagram(ee4(q1), Cut(((1, 2), (3, 4)))))
     p2 = point(q1.trivial("2"))
     assert t == RootedTree(q1.trivial("1"), ((False, p2), (False, p2)))
 
@@ -65,8 +65,9 @@ def test_face_labels_equal_cut_components(q1, loop_edge):
     for q in (q1, loop_edge):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                comps = cut_components(p, h)
-                t = dual_rooted_tree(p, h)
+                d = PathDiagram(p, h)
+                comps = cut_components(d)
+                t = dual_rooted_tree(d)
                 assert t.edge_count() == len(h.pairs)
                 want = sorted([comps.outer] + list(comps.chords.values()))
                 assert label_multiset(t) == want
@@ -122,7 +123,7 @@ def test_dual_oriented_rotation_invariance(q1, loop, loop_edge):
                             for i, j in h.pairs
                         )
                     )
-                    o = oriented_from_rooted(dual_rooted_tree(word, moved), Necklace)
+                    o = oriented_from_rooted(dual_rooted_tree(PathDiagram(word, moved)), Necklace)
                     results.add(o.skey)
                 assert len(results) == 1
 

@@ -210,7 +210,8 @@ def test_eta_equals_direct_summation(q1, loop_edge):
         for x in all_paths(q, 5):
             direct = LinComb()
             for h in enumerate_cuts(x):
-                direct = direct + LinComb.single(dual_rooted_tree(x, h), epsilon(x, h))
+                d = PathDiagram(x, h)
+                direct = direct + LinComb.single(dual_rooted_tree(d), epsilon(d))
             assert eta_rt(x) == direct
         for n in all_necklaces(q, 4):
             direct = LinComb()
