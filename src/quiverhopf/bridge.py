@@ -77,9 +77,8 @@ class CoproductLayers:
     layers, giving the full coproduct as a tensor over monomial pairs.
     """
 
-    def __init__(self, layers: Dict[int, Dict], degree: Callable):
+    def __init__(self, layers: Dict[int, Dict]):
         self.layers = layers
-        self.degree = degree
 
     def total(self, x) -> Tensor:
         whole = Monomial((x,))
@@ -122,7 +121,7 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
     """
     elems = sorted(x for x in basis if degree(x) <= max_degree)
     if not elems:
-        return CoproductLayers({}, degree)
+        return CoproductLayers({})
     layers: Dict[int, Dict] = {1: {}}
     for x in elems:
         d = degree(x)
@@ -141,7 +140,7 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
 
     # At step n, layers holds exactly the layers 1..n, so its total is the
     # coproduct truncated above layer n.
-    result = CoproductLayers(layers, degree)
+    result = CoproductLayers(layers)
     n = 1
     bound = max_degree // max(min_deg, 1) + 1
     while True:

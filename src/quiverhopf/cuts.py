@@ -56,9 +56,6 @@ class Cut:
     def __eq__(self, other):
         return isinstance(other, Cut) and self.pairs == other.pairs
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.pairs)
 
@@ -292,12 +289,9 @@ def path_diagrams(q, max_len: int):
 def necklace_diagrams(q, max_len: int):
     """Every chord diagram on a necklace of length <= max_len, deduplicated, in
     canonical order."""
-    seen = {}
-    for p in all_closed_paths(q, max_len):
-        for h in enumerate_cuts(p):
-            d = NecklaceDiagram(p, h)
-            seen[d.skey] = d
-    return [seen[k] for k in sorted(seen)]
+    return sorted(
+        {NecklaceDiagram(p, h) for p in all_closed_paths(q, max_len) for h in enumerate_cuts(p)}
+    )
 
 
 def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):

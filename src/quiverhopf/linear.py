@@ -58,9 +58,6 @@ class BasisElement:
             isinstance(other, BasisElement) and self.skey == other.skey
         )
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return self._hash
 
@@ -168,9 +165,6 @@ class LinComb:
         if isinstance(other, int) and other == 0:
             return not self._terms
         return type(other) is type(self) and self._terms == other._terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __add__(self, other):
         return _combine(self, other, 1)

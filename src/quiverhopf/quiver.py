@@ -53,9 +53,6 @@ class Letter:
     def __eq__(self, other):
         return isinstance(other, Letter) and self.sort_key == other.sort_key
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.sort_key)
 
@@ -318,9 +315,6 @@ class Necklace(BasisElement):
     def __len__(self):
         return len(self.rep.letters)
 
-    def is_trivial(self) -> bool:
-        return self.rep.is_trivial()
-
     def text(self) -> str:
         if self.rep.is_trivial():
             return "[%s]" % self.rep.start
@@ -351,11 +345,7 @@ def all_closed_paths(q: Quiver, max_len: int):
 
 def all_necklaces(q: Quiver, max_len: int):
     """Every necklace of length <= max_len, deduplicated, in canonical order."""
-    seen = {}
-    for p in all_closed_paths(q, max_len):
-        n = Necklace(p)
-        seen[n.skey] = n
-    return [seen[k] for k in sorted(seen)]
+    return sorted({Necklace(p) for p in all_closed_paths(q, max_len)})
 
 
 ONE_EDGE_QUIVER = Quiver(("1", "2"), (("e", "1", "2"),))

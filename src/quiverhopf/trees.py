@@ -12,6 +12,7 @@ rotation choices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from typing import Callable, Tuple
@@ -325,39 +326,24 @@ def all_rooted_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,))
     """
     labels = tuple(labels)
     flags = tuple(flags)
-    tree_cache: dict = {}
 
+    @functools.cache
     def trees(budget: int):
-        if budget in tree_cache:
-            return tree_cache[budget]
-        out = []
-        for kids in forests(budget):
-            for lab in labels:
-                out.append(RootedTree(lab, kids))
-        tree_cache[budget] = out
-        return out
+        return [RootedTree(lab, kids) for kids in forests(budget) for lab in labels]
 
-    forest_cache: dict = {}
-
+    @functools.cache
     def forests(budget: int):
-        if budget in forest_cache:
-            return forest_cache[budget]
         if budget == 0:
-            forest_cache[0] = [()]
-            return forest_cache[0]
-        out = []
-        for first_size in range(budget):
-            for sub in trees(first_size):
-                for flag in flags:
-                    for rest in forests(budget - 1 - first_size):
-                        out.append(((flag, sub),) + rest)
-        forest_cache[budget] = out
-        return out
+            return [()]
+        return [
+            ((flag, sub),) + rest
+            for first_size in range(budget)
+            for sub in trees(first_size)
+            for flag in flags
+            for rest in forests(budget - 1 - first_size)
+        ]
 
-    all_out = []
-    for e in range(max_edges + 1):
-        all_out.extend(trees(e))
-    return sorted(all_out)
+    return sorted(t for e in range(max_edges + 1) for t in trees(e))
 
 
 def all_oriented_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False, True)):
@@ -366,9 +352,7 @@ def all_oriented_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,
     labels must be necklaces; generation passes through rooted trees with the
     corresponding closed-path labels, so every isomorphism class is hit.
     """
-    by_key = {}
     path_labels = tuple(n.rep for n in labels)
-    for t in all_rooted_trees(max_edges, path_labels, flags):
-        o = oriented_from_rooted(t, Necklace)
-        by_key[o.skey] = o
-    return [by_key[k] for k in sorted(by_key)]
+    return sorted(
+        {oriented_from_rooted(t, Necklace) for t in all_rooted_trees(max_edges, path_labels, flags)}
+    )

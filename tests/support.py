@@ -1,6 +1,7 @@
 """Helpers shared by several test modules that the library does not need."""
 
 from quiverhopf.linear import LinComb, Tensor
+from quiverhopf.quiver import Necklace, Path, omega
 from quiverhopf.symalg import cop_free
 
 
@@ -63,3 +64,30 @@ def oracle_children(pairs) -> dict:
     for c in sorted(pairs):
         kids[oracle_parent(pairs, c)].append(c)
     return kids
+
+
+# The necklace cobracket as a cyclic cut on an explicit closed word, sharing
+# no code with `cobrackets.delta_p_rt`: an oracle for `cobrackets.delta_or`.
+
+
+def _cyclic_segment(p: Path, frm: int, count: int, start_vertex: str) -> Path:
+    """`count` letters of the closed word p from 1-based position frm, wrapping around."""
+    n = len(p.letters)
+    return Path(start_vertex, tuple(p.letters[(frm - 1 + k) % n] for k in range(count)))
+
+
+def oracle_delta_or(p: Path) -> Tensor:
+    """Every position pair i < j whose letters are mutual reverses contributes
+    the wedge of the two necklaces left by cutting both letters; the strand
+    from j to i wraps around the word."""
+    n = len(p.letters)
+    terms = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            w = omega(p.letters[i - 1], p.letters[j - 1])
+            if not w:
+                continue
+            first = Necklace(_cyclic_segment(p, j + 1, (i - j - 1) % n, p.letters[j - 1].tgt))
+            second = Necklace(_cyclic_segment(p, i + 1, j - i - 1, p.letters[i - 1].tgt))
+            terms += [((first, second), w), ((second, first), -w)]
+    return Tensor(2, terms)

@@ -230,8 +230,8 @@ def test_reconstructed_layers_are_int(two_loops):
 def test_non_integral_layer_is_reported(q1):
     x = q1.trivial("1")
     half = Tensor(2, (((M(x, x), M(x)), Fraction(1, 2)),))
-    assert not CoproductLayers({2: {x: half}}, tree_degree).all_integral()
-    assert CoproductLayers({2: {x: 2 * half}}, tree_degree).all_integral()
+    assert not CoproductLayers({2: {x: half}}).all_integral()
+    assert CoproductLayers({2: {x: 2 * half}}).all_integral()
     assert bridge._divide(3, 2) == Fraction(3, 2)
     assert type(bridge._divide(4, 2)) is int and bridge._divide(4, 2) == 2
 

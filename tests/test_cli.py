@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import shlex
 
 import pytest
 
@@ -505,3 +506,20 @@ def test_antipode_sweep_expands_each_generator_once(monkeypatch):
             "nc_coproduct": (85, 85),
             "chord_coproduct": (137, 137),
         }
+
+
+def readme_commands():
+    """Every `quiverhopf ...` line of the sh block under README's "Command line"."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("quiverhopf ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_command_lines_run():
+    """The documented commands still parse and succeed."""
+    commands = readme_commands()
+    assert len(commands) == 16
+    for argv in commands:
+        assert run(argv)[0] == 0, argv

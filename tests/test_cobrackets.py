@@ -1,7 +1,11 @@
-from quiverhopf.cobrackets import delta_or, delta_or_on_word, delta_p_rt, delta_rt
+from quiverhopf.cobrackets import delta_or, delta_p_rt, delta_rt
 from quiverhopf.linear import Tensor, tensor, wedge
 from quiverhopf.quiver import Necklace, Path, all_necklaces, all_paths, rotate
-from quiverhopf.verify import verify_lie_coalgebra, verify_prelie_coalgebra
+from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
+from support import oracle_delta_or
+
+# Length caps for the oracle sweeps: 431 necklaces over the six FAMILY quivers.
+ORACLE_CAPS = {"one_edge": 6, "loop": 6, "chain2": 5, "two_loops": 5, "loop_edge": 5, "triangle": 5}
 
 
 def test_delta_or_two_letter(q1):
@@ -34,14 +38,21 @@ def test_delta_or_length_four(q1):
     assert delta_or(n) == 2 * wedge(t1, ee) + 2 * wedge(ee, t2)
 
 
-def test_delta_or_rotation_independent(q1, q2, loop):
-    for q in (q1, q2, loop):
-        for p in all_paths(q, 6):
+def test_delta_or_matches_cyclic_oracle():
+    necklaces = [n for name, cap in ORACLE_CAPS.items() for n in all_necklaces(FAMILY[name], cap)]
+    assert len(necklaces) == 431
+    for n in necklaces:
+        assert delta_or(n) == oracle_delta_or(n.rep), n.text()
+
+
+def test_delta_or_rotation_independent():
+    for name, cap in ORACLE_CAPS.items():
+        for p in all_paths(FAMILY[name], cap):
             if not p.is_closed() or not p.letters:
                 continue
-            base = delta_or_on_word(p)
-            for k in range(1, len(p.letters)):
-                assert delta_or_on_word(rotate(p, k)) == base
+            value = delta_or(Necklace(p))
+            for k in range(len(p.letters)):
+                assert oracle_delta_or(rotate(p, k)) == value, (p.text(), k)
 
 
 def test_delta_p_rt_two_letter(q1):
