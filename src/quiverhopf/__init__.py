@@ -8,8 +8,8 @@ from .linear import (
     Scalar,
     Tensor,
     Word,
+    skew,
     tensor,
-    wedge,
 )
 from .quiver import (
     Letter,

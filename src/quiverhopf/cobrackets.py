@@ -10,7 +10,7 @@ extension happens at the call site when needed.
 
 from __future__ import annotations
 
-from .linear import TAU12_2, Tensor
+from .linear import Tensor, skew
 from .quiver import Necklace, Path, omega
 
 
@@ -21,11 +21,7 @@ def delta_or(x: Necklace) -> Tensor:
     (inner, outer) contributes the wedge of the two necklaces, which does not
     depend on the rotation used.
     """
-    terms = []
-    for (inner, outer), coef in delta_p_rt(x.rep).items():
-        n1, n2 = Necklace(inner), Necklace(outer)
-        terms += [((n1, n2), coef), ((n2, n1), -coef)]
-    return Tensor(2, terms)
+    return skew(delta_p_rt(x.rep), Necklace)
 
 
 def delta_p_rt(x: Path) -> Tensor:
@@ -51,5 +47,4 @@ def delta_p_rt(x: Path) -> Tensor:
 
 def delta_rt(x: Path) -> Tensor:
     """Skew-symmetrization of delta_p_rt; a Lie cobracket on paths."""
-    d = delta_p_rt(x)
-    return d - d.permute(TAU12_2)
+    return skew(delta_p_rt(x))

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .linear import SYM_UNIT, BasisElement, Monomial, Tensor
+from .linear import SYM_UNIT, BasisElement, Monomial, Tensor, skew
 from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
 
 
@@ -327,12 +327,7 @@ def chord_delta_p_rt(d: PathDiagram | NecklaceDiagram) -> Tensor:
 
 def chord_delta_or(x: NecklaceDiagram) -> Tensor:
     """Cobracket on necklace chord diagrams: antisymmetrized chord removal."""
-    terms = []
-    for (inner, outer), coef in chord_delta_p_rt(x).items():
-        x1 = NecklaceDiagram(inner.path, inner.cut)
-        x2 = NecklaceDiagram(outer.path, outer.cut)
-        terms += [((x1, x2), coef), ((x2, x1), -coef)]
-    return Tensor(2, terms)
+    return skew(chord_delta_p_rt(x), lambda d: NecklaceDiagram(d.path, d.cut))
 
 
 def chord_coproduct(d: PathDiagram) -> Tensor:

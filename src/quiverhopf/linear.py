@@ -240,10 +240,6 @@ class Tensor(LinComb):
         key = tuple(key)
         return Tensor(len(key), ((key, c),))
 
-    @staticmethod
-    def zero(arity: int) -> "Tensor":
-        return Tensor(arity)
-
     def coeff(self, key) -> Scalar:
         return self._terms.get(tuple(key), 0)
 
@@ -321,9 +317,18 @@ def tensor(*factors) -> Tensor:
     return _tensor(len(lcs), acc)
 
 
-def wedge(x, y) -> Tensor:
-    """Antisymmetrized pair x (x) y - y (x) x."""
-    return tensor(x, y) - tensor(y, x)
+def skew(t: Tensor, f=None) -> Tensor:
+    """Antisymmetrize a 2-tensor through a basis map f (the identity if None):
+    the sum over its terms c * a (x) b of c * (f(a) (x) f(b) - f(b) (x) f(a))."""
+    if t.arity != 2:
+        raise ValueError("skew needs a 2-tensor, got arity %d" % t.arity)
+    acc: dict = {}
+    for (a, b), c in t._terms.items():
+        if f is not None:
+            a, b = f(a), f(b)
+        _accumulate(acc, (a, b), c)
+        _accumulate(acc, (b, a), -c)
+    return _tensor(2, acc)
 
 
 # Permutations in one-line notation (images of 1..n).

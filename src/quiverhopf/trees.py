@@ -17,7 +17,7 @@ import itertools
 import json
 from typing import Callable, Tuple
 
-from .linear import SYM_UNIT, BasisElement, Monomial, TAU12_2, Tensor
+from .linear import SYM_UNIT, BasisElement, Monomial, Tensor, skew
 from .quiver import Necklace, Path, Quiver
 
 
@@ -102,8 +102,7 @@ def rho(t: RootedTree) -> Tensor:
 
 def rho_ss(t: RootedTree) -> Tensor:
     """Skew-symmetrized rho: the Lie cobracket on rooted trees."""
-    d = rho(t)
-    return d - d.permute(TAU12_2)
+    return skew(rho(t))
 
 
 def admissible_cuts(t: RootedTree):
@@ -139,8 +138,9 @@ def tree_coproduct(t: RootedTree) -> Tensor:
 
 
 def _planar_children(edge_list, adj, v, parent_edge, rot: int):
-    """The edges below v in planar order, as (edge, far end, points at v): after
-    the edge toward the root (parent_edge), or from position rot at the root."""
+    """The edges below v in planar order, as (points at v, (far end, edge)):
+    after the edge toward the root (parent_edge), or from position rot at the
+    root. The pairs (far end, edge) are the nodes that delete_edge walks."""
     es = adj[v]
     if parent_edge is None:
         order = es[rot:] + es[:rot]
@@ -150,8 +150,34 @@ def _planar_children(edge_list, adj, v, parent_edge, rot: int):
     out = []
     for eidx in order:
         a, b = edge_list[eidx]
-        out.append((eidx, a if b == v else b, b == v))
+        out.append((b == v, (a if b == v else b, eidx)))
     return out
+
+
+def _walk_tree(root, expand):
+    """Number the vertices of a planar tree in preorder from root.
+
+    expand(node) gives (label, [(up, child), ...]) in planar order; up=True
+    means the edge points from the child toward node. Returns (labels,
+    edge_list, adj), each vertex's cyclic order starting at the edge back
+    toward the root, which is how RootedTree lifts it.
+    """
+    labels, edge_list, adj = [], [], []
+
+    def visit(node, parent_edge):
+        v = len(labels)
+        label, kids = expand(node)
+        labels.append(label)
+        es = [] if parent_edge is None else [parent_edge]
+        adj.append(es)
+        for up, child in kids:
+            w, e = len(labels), len(edge_list)
+            edge_list.append((w, v) if up else (v, w))
+            es.append(e)
+            visit(child, e)
+
+    visit(root, None)
+    return labels, edge_list, adj
 
 
 class OrientedTree(BasisElement):
@@ -209,7 +235,7 @@ class OrientedTree(BasisElement):
 
         def ser(v, parent_edge):
             parts = []
-            for eidx, w, up in _planar_children(edge_list, adj, v, parent_edge, rot):
+            for up, (w, eidx) in _planar_children(edge_list, adj, v, parent_edge, rot):
                 sub = below.get((w, eidx))
                 if sub is None:
                     sub = below[w, eidx] = ser(w, eidx)
@@ -226,42 +252,22 @@ class OrientedTree(BasisElement):
 
     def delete_edge(self, eidx: int):
         """Split at one edge; returns (away_part, toward_part) following the
-        edge orientation: the second component is the one the edge points to."""
-        u, v = self.edge_list[eidx]
+        edge orientation: the second component is the one the edge points to.
+        Each side is walked from its end of the edge."""
 
-        def component(seed):
-            seen = {seed}
-            stack = [seed]
-            while stack:
-                a = stack.pop()
-                for e2 in self.adj[a]:
-                    if e2 == eidx:
-                        continue
-                    x, y = self.edge_list[e2]
-                    b = y if x == a else x
-                    if b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-            verts = sorted(seen)
-            vmap = {old: k for k, old in enumerate(verts)}
-            emap = {}
-            edges = []
-            for k, (x, y) in enumerate(self.edge_list):
-                if k != eidx and x in seen and y in seen:
-                    emap[k] = len(edges)
-                    edges.append((vmap[x], vmap[y]))
-            adj = []
-            for old in verts:
-                adj.append(tuple(emap[e2] for e2 in self.adj[old] if e2 != eidx))
-            return OrientedTree(tuple(self.labels[old] for old in verts), edges, adj)
+        def expand(node):
+            v, parent_edge = node
+            return self.labels[v], _planar_children(self.edge_list, self.adj, v, parent_edge, 0)
 
-        return component(u), component(v)
+        return tuple(
+            OrientedTree(*_walk_tree((end, eidx), expand)) for end in self.edge_list[eidx]
+        )
 
     def to_json(self) -> dict:
         def walk(v, parent_edge):
             children = [
                 {"orient": "in" if up else "out", "node": walk(w, eidx)}
-                for eidx, w, up in _planar_children(
+                for up, (w, eidx) in _planar_children(
                     self.edge_list, self.adj, v, parent_edge, self.canon_rot
                 )
             ]
@@ -281,28 +287,7 @@ def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) ->
     The cyclic order at a former non-root vertex starts with the edge back
     toward the root, matching the planar lifting used by RootedTree.
     """
-    labels = []
-    edges = []
-    adj = []
-
-    def add_vertex(label):
-        labels.append(to_label(label))
-        adj.append([])
-        return len(labels) - 1
-
-    def walk(node: RootedTree, vidx: int, parent_edge):
-        if parent_edge is not None:
-            adj[vidx].append(parent_edge)
-        for up, child in node.children:
-            widx = add_vertex(child.label)
-            eidx = len(edges)
-            edges.append((widx, vidx) if up else (vidx, widx))
-            adj[vidx].append(eidx)
-            walk(child, widx, eidx)
-
-    r = add_vertex(t.label)
-    walk(t, r, None)
-    return OrientedTree(tuple(labels), tuple(edges), tuple(tuple(es) for es in adj))
+    return OrientedTree(*_walk_tree(t, lambda node: (to_label(node.label), node.children)))
 
 
 def rho_ss_oriented(t: OrientedTree) -> Tensor:
@@ -311,11 +296,7 @@ def rho_ss_oriented(t: OrientedTree) -> Tensor:
     For every edge, the component the edge points to sits in the second slot
     of the positive term.
     """
-    terms = []
-    for eidx in range(len(t.edge_list)):
-        t1, t2 = t.delete_edge(eidx)
-        terms += [((t1, t2), 1), ((t2, t1), -1)]
-    return Tensor(2, terms)
+    return skew(Tensor(2, ((t.delete_edge(eidx), 1) for eidx in range(len(t.edge_list)))))
 
 
 def all_rooted_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,)):

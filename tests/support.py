@@ -1,8 +1,11 @@
 """Helpers shared by several test modules that the library does not need."""
 
+from quiverhopf.cobrackets import delta_p_rt
+from quiverhopf.cuts import NecklaceDiagram, chord_delta_p_rt
 from quiverhopf.linear import LinComb, Tensor
 from quiverhopf.quiver import Necklace, Path, omega
 from quiverhopf.symalg import cop_free
+from quiverhopf.trees import OrientedTree, rho
 
 
 def counit_defect(gen_cop, m) -> LinComb:
@@ -17,7 +20,7 @@ def counit_defect(gen_cop, m) -> LinComb:
 def layer(layers, n: int, x) -> Tensor:
     """Layer n of reconstructed CoproductLayers at generator x; zero if absent."""
     t = layers.layers.get(n, {}).get(x)
-    return t if t is not None else Tensor.zero(2)
+    return t if t is not None else Tensor(2)
 
 
 # Brute-force pair loops over the chords of a cut, independent of the stack
@@ -91,3 +94,109 @@ def oracle_delta_or(p: Path) -> Tensor:
             second = Necklace(_cyclic_segment(p, i + 1, j - i - 1, p.letters[i - 1].tgt))
             terms += [((first, second), w), ((second, first), -w)]
     return Tensor(2, terms)
+
+
+# Antisymmetrizations that share no code with `linear.skew`, oracles for the
+# Lie cobrackets built on it: swap-and-subtract for the cobrackets on paths
+# and rooted trees, hand-built term pairs for the others.
+
+
+def oracle_swap_subtract(d: Tensor) -> Tensor:
+    return d - d.permute((2, 1))
+
+
+def oracle_term_pairs(pairs) -> Tensor:
+    """((a, b), c), ((b, a), -c) for every ((a, b), c) of pairs."""
+    terms = []
+    for (a, b), c in pairs:
+        terms += [((a, b), c), ((b, a), -c)]
+    return Tensor(2, terms)
+
+
+def oracle_delta_rt(x: Path) -> Tensor:
+    return oracle_swap_subtract(delta_p_rt(x))
+
+
+def oracle_rho_ss(t) -> Tensor:
+    return oracle_swap_subtract(rho(t))
+
+
+def oracle_delta_or_pairs(x: Necklace) -> Tensor:
+    return oracle_term_pairs(
+        ((Necklace(a), Necklace(b)), c) for (a, b), c in delta_p_rt(x.rep).items()
+    )
+
+
+def oracle_chord_delta_or(x: NecklaceDiagram) -> Tensor:
+    return oracle_term_pairs(
+        ((NecklaceDiagram(a.path, a.cut), NecklaceDiagram(b.path, b.cut)), c)
+        for (a, b), c in chord_delta_p_rt(x).items()
+    )
+
+
+def oracle_rho_ss_oriented(t: OrientedTree) -> Tensor:
+    return oracle_term_pairs((oracle_delete_edge(t, e), 1) for e in range(t.edge_count()))
+
+
+# Two walks that build oriented trees without `trees._walk_tree`, oracles
+# for `OrientedTree.delete_edge` and `oriented_from_rooted`: a search plus
+# reindexing for one side of a deleted edge, and a recursive walk of a rooted
+# tree. They number vertices and edges differently from the planar walk, so
+# compare their results by `skey` and `text()`.
+
+
+def oracle_delete_edge(t: OrientedTree, eidx: int):
+    """(tail side, head side) of edge eidx, each side's vertices kept in their
+    old relative order and each cyclic order with eidx left out."""
+
+    def component(seed):
+        seen = {seed}
+        stack = [seed]
+        while stack:
+            a = stack.pop()
+            for e2 in t.adj[a]:
+                if e2 == eidx:
+                    continue
+                x, y = t.edge_list[e2]
+                b = y if x == a else x
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        verts = sorted(seen)
+        vmap = {old: k for k, old in enumerate(verts)}
+        emap = {}
+        edges = []
+        for k, (x, y) in enumerate(t.edge_list):
+            if k != eidx and x in seen and y in seen:
+                emap[k] = len(edges)
+                edges.append((vmap[x], vmap[y]))
+        adj = [tuple(emap[e2] for e2 in t.adj[old] if e2 != eidx) for old in verts]
+        return OrientedTree(tuple(t.labels[old] for old in verts), edges, adj)
+
+    u, v = t.edge_list[eidx]
+    return component(u), component(v)
+
+
+def oracle_oriented_from_rooted(t, to_label) -> OrientedTree:
+    """Each former non-root vertex's cyclic order starts at its parent edge."""
+    labels = []
+    edges = []
+    adj = []
+
+    def add_vertex(label):
+        labels.append(to_label(label))
+        adj.append([])
+        return len(labels) - 1
+
+    def walk(node, vidx: int, parent_edge):
+        if parent_edge is not None:
+            adj[vidx].append(parent_edge)
+        for up, child in node.children:
+            widx = add_vertex(child.label)
+            eidx = len(edges)
+            edges.append((widx, vidx) if up else (vidx, widx))
+            adj[vidx].append(eidx)
+            walk(child, widx, eidx)
+
+    walk(t, add_vertex(t.label), None)
+    return OrientedTree(tuple(labels), tuple(edges), tuple(tuple(es) for es in adj))

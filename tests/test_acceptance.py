@@ -200,7 +200,7 @@ def test_criterion_3_hopf_laws():
     for x, y in itertools.product(all_paths(Q1, 3), repeat=2):
         lhs = cop_free(path_coproduct, Monomial((x, y)))
         a, b = cop_free(path_coproduct, Monomial((x,))), cop_free(path_coproduct, Monomial((y,)))
-        prod = Tensor.zero(2)
+        prod = Tensor(2)
         for (a1, a2), c1 in a.terms():
             for (b1, b2), c2 in b.terms():
                 prod = prod + c1 * c2 * Tensor.single((a1 * b1, a2 * b2))

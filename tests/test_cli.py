@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -515,6 +516,37 @@ def readme_commands():
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("quiverhopf ")]
     return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def readme_layout():
+    """(module, backticked names) for each row of README's "Library layout" table."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        text = f.read()
+    table = text.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    rows = [re.fullmatch(r"\| `([\w.]+)` \| (.*) \|", line) for line in table.splitlines()[2:]]
+    return [(row[1], re.findall(r"`([^`]+)`", row[2])) for row in rows]
+
+
+def test_readme_layout_names_resolve():
+    """Every name the layout table lists is an attribute of its row's module
+    (dotted names such as `Cut.parents` included), except the cli row's
+    entry point, which must be the script of that name in pyproject.toml."""
+    import tomllib
+
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    rows = readme_layout()
+    assert len(rows) == 11
+    for module, names in rows:
+        assert names, module
+        for name in names:
+            if (module, name) == ("quiverhopf.cli", "quiverhopf"):
+                target, _, name = scripts[name].partition(":")
+                assert target == module
+            obj = importlib.import_module(module)
+            for part in name.split("."):
+                assert hasattr(obj, part), (module, name)
+                obj = getattr(obj, part)
 
 
 def test_readme_command_lines_run():

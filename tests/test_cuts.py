@@ -35,6 +35,7 @@ from quiverhopf.quiver import Path, all_closed_paths, all_necklaces, all_paths, 
 from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
 from support import (
     oracle_children,
+    oracle_chord_delta_or,
     oracle_order,
     oracle_parent,
     oracle_simple,
@@ -457,6 +458,13 @@ def test_chord_delta_or_values(q1, loop):
     a = loop.letter("a")
     dl = NecklaceDiagram(Path("v", (a, a.star())), Cut(((1, 2),)))
     assert chord_delta_or(dl) == 0
+
+
+def test_chord_delta_or_matches_term_pair_oracle():
+    diagrams = [x for q in FAMILY.values() for x in necklace_diagrams(q, 4)]
+    assert len(diagrams) > 300
+    for x in diagrams:
+        assert chord_delta_or(x) == oracle_chord_delta_or(x), x.text()
 
 
 def test_necklace_diagram_canonicalization(q1):

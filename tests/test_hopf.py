@@ -124,7 +124,7 @@ def test_bialgebra_compatibility_regression(q1):
     for x, y in itertools.product(paths, paths):
         lhs = cop_free(path_coproduct, M(x, y))
         a, b = cop_free(path_coproduct, M(x)), cop_free(path_coproduct, M(y))
-        prod = Tensor.zero(2)
+        prod = Tensor(2)
         for (a1, a2), c1 in a.terms():
             for (b1, b2), c2 in b.terms():
                 prod = prod + c1 * c2 * Tensor.single((a1 * b1, a2 * b2))
@@ -386,7 +386,7 @@ def abelianize(w: Word) -> Monomial:
 
 def test_nc_abelianization_matches_symmetric(q1, star2, two_loops):
     def ab_tensor(t):
-        out = Tensor.zero(2)
+        out = Tensor(2)
         for (a, b), c in t.terms():
             out = out + c * Tensor.single((abelianize(a), abelianize(b)))
         return out

@@ -14,8 +14,8 @@ from quiverhopf.linear import (
     Word,
     as_scalar,
     format_scalar,
+    skew,
     tensor,
-    wedge,
 )
 
 
@@ -122,9 +122,32 @@ def test_permute_group_action(sigma, pi):
 
 
 def test_wedge():
-    assert wedge(A, A) == 0
-    assert wedge(A, B) == tensor(A, B) - tensor(B, A)
-    assert wedge(2 * LinComb.single(A), LinComb.single(B)) == 2 * wedge(A, B)
+    assert skew(tensor(A, A)) == 0
+    assert skew(tensor(A, B)) == tensor(A, B) - tensor(B, A)
+    assert skew(tensor(2 * LinComb.single(A), LinComb.single(B))) == 2 * skew(tensor(A, B))
+
+
+@given(tensors2)
+def test_skew_is_t_minus_its_swap(t):
+    assert skew(t) == t - t.permute((2, 1))
+
+
+def to_y(x):
+    """A basis map into another basis, sending a and b to one element."""
+    return BasisElement("Y|" + ("c" if x == C else "ab"))
+
+
+@given(tensors2)
+def test_skew_maps_both_slots(t):
+    expected = Tensor(2)
+    for (x, y), c in t.terms():
+        expected = expected + c * (tensor(to_y(x), to_y(y)) - tensor(to_y(y), to_y(x)))
+    assert skew(t, to_y) == expected
+
+
+def test_skew_rejects_other_arities():
+    with pytest.raises(ValueError):
+        skew(tensor(A, B, C))
 
 
 def sym_mul(m1: Monomial, m2: Monomial) -> Monomial:

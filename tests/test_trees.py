@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Necklace, Quiver
@@ -21,8 +23,14 @@ from quiverhopf.trees import (
     tree_from_json,
     tree_to_json,
 )
-from quiverhopf.verify import verify_lie_coalgebra, verify_prelie_coalgebra
-from support import counit_defect
+from quiverhopf.verify import FAMILY, tree_sample, verify_lie_coalgebra, verify_prelie_coalgebra
+from support import (
+    counit_defect,
+    oracle_delete_edge,
+    oracle_oriented_from_rooted,
+    oracle_rho_ss,
+    oracle_rho_ss_oriented,
+)
 
 
 def oriented_point(label: Necklace) -> OrientedTree:
@@ -426,3 +434,70 @@ def test_oriented_canonical_key_prefix_heads(long_id):
         long_wins += len(set(t.labels)) == 2 and t.labels[t.canon_root] == long_root
     assert mixed >= 6
     assert long_wins == (mixed if long_id == "v:A" else 0)
+
+
+def test_rho_ss_matches_swap_subtract_oracle():
+    trees = sorted({t for q in FAMILY.values() for t in tree_sample(q, 4)})
+    assert len(trees) > 10000
+    for t in trees:
+        assert rho_ss(t) == oracle_rho_ss(t), t.text()
+
+
+def test_rho_ss_oriented_matches_term_pair_oracle(q1):
+    for t in all_oriented_trees(4, necklace_labels(q1), flags=(False, True)):
+        assert rho_ss_oriented(t) == oracle_rho_ss_oriented(t), t.text()
+
+
+# The planar walk against a search and a recursive walk that share no code
+# with it. Vertex numbers may differ, so only the canonical key and the text
+# count.
+
+
+def shape(t: OrientedTree):
+    return t.skey, t.text()
+
+
+def assert_delete_edge_matches(t: OrientedTree):
+    for eidx in range(t.edge_count()):
+        got = [shape(part) for part in t.delete_edge(eidx)]
+        assert got == [shape(part) for part in oracle_delete_edge(t, eidx)], (t.text(), eidx)
+
+
+def assert_from_rooted_matches(t: RootedTree) -> OrientedTree:
+    o = oriented_from_rooted(t, Necklace)
+    assert shape(o) == shape(oracle_oriented_from_rooted(t, Necklace)), t.text()
+    return o
+
+
+def test_delete_edge_matches_search_oracle(q1):
+    trees = all_oriented_trees(4, necklace_labels(q1), flags=(False, True))
+    assert len(trees) > 100
+    for t in trees:
+        assert_delete_edge_matches(t)
+
+
+def test_oriented_from_rooted_matches_recursive_oracle(q1):
+    for t in all_rooted_trees(4, labels2(q1), flags=(False, True)):
+        assert_from_rooted_matches(t)
+
+
+@st.composite
+def rooted_trees(draw, max_edges=8):
+    """A planar rooted tree grown one leaf at a time, at any corner of any vertex."""
+    labels = st.sampled_from(labels2(FAMILY["one_edge"]))
+    nodes = [(draw(labels), [])]
+    for _ in range(draw(st.integers(0, max_edges))):
+        kids = nodes[draw(st.integers(0, len(nodes) - 1))][1]
+        child = (draw(labels), [])
+        kids.insert(draw(st.integers(0, len(kids))), (draw(st.booleans()), child))
+        nodes.append(child)
+
+    def build(node):
+        return RootedTree(node[0], tuple((up, build(c)) for up, c in node[1]))
+
+    return build(nodes[0])
+
+
+@given(rooted_trees())
+def test_planar_walk_matches_oracles_hypothesis(t):
+    assert_delete_edge_matches(assert_from_rooted_matches(t))
