@@ -91,30 +91,30 @@ def validate_cut(p: Path, cut: Cut) -> None:
             )
 
 
-def enumerate_cuts(p: Path, simple_only: bool = False):
-    """All cuts of a path (the empty cut included), in canonical order.
+def _matchings(letters, lo: int, hi: int, simple_only: bool = False):
+    """The cuts of positions lo..hi (1-based, inclusive) of a word, as tuples of
+    pairs ordered by left endpoint, the empty one included.
 
     Non-crossing matchings are generated segment-recursively: the first free
     position is either unmatched or matched to a compatible later position,
     which seals off the enclosed segment. For simple cuts the sealed segment
     stays unmatched, so only nesting-free cuts are generated.
     """
-    letters = p.letters
+    if lo > hi:
+        yield ()
+        return
+    yield from _matchings(letters, lo + 1, hi, simple_only)
+    want = letters[lo - 1].star()
+    for q in range(lo + 1, hi + 1):
+        if letters[q - 1] == want:
+            for left in ((),) if simple_only else _matchings(letters, lo + 1, q - 1):
+                for right in _matchings(letters, q + 1, hi, simple_only):
+                    yield ((lo, q),) + left + right
 
-    def gen(lo: int, hi: int):
-        if lo > hi:
-            yield ()
-            return
-        for rest in gen(lo + 1, hi):
-            yield rest
-        want = letters[lo - 1].star()
-        for q in range(lo + 1, hi + 1):
-            if letters[q - 1] == want:
-                for left in ((),) if simple_only else gen(lo + 1, q - 1):
-                    for right in gen(q + 1, hi):
-                        yield ((lo, q),) + left + right
 
-    return sorted([Cut(ps) for ps in gen(1, len(letters))])
+def enumerate_cuts(p: Path, simple_only: bool = False):
+    """All cuts of a path (the empty cut included), in canonical order."""
+    return sorted([Cut(ps) for ps in _matchings(p.letters, 1, len(p.letters), simple_only)])
 
 
 def _sign(letters, pairs) -> int:

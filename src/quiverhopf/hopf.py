@@ -4,8 +4,10 @@ ordered (noncommutative) variant.
 The coproduct of a path sums over its simple cuts: the severed closed pieces
 multiply on the left, the basepointed remainder sits on the right, weighted
 by the cut sign. S maps a path (necklace) to the sum of all its chord
-diagrams; composing with the dual-tree map gives the embedding into decorated
-trees, which the checkers in `verify` show to be a morphism for every
+diagrams. The embedding eta into decorated trees is built by grafting over
+simple cuts; that it equals S composed with the dual-tree map D is an
+identity the tests check, except for the signed necklace variant, which is
+that composite. The checkers in `verify` show eta to be a morphism for every
 structure in sight and to be injective via the point-tree projection below.
 """
 
@@ -13,11 +15,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from .cuts import (
     Cut,
     NecklaceDiagram,
     PathDiagram,
+    _matchings,
+    _sign,
     cut_components,
     cut_order,
     enumerate_cuts,
@@ -28,7 +33,7 @@ from .dual import d_or, d_rt
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
 from .quiver import Necklace, Path
 from .symalg import antipode_monomial, cop_free
-from .trees import RootedTree
+from .trees import RootedTree, oriented_from_rooted
 
 
 def _cut_coproduct(x: Path, kind) -> Tensor:
@@ -73,18 +78,69 @@ def s_or(x: Necklace) -> LinComb:
     return LinComb((NecklaceDiagram(x.rep, h), 1) for h in enumerate_cuts(x.rep))
 
 
-def eta_rt(x: Path) -> LinComb:
-    """Embedding of paths into decorated rooted trees: dual trees of all cuts.
+def _dual_trees(x: Path, signed: bool) -> LinComb:
+    """The dual trees of every cut of x, each times its sign if signed.
 
-    Implemented as the composite of s_rt with the signed dual-tree map, so the
-    factorization through the chord algebra holds by construction.
+    A cut is a simple cut h with a cut of each of its chords' inner pieces, so
+    its dual tree is h's outer component grafted (Connes-Kreimer's B+) with the
+    dual trees of those pieces; the sign is multiplicative over chords. The
+    result for each sub-word is memoized by its interval for this call.
     """
-    return s_rt(x).map_basis(d_rt)
+    letters = x.letters
+
+    @functools.cache
+    def trees(lo: int, hi: int) -> LinComb:
+        """The (signed) dual trees of every cut of the sub-word at positions lo..hi."""
+        start = letters[lo - 2].tgt if lo > 1 else x.start
+        terms = []
+        for pairs in _matchings(letters, lo, hi, simple_only=True):
+            outer, pos = [], lo
+            for i, j in pairs:
+                outer += letters[pos - 1 : i - 1]
+                pos = j + 1
+            outer += letters[pos - 1 : hi]
+            label = Path(start, outer)
+            sign = _sign(letters, pairs) if signed else 1
+            kids = [
+                [((letters[i - 1].starred, t), c) for t, c in trees(i + 1, j - 1).items()]
+                for i, j in pairs
+            ]
+            for combo in itertools.product(*kids):
+                coeff = sign * math.prod(c for _, c in combo)
+                terms.append((RootedTree(label, [kid for kid, _ in combo]), coeff))
+        return LinComb(terms)
+
+    return trees(1, len(letters))
+
+
+def eta_rt(x: Path) -> LinComb:
+    """Embedding of paths into decorated rooted trees: the signed dual trees of
+    all cuts, built by grafting over simple cuts.
+
+    It equals the composite of s_rt with the signed dual-tree map d_rt, the
+    factorization through the chord algebra; the tests check that identity
+    against the composite, which builds each chord diagram and its dual tree
+    on its own.
+    """
+    return _dual_trees(x, signed=True)
 
 
 def eta_or(x: Necklace, signed: bool = False) -> LinComb:
-    """Embedding of necklaces into decorated oriented trees."""
-    return s_or(x).map_basis(lambda d: d_or(d, signed=signed))
+    """Embedding of necklaces into decorated oriented trees.
+
+    The unsigned map (the default) grafts over the cuts of the canonical
+    representative and forgets each rooted dual tree's root; by the rotation
+    lemma the result does not depend on the representative. Each necklace label
+    is built once per call. The signed variant stays the composite of s_or with
+    the signed d_or: its sign is the cut sign of each diagram's canonical
+    rotation, which the grafting recursion on one representative does not see.
+    """
+    if signed:
+        return s_or(x).map_basis(lambda d: d_or(d, signed=True))
+    label = functools.cache(Necklace)
+    return LinComb(
+        (oriented_from_rooted(t, label), c) for t, c in _dual_trees(x.rep, signed=False).items()
+    )
 
 
 def nc_coproduct(x: Path) -> Tensor:
@@ -103,19 +159,15 @@ def point_projection(lc: LinComb) -> LinComb:
     )
 
 
-def coassoc_formula_terms(x: Path) -> Tensor:
-    """Triple-coproduct expansion organized by cut order and precedence.
+def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
+    """Triple-coproduct expansion organized by cut order and precedence, given
+    the coproduct cop_x of x.
 
     cop(x) (x) 1 plus, for every cut of order at most 2 and every ordered
     split into two simple pieces with the first not enclosing the second, the
     grouped surgery components: first-piece components (x) second-piece
     components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
     """
-    return _formula_terms(x, path_coproduct(x))
-
-
-def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
-    """coassoc_formula_terms(x), given the coproduct cop_x of x."""
     terms = [((a, b, SYM_UNIT), c) for (a, b), c in cop_x.items()]
     for h in enumerate_cuts(x):
         if cut_order(h) > 2:

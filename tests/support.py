@@ -2,6 +2,7 @@
 
 from quiverhopf.cobrackets import delta_p_rt
 from quiverhopf.cuts import NecklaceDiagram, chord_delta_p_rt
+from quiverhopf.hopf import _formula_terms, path_coproduct
 from quiverhopf.linear import LinComb, Tensor
 from quiverhopf.quiver import Necklace, Path, omega
 from quiverhopf.symalg import cop_free
@@ -200,3 +201,18 @@ def oracle_oriented_from_rooted(t, to_label) -> OrientedTree:
 
     walk(t, add_vertex(t.label), None)
     return OrientedTree(tuple(labels), tuple(edges), tuple(tuple(es) for es in adj))
+
+
+# The triple-coproduct expansion on its own, for tests that read its terms;
+# the library uses it only inside `hopf.coassoc_formula_defect`.
+
+
+def coassoc_formula_terms(x: Path) -> Tensor:
+    """Triple-coproduct expansion organized by cut order and precedence.
+
+    cop(x) (x) 1 plus, for every cut of order at most 2 and every ordered
+    split into two simple pieces with the first not enclosing the second, the
+    grouped surgery components: first-piece components (x) second-piece
+    components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
+    """
+    return _formula_terms(x, path_coproduct(x))

@@ -16,10 +16,9 @@ from quiverhopf.cuts import (
     enumerate_cuts,
     path_diagrams,
 )
-from quiverhopf.dual import d_rt
+from quiverhopf.dual import d_or, d_rt
 from quiverhopf.hopf import (
     coassoc_formula_defect,
-    coassoc_formula_terms,
     eta_or,
     eta_rt,
     nc_coproduct,
@@ -38,14 +37,23 @@ from quiverhopf.symalg import (
     coassoc_defect,
     cop_free,
 )
-from quiverhopf.trees import OrientedTree, RootedTree, point, rho, rho_ss_oriented, tree_coproduct
+from quiverhopf.trees import (
+    OrientedTree,
+    RootedTree,
+    oriented_from_rooted,
+    point,
+    rho,
+    rho_ss_oriented,
+    tree_coproduct,
+)
 from quiverhopf.verify import (
+    FAMILY,
     verify_coalgebra_morphism,
     verify_defect,
     verify_hopf_morphism,
     verify_injectivity,
 )
-from support import counit_defect
+from support import coassoc_formula_terms, counit_defect
 
 COASSOC = "coassociativity: direct, formula, and flipped"
 
@@ -201,8 +209,8 @@ def test_eta_or_values(q1):
 
 
 def test_eta_equals_direct_summation(q1, loop_edge):
-    # eta is implemented as the composite through chord diagrams; the direct
-    # sum over cuts of (sign times dual tree) must agree.
+    # eta grafts over simple cuts; the direct sum over all cuts of (sign
+    # times dual tree) must agree.
     from quiverhopf.cuts import epsilon
     from quiverhopf.dual import dual_oriented_tree, dual_rooted_tree
 
@@ -218,6 +226,91 @@ def test_eta_equals_direct_summation(q1, loop_edge):
             for h in enumerate_cuts(n.rep):
                 direct = direct + LinComb.single(dual_oriented_tree(NecklaceDiagram(n.rep, h)))
             assert eta_or(n) == direct
+
+
+def eta_oracle_mismatch(max_len, eta_path=None, eta_necklace=None, signed=False):
+    """The first FAMILY path or necklace of length <= max_len on which a
+    candidate eta (None skips that kind) differs from the composite D o S, or
+    None."""
+    for q in FAMILY.values():
+        for x in all_paths(q, max_len) if eta_path else ():
+            if eta_path(x) != s_rt(x).map_basis(d_rt):
+                return x
+        for n in all_necklaces(q, max_len) if eta_necklace else ():
+            if eta_necklace(n) != s_or(n).map_basis(lambda d: d_or(d, signed=signed)):
+                return n
+    return None
+
+
+def test_eta_factors_through_chord_diagrams():
+    """eta = D o S: the grafting recursion equals the composite through the
+    chord algebra, which builds each chord diagram and its dual tree on its
+    own."""
+    assert eta_oracle_mismatch(5, eta_rt, eta_or) is None
+    assert eta_oracle_mismatch(4, eta_necklace=lambda n: eta_or(n, signed=True), signed=True) is None
+
+
+@pytest.mark.parametrize(
+    "mutant, necklace_len",
+    [
+        (lambda label, kids: RootedTree(label, [(not up, t) for up, t in kids]), 4),
+        # Reversal mirrors every cyclic order, which the necklaces first show
+        # at length 6 (at [a a a* e e* a*] on loop_edge).
+        (lambda label, kids: RootedTree(label, list(kids)[::-1]), 6),
+    ],
+    ids=["flipped edge flag", "children reversed"],
+)
+def test_eta_oracle_catches_a_mutated_graft(monkeypatch, mutant, necklace_len):
+    monkeypatch.setattr(hopf, "RootedTree", mutant)
+    assert eta_oracle_mismatch(4, eta_path=eta_rt) is not None
+    assert eta_oracle_mismatch(necklace_len, eta_necklace=eta_or) is not None
+
+
+def test_eta_oracle_catches_a_dropped_sign(monkeypatch):
+    monkeypatch.setattr(hopf, "_sign", lambda letters, pairs: 1)
+    assert eta_oracle_mismatch(4, eta_path=eta_rt) is not None
+
+
+def test_eta_oracle_catches_the_signed_eta_or_grafted():
+    """The signed eta_or takes each diagram's sign at its canonical rotation,
+    so grafting over the cuts of one representative gets it wrong."""
+
+    def grafted(n):
+        trees = hopf._dual_trees(n.rep, signed=True)
+        return LinComb((oriented_from_rooted(t, Necklace), c) for t, c in trees.items())
+
+    assert eta_oracle_mismatch(4, eta_necklace=grafted, signed=True) is not None
+
+
+def test_eta_builds_no_chord_diagram(two_loops, monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("eta built a chord diagram")
+
+    monkeypatch.setattr(PathDiagram, "__init__", refuse)
+    monkeypatch.setattr(NecklaceDiagram, "__init__", refuse)
+    x = two_loops.parse_path("v a b a* b* b a")
+    assert eta_rt(x) and eta_or(Necklace(two_loops.parse_path("v a b a* b* a b*")))
+
+
+def test_eta_memo_is_call_scoped(two_loops, monkeypatch):
+    """Two equal calls do equal work, and within one call each sub-word is
+    enumerated once."""
+    seen = []
+    matchings = hopf._matchings
+
+    def counting_matchings(letters, lo, hi, simple_only=False):
+        seen.append((lo, hi))
+        return matchings(letters, lo, hi, simple_only)
+
+    monkeypatch.setattr(hopf, "_matchings", counting_matchings)
+    x = two_loops.parse_path("v a a* b a b* a* a a*")
+    for eta, arg in ((eta_rt, x), (eta_or, Necklace(x))):
+        runs = []
+        for _ in range(2):
+            del seen[:]
+            runs.append((eta(arg), Counter(seen)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][1]) > 3 and set(runs[0][1].values()) == {1}
 
 
 def test_s_rt_prelie_morphism(q1, two_loops):
