@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .linear import SYM_UNIT, BasisElement, Monomial, Tensor, skew
+from .linear import BasisElement, Tensor, skew
 from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
+from .symalg import graft_coproduct
 
 
 class Cut:
@@ -110,6 +111,20 @@ def _matchings(letters, lo: int, hi: int, simple_only: bool = False):
             for left in ((),) if simple_only else _matchings(letters, lo + 1, q - 1):
                 for right in _matchings(letters, q + 1, hi, simple_only):
                     yield ((lo, q),) + left + right
+
+
+def _simple_cuts(letters, start: str, lo: int, hi: int):
+    """The simple cuts of positions lo..hi of a word, the first of which starts
+    at vertex start, each as (pairs, outer piece): the letters outside every
+    chord, as a path from start. Chord (i, j)'s piece is letters[i:j-1] from
+    the target of letter i."""
+    for pairs in _matchings(letters, lo, hi, simple_only=True):
+        outer, pos = [], lo
+        for i, j in pairs:
+            outer += letters[pos - 1 : i - 1]
+            pos = j + 1
+        outer += letters[pos - 1 : hi]
+        yield pairs, Path(start, outer)
 
 
 def enumerate_cuts(p: Path, simple_only: bool = False):
@@ -337,9 +352,8 @@ def chord_coproduct(d: PathDiagram) -> Tensor:
     contributes 1 (x) X. Each component inherits the residual chords; the
     sign is the product of -omega over the removed chords only.
     """
-    terms = [((Monomial((d,)), SYM_UNIT), 1)]
+    splits = []
     for sub in simple_subcuts(d.cut):
         outer, inners = remove_chords(d, sub)
-        left = Monomial(tuple(inners[c] for c in sub.pairs))
-        terms.append(((left, Monomial((outer,))), _sign(d.path.letters, sub.pairs)))
-    return Tensor(2, terms)
+        splits.append((tuple(inners.values()), outer, _sign(d.path.letters, sub.pairs)))
+    return graft_coproduct(d, splits)

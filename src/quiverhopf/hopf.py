@@ -21,41 +21,34 @@ from .cuts import (
     Cut,
     NecklaceDiagram,
     PathDiagram,
-    _matchings,
     _sign,
+    _simple_cuts,
     cut_components,
     cut_order,
     enumerate_cuts,
     epsilon,
     precedes,
 )
-from .dual import d_or, d_rt
+from .dual import d_or
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
 from .quiver import Necklace, Path
-from .symalg import antipode_monomial, cop_free
+from .symalg import antipode_monomial, cop_free, graft_coproduct
 from .trees import RootedTree, oriented_from_rooted
 
 
-def _cut_coproduct(x: Path, kind) -> Tensor:
-    """Simple-cut coproduct on a path, valued in pairs of `kind` (Monomial or
-    Word).
-
-    X (x) 1 plus, for every simple cut, sign times (product of chord
-    components, left to right by chord left endpoint) (x) (outer component);
-    the empty cut supplies 1 (x) X.
-    """
-    terms = [((kind((x,)), kind(())), 1)]
-    for h in enumerate_cuts(x, simple_only=True):
-        d = PathDiagram(x, h)
-        comps = cut_components(d)
-        left = kind(tuple(comps.chords[c] for c in h.pairs))
-        terms.append(((left, kind((comps.outer,))), epsilon(d)))
-    return Tensor(2, terms)
+def _path_splits(x: Path):
+    """(chord pieces, left to right by left endpoint; outer piece; cut sign) for
+    every simple cut of x, the empty one included."""
+    letters = x.letters
+    for pairs, outer in _simple_cuts(letters, x.start, 1, len(letters)):
+        pieces = tuple(Path(letters[i - 1].tgt, letters[i : j - 1]) for i, j in pairs)
+        yield pieces, outer, _sign(letters, pairs)
 
 
 def path_coproduct(x: Path) -> Tensor:
-    """Simple-cut coproduct on a path, valued in monomial pairs."""
-    return _cut_coproduct(x, Monomial)
+    """Simple-cut coproduct on a path, valued in monomial pairs: the severed
+    chord pieces multiply on the left, the outer piece sits on the right."""
+    return graft_coproduct(x, _path_splits(x))
 
 
 def path_antipode(x: Path) -> LinComb:
@@ -93,13 +86,7 @@ def _dual_trees(x: Path, signed: bool) -> LinComb:
         """The (signed) dual trees of every cut of the sub-word at positions lo..hi."""
         start = letters[lo - 2].tgt if lo > 1 else x.start
         terms = []
-        for pairs in _matchings(letters, lo, hi, simple_only=True):
-            outer, pos = [], lo
-            for i, j in pairs:
-                outer += letters[pos - 1 : i - 1]
-                pos = j + 1
-            outer += letters[pos - 1 : hi]
-            label = Path(start, outer)
+        for pairs, label in _simple_cuts(letters, start, lo, hi):
             sign = _sign(letters, pairs) if signed else 1
             kids = [
                 [((letters[i - 1].starred, t), c) for t, c in trees(i + 1, j - 1).items()]
@@ -145,8 +132,8 @@ def eta_or(x: Necklace, signed: bool = False) -> LinComb:
 
 def nc_coproduct(x: Path) -> Tensor:
     """Ordered-tensor coproduct on a path, valued in word pairs: the severed
-    components multiply as an ordered word."""
-    return _cut_coproduct(x, Word)
+    chord pieces multiply as an ordered word, left to right."""
+    return graft_coproduct(x, _path_splits(x), Word)
 
 
 def point_projection(lc: LinComb) -> LinComb:

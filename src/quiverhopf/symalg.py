@@ -2,10 +2,10 @@
 
 A generator-level coproduct (basis element -> arity-2 tensor over monomials
 or words) extends multiplicatively to all monomials. This module supplies
-that extension, the multiplicative extension of any generator map, the
-reduced coproduct obtained by dropping unit slots, the geometric-series
-antipode, and the coassociativity and antipode defects used by the law
-checkers. Everything works for both Monomial (symmetric) and Word (ordered)
+the graft-shaped body of every generator coproduct, that extension, the
+multiplicative extension of any generator map, the reduced coproduct
+obtained by dropping unit slots, the geometric-series antipode, and the
+coassociativity and antipode defects used by the law checkers. Everything works for both Monomial (symmetric) and Word (ordered)
 coefficients because both carry their own multiplication and unit.
 """
 
@@ -20,6 +20,18 @@ from .linear import LinComb, Monomial, Tensor
 
 def _unit_like(m):
     return type(m)(())
+
+
+def graft_coproduct(x, splits, kind=Monomial) -> Tensor:
+    """Graft-shaped coproduct of a generator x, valued in pairs of `kind`
+    (Monomial or Word).
+
+    x (x) 1 plus sign * kind(severed) (x) kind((trunk,)) for every
+    (severed, trunk, sign) in splits; the empty split supplies 1 (x) x.
+    """
+    terms = [((kind((x,)), kind(())), 1)]
+    terms.extend(((kind(severed), kind((trunk,))), sign) for severed, trunk, sign in splits)
+    return Tensor(2, terms)
 
 
 def cop_free(gen_cop: Callable, m) -> Tensor:

@@ -17,8 +17,9 @@ import itertools
 import json
 from typing import Callable, Tuple
 
-from .linear import SYM_UNIT, BasisElement, Monomial, Tensor, skew
-from .quiver import Necklace, Path, Quiver
+from .linear import BasisElement, Tensor, skew
+from .quiver import Necklace, Path
+from .symalg import graft_coproduct
 
 
 class RootedTree(BasisElement):
@@ -57,10 +58,6 @@ class RootedTree(BasisElement):
         return "<%s: %s>" % (self.label.text(), inner)
 
 
-def point(label: Path) -> RootedTree:
-    return RootedTree(label)
-
-
 def tree_to_json(t: RootedTree) -> dict:
     """Structured-text form: {"label": ..., "children": [{"orient", "node"}]}."""
     return {
@@ -70,17 +67,6 @@ def tree_to_json(t: RootedTree) -> dict:
             for up, child in t.children
         ],
     }
-
-
-def tree_from_json(q: Quiver, data: dict) -> RootedTree:
-    label = q.parse_path(data["label"])
-    children = []
-    for entry in data.get("children", ()):
-        orient = entry["orient"]
-        if orient not in ("in", "out"):
-            raise ValueError("orient must be 'in' or 'out', got %r" % orient)
-        children.append((orient == "in", tree_from_json(q, entry["node"])))
-    return RootedTree(label, tuple(children))
 
 
 def rho(t: RootedTree) -> Tensor:
@@ -132,9 +118,7 @@ def tree_coproduct(t: RootedTree) -> Tensor:
     T (x) 1 plus, for every admissible cut, the product of severed subtrees
     tensor the trunk; the empty cut supplies 1 (x) T.
     """
-    terms = [((Monomial((t,)), SYM_UNIT), 1)]
-    terms.extend(((Monomial(comps), Monomial((trunk,))), 1) for comps, trunk in admissible_cuts(t))
-    return Tensor(2, terms)
+    return graft_coproduct(t, ((comps, trunk, 1) for comps, trunk in admissible_cuts(t)))
 
 
 def _planar_children(edge_list, adj, v, parent_edge, rot: int):

@@ -1,12 +1,19 @@
 """Helpers shared by several test modules that the library does not need."""
 
 from quiverhopf.cobrackets import delta_p_rt
-from quiverhopf.cuts import NecklaceDiagram, chord_delta_p_rt
+from quiverhopf.cuts import (
+    NecklaceDiagram,
+    PathDiagram,
+    chord_delta_p_rt,
+    cut_components,
+    enumerate_cuts,
+    epsilon,
+)
 from quiverhopf.hopf import _formula_terms, path_coproduct
 from quiverhopf.linear import LinComb, Tensor
-from quiverhopf.quiver import Necklace, Path, omega
+from quiverhopf.quiver import Necklace, Path, Quiver, omega
 from quiverhopf.symalg import cop_free
-from quiverhopf.trees import OrientedTree, rho
+from quiverhopf.trees import OrientedTree, RootedTree, rho
 
 
 def counit_defect(gen_cop, m) -> LinComb:
@@ -216,3 +223,41 @@ def coassoc_formula_terms(x: Path) -> Tensor:
     components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
     """
     return _formula_terms(x, path_coproduct(x))
+
+
+# The simple-cut coproduct through the chord-diagram machinery, sharing only
+# the cut enumeration with the simple-cut walk in `cuts`: an oracle for
+# `path_coproduct` and `nc_coproduct`. Each simple cut becomes a checked
+# `PathDiagram`, cut by the full surgery pass and signed by `epsilon`.
+
+
+def oracle_cut_coproduct(x: Path, kind) -> Tensor:
+    """X (x) 1 plus, for every simple cut, sign times (chord components, left
+    to right by left endpoint) (x) (outer component), valued in pairs of
+    `kind` (Monomial or Word); the empty cut supplies 1 (x) X."""
+    terms = [((kind((x,)), kind(())), 1)]
+    for h in enumerate_cuts(x, simple_only=True):
+        d = PathDiagram(x, h)
+        comps = cut_components(d)
+        left = kind(tuple(comps.chords[c] for c in h.pairs))
+        terms.append(((left, kind((comps.outer,))), epsilon(d)))
+    return Tensor(2, terms)
+
+
+# Tree constructors only the tests use: the edgeless tree, and the reader of
+# the tree JSON schema that `trees.tree_to_json` writes.
+
+
+def point(label: Path) -> RootedTree:
+    return RootedTree(label)
+
+
+def tree_from_json(q: Quiver, data: dict) -> RootedTree:
+    label = q.parse_path(data["label"])
+    children = []
+    for entry in data.get("children", ()):
+        orient = entry["orient"]
+        if orient not in ("in", "out"):
+            raise ValueError("orient must be 'in' or 'out', got %r" % orient)
+        children.append((orient == "in", tree_from_json(q, entry["node"])))
+    return RootedTree(label, tuple(children))

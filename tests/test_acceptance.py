@@ -44,13 +44,12 @@ from quiverhopf.trees import (
     RootedTree,
     all_oriented_trees,
     all_rooted_trees,
-    point,
     rho,
     rho_ss_oriented,
     tree_coproduct,
 )
 from quiverhopf.verify import FAMILY, LAWS, verify_defect, verify_lie_coalgebra
-from support import counit_defect, layer
+from support import counit_defect, layer, point
 
 Q1, LOOP, TWO_LOOPS, LOOP_EDGE, TRIANGLE = (
     FAMILY[name] for name in ("one_edge", "loop", "two_loops", "loop_edge", "triangle")

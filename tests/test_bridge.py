@@ -19,8 +19,8 @@ from quiverhopf.hopf import path_coproduct
 from quiverhopf.linear import BasisElement, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Path, all_paths
 from quiverhopf.symalg import cop_free
-from quiverhopf.trees import all_rooted_trees, point, rho, tree_coproduct
-from support import layer
+from quiverhopf.trees import all_rooted_trees, rho, tree_coproduct
+from support import layer, point
 
 
 def M(*xs):

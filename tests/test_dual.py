@@ -12,8 +12,9 @@ from quiverhopf.cuts import (
 from quiverhopf.dual import d_or, d_rt, dual_oriented_tree, dual_rooted_tree, nesting_children
 from quiverhopf.linear import LinComb
 from quiverhopf.quiver import Necklace, Path, all_paths, rotate
-from quiverhopf.trees import OrientedTree, RootedTree, oriented_from_rooted, point, rho, rho_ss_oriented
+from quiverhopf.trees import OrientedTree, RootedTree, oriented_from_rooted, rho, rho_ss_oriented
 from quiverhopf.verify import verify_coalgebra_morphism
+from support import point
 
 
 def ee4(q1):

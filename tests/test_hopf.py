@@ -41,19 +41,19 @@ from quiverhopf.trees import (
     OrientedTree,
     RootedTree,
     oriented_from_rooted,
-    point,
     rho,
     rho_ss_oriented,
     tree_coproduct,
 )
 from quiverhopf.verify import (
     FAMILY,
+    tree_sample,
     verify_coalgebra_morphism,
     verify_defect,
     verify_hopf_morphism,
     verify_injectivity,
 )
-from support import coassoc_formula_terms, counit_defect
+from support import coassoc_formula_terms, counit_defect, oracle_cut_coproduct, point
 
 COASSOC = "coassociativity: direct, formula, and flipped"
 
@@ -283,26 +283,29 @@ def test_eta_oracle_catches_the_signed_eta_or_grafted():
 
 
 def test_eta_builds_no_chord_diagram(two_loops, monkeypatch):
+    """Nor do the path coproducts, which share eta's walk over simple cuts."""
+
     def refuse(self, *args):
-        raise AssertionError("eta built a chord diagram")
+        raise AssertionError("a chord diagram was built")
 
     monkeypatch.setattr(PathDiagram, "__init__", refuse)
     monkeypatch.setattr(NecklaceDiagram, "__init__", refuse)
     x = two_loops.parse_path("v a b a* b* b a")
     assert eta_rt(x) and eta_or(Necklace(two_loops.parse_path("v a b a* b* a b*")))
+    assert len(path_coproduct(x)) == len(nc_coproduct(x)) == 7
 
 
 def test_eta_memo_is_call_scoped(two_loops, monkeypatch):
     """Two equal calls do equal work, and within one call each sub-word is
     enumerated once."""
     seen = []
-    matchings = hopf._matchings
+    simple_cuts = hopf._simple_cuts
 
-    def counting_matchings(letters, lo, hi, simple_only=False):
+    def counting_simple_cuts(letters, start, lo, hi):
         seen.append((lo, hi))
-        return matchings(letters, lo, hi, simple_only)
+        return simple_cuts(letters, start, lo, hi)
 
-    monkeypatch.setattr(hopf, "_matchings", counting_matchings)
+    monkeypatch.setattr(hopf, "_simple_cuts", counting_simple_cuts)
     x = two_loops.parse_path("v a a* b a b* a* a a*")
     for eta, arg in ((eta_rt, x), (eta_or, Necklace(x))):
         runs = []
@@ -489,14 +492,45 @@ def test_nc_abelianization_matches_symmetric(q1, star2, two_loops):
             assert ab_tensor(nc_coproduct(x)) == path_coproduct(x)
 
 
+def family_max_len(q) -> int:
+    """Sweep length on a FAMILY quiver: 5, or 4 on those with two or more edges."""
+    return 5 if len(q.edges) < 2 else 4
+
+
+def path_coproduct_oracle_mismatch():
+    """The first FAMILY path on which path_coproduct or nc_coproduct differs
+    from the simple-cut coproduct built through chord diagrams, or None."""
+    for q in FAMILY.values():
+        for x in all_paths(q, family_max_len(q)):
+            if path_coproduct(x) != oracle_cut_coproduct(x, Monomial):
+                return x
+            if nc_coproduct(x) != oracle_cut_coproduct(x, Word):
+                return x
+    return None
+
+
+def test_path_coproducts_equal_the_chord_diagram_oracle():
+    assert path_coproduct_oracle_mismatch() is None
+
+
+def test_path_coproduct_oracle_catches_reversed_chord_order(monkeypatch):
+    """An nc_coproduct whose severed word runs right to left fails the oracle."""
+    monkeypatch.setattr(hopf, "Word", lambda factors=(): Word(tuple(factors)[::-1]))
+    assert path_coproduct_oracle_mismatch() is not None
+
+
 def test_prelie_part_of_path_coproduct_is_delta_p_rt(q1, two_loops):
+    """The one-piece part of each graft coproduct is its pre-Lie map: on
+    paths, chord diagrams and decorated rooted trees."""
     from quiverhopf.bridge import extract_prelie, monomialize
 
-    for q in (q1, two_loops):
-        for x in all_paths(q, 5):
-            assert monomialize(extract_prelie(path_coproduct, x)) == monomialize(
-                delta_p_rt(x)
-            )
+    cases = [(path_coproduct, delta_p_rt, all_paths(q, 5)) for q in (q1, two_loops)]
+    for q in FAMILY.values():
+        cases.append((chord_coproduct, chord_delta_p_rt, path_diagrams(q, family_max_len(q))))
+        cases.append((tree_coproduct, rho, tree_sample(q, 3)))
+    for cop, prelie, sample in cases:
+        for x in sample:
+            assert monomialize(extract_prelie(cop, x)) == monomialize(prelie(x))
 
 
 def test_path_antipode_memo_is_call_scoped(two_loops, monkeypatch):
@@ -519,8 +553,6 @@ def test_path_antipode_memo_is_call_scoped(two_loops, monkeypatch):
 
 
 def test_structure_maps_have_int_coefficients(q1, two_loops, loop_edge):
-    from quiverhopf.verify import tree_sample
-
     paths = all_paths(two_loops, 4) + all_paths(loop_edge, 3)
     necklaces = all_necklaces(two_loops, 4) + all_necklaces(loop_edge, 4)
     trees = tree_sample(q1, 3)

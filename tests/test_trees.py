@@ -15,12 +15,10 @@ from quiverhopf.trees import (
     all_oriented_trees,
     all_rooted_trees,
     oriented_from_rooted,
-    point,
     rho,
     rho_ss,
     rho_ss_oriented,
     tree_coproduct,
-    tree_from_json,
     tree_to_json,
 )
 from quiverhopf.verify import FAMILY, tree_sample, verify_lie_coalgebra, verify_prelie_coalgebra
@@ -30,6 +28,8 @@ from support import (
     oracle_oriented_from_rooted,
     oracle_rho_ss,
     oracle_rho_ss_oriented,
+    point,
+    tree_from_json,
 )
 
 
