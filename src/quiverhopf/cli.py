@@ -217,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run exhaustive law checks")
     p.add_argument("--law", choices=("prelie", "lie"))
-    p.add_argument("--theorem", choices=("1", "2", "coassoc", "antipode", "injective"))
+    p.add_argument(
+        "--theorem", choices=("1", "2", "coassoc", "antipode", "antipode-formula", "injective")
+    )
     p.add_argument("--max-len", type=_size, default=4)
     p.add_argument("--sign-convention", choices=("signed", "unsigned"), default="unsigned")
     p.add_argument(

@@ -11,7 +11,6 @@ subcuts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -231,14 +230,21 @@ def precedes(h1: Cut, h2: Cut) -> bool:
 
 
 def simple_subcuts(h: Cut):
-    """All simple (nesting-free) subsets of a cut, the empty one included."""
-    out = []
-    for r in range(len(h.pairs) + 1):
-        for combo in itertools.combinations(h.pairs, r):
-            sub = Cut(combo)
-            if sub.is_simple():
-                out.append(sub)
-    return sorted(out)
+    """All simple (nesting-free) subsets of a cut, the empty one included, in
+    canonical order. Each chord, by left endpoint, is left out, or taken and
+    the chords nested under it (the run after it that starts inside it)
+    skipped, so only the simple subsets are built."""
+    pairs = h.pairs
+
+    def subsets(k: int):
+        if k == len(pairs):
+            return [()]
+        after = k + 1
+        while after < len(pairs) and pairs[after][0] < pairs[k][1]:
+            after += 1
+        return subsets(k + 1) + [(pairs[k],) + rest for rest in subsets(after)]
+
+    return sorted(Cut(sub) for sub in subsets(0))
 
 
 class PathDiagram(BasisElement):

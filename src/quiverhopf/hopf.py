@@ -4,11 +4,13 @@ ordered (noncommutative) variant.
 The coproduct of a path sums over its simple cuts: the severed closed pieces
 multiply on the left, the basepointed remainder sits on the right, weighted
 by the cut sign. S maps a path (necklace) to the sum of all its chord
-diagrams. The embedding eta into decorated trees is built by grafting over
-simple cuts; that it equals S composed with the dual-tree map D is an
-identity the tests check, except for the signed necklace variant, which is
-that composite. The checkers in `verify` show eta to be a morphism for every
-structure in sight and to be injective via the point-tree projection below.
+diagrams. One walk over all cuts, grafting over simple cuts, builds the
+embedding eta into decorated trees and the antipode, a cut-forest sum whose
+oracle in the tests is the geometric series of the reduced coproduct. That
+eta equals S composed with the dual-tree map D is an identity the tests
+check, except for the signed necklace variant, which is that composite. The
+checkers in `verify` show eta to be a morphism for every structure in sight
+and to be injective via the point-tree projection below.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .cuts import (
 from .dual import d_or
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
 from .quiver import Necklace, Path
-from .symalg import antipode_monomial, cop_free, graft_coproduct
+from .symalg import cop_free, graft_coproduct
 from .trees import RootedTree, oriented_from_rooted
 
 
@@ -51,12 +53,6 @@ def path_coproduct(x: Path) -> Tensor:
     return graft_coproduct(x, _path_splits(x))
 
 
-def path_antipode(x: Path) -> LinComb:
-    """Antipode of a path in the symmetric Hopf algebra (geometric series)."""
-    bound = len(x.letters) + 2
-    return antipode_monomial(path_coproduct, Monomial((x,)), max_steps=bound)
-
-
 def s_rt(x: Path) -> LinComb:
     """Sum of all chord diagrams on a path, each with coefficient 1."""
     return LinComb((PathDiagram(x, h), 1) for h in enumerate_cuts(x))
@@ -71,33 +67,51 @@ def s_or(x: Necklace) -> LinComb:
     return LinComb((NecklaceDiagram(x.rep, h), 1) for h in enumerate_cuts(x.rep))
 
 
-def _dual_trees(x: Path, signed: bool) -> LinComb:
-    """The dual trees of every cut of x, each times its sign if signed.
+def _graft_cuts(x: Path, graft, signed: bool, factor: int = 1) -> LinComb:
+    """The sum over every cut of x of graft(outer component, [(chord letter,
+    inner value), ...]), each times factor per component and its sign if signed.
 
     A cut is a simple cut h with a cut of each of its chords' inner pieces, so
-    its dual tree is h's outer component grafted (Connes-Kreimer's B+) with the
-    dual trees of those pieces; the sign is multiplicative over chords. The
-    result for each sub-word is memoized by its interval for this call.
+    its value grafts h's outer component with the values of those pieces, and
+    the coefficient is multiplicative over components. The result for each
+    sub-word is memoized by its interval for this call.
     """
     letters = x.letters
 
     @functools.cache
-    def trees(lo: int, hi: int) -> LinComb:
-        """The (signed) dual trees of every cut of the sub-word at positions lo..hi."""
+    def walk(lo: int, hi: int) -> LinComb:
+        """The graft sum over every cut of the sub-word at positions lo..hi."""
         start = letters[lo - 2].tgt if lo > 1 else x.start
         terms = []
-        for pairs, label in _simple_cuts(letters, start, lo, hi):
-            sign = _sign(letters, pairs) if signed else 1
+        for pairs, outer in _simple_cuts(letters, start, lo, hi):
+            sign = factor * _sign(letters, pairs) if signed else factor
             kids = [
-                [((letters[i - 1].starred, t), c) for t, c in trees(i + 1, j - 1).items()]
+                [((letters[i - 1], v), c) for v, c in walk(i + 1, j - 1).items()]
                 for i, j in pairs
             ]
             for combo in itertools.product(*kids):
                 coeff = sign * math.prod(c for _, c in combo)
-                terms.append((RootedTree(label, [kid for kid, _ in combo]), coeff))
+                terms.append((graft(outer, [kid for kid, _ in combo]), coeff))
         return LinComb(terms)
 
-    return trees(1, len(letters))
+    return walk(1, len(letters))
+
+
+def _dual_tree(outer: Path, kids) -> RootedTree:
+    """Connes-Kreimer's B+ of the outer component over the chords' inner trees."""
+    return RootedTree(outer, [(letter.starred, t) for letter, t in kids])
+
+
+def _forest(outer: Path, kids) -> Monomial:
+    """The outer component times the components of each chord's inner cut."""
+    return Monomial((outer,) + tuple(f for _, m in kids for f in m.factors))
+
+
+def path_antipode(x: Path) -> LinComb:
+    """Antipode of a path in the symmetric Hopf algebra: the cut-forest sum,
+    over all cuts h, of (-1)^(|h|+1) times the cut sign times the monomial of
+    h's components (Connes-Kreimer's formula pulled back through eta_rt)."""
+    return _graft_cuts(x, _forest, signed=True, factor=-1)
 
 
 def eta_rt(x: Path) -> LinComb:
@@ -109,7 +123,7 @@ def eta_rt(x: Path) -> LinComb:
     against the composite, which builds each chord diagram and its dual tree
     on its own.
     """
-    return _dual_trees(x, signed=True)
+    return _graft_cuts(x, _dual_tree, signed=True)
 
 
 def eta_or(x: Necklace, signed: bool = False) -> LinComb:
@@ -126,7 +140,8 @@ def eta_or(x: Necklace, signed: bool = False) -> LinComb:
         return s_or(x).map_basis(lambda d: d_or(d, signed=True))
     label = functools.cache(Necklace)
     return LinComb(
-        (oriented_from_rooted(t, label), c) for t, c in _dual_trees(x.rep, signed=False).items()
+        (oriented_from_rooted(t, label), c)
+        for t, c in _graft_cuts(x.rep, _dual_tree, signed=False).items()
     )
 
 

@@ -102,15 +102,6 @@ def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
     return result
 
 
-def antipode_monomial(gen_cop: Callable, m: Monomial, max_steps: int = 64) -> LinComb:
-    """Antipode of a symmetric monomial via (anti)multiplicativity.
-
-    In the commutative case S(xy) = S(y)S(x) = S(x)S(y), so the product of
-    the per-generator antipodes.
-    """
-    return multiplicative(lambda x: antipode_free(gen_cop, Monomial((x,)), max_steps), m)
-
-
 def mul_lincomb(a: LinComb, b: LinComb) -> LinComb:
     """Product of combinations of monomials/words, factor-wise."""
     return LinComb((m1 * m2, c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())

@@ -148,6 +148,14 @@ def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
     )
 
 
+def verify_antipode_formula(antipode: Callable, gen_cop: Callable, sample, law: str) -> Report:
+    """Check a closed-form generator antipode against the geometric series of
+    the reduced coproduct (symalg.antipode_free), element by element."""
+    return verify_defect(
+        lambda x: antipode(x) - symalg.antipode_free(gen_cop, Monomial((x,))), sample, law
+    )
+
+
 def verify_ordered_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator of the ordered algebra.
 
@@ -362,4 +370,6 @@ LAWS = (
         ("cuts.chord_coproduct",), _PATH_DIAGRAMS, 4),
     Law("antipode axiom: ordered paths", ("antipode",), "verify_ordered_antipode",
         ("hopf.nc_coproduct",), _PATHS, 5),
+    Law("antipode cut-forest formula: paths", ("antipode-formula",), "verify_antipode_formula",
+        ("hopf.path_antipode", "hopf.path_coproduct"), _PATHS, 5),
 )

@@ -1,7 +1,10 @@
 """Helpers shared by several test modules that the library does not need."""
 
+import itertools
+
 from quiverhopf.cobrackets import delta_p_rt
 from quiverhopf.cuts import (
+    Cut,
     NecklaceDiagram,
     PathDiagram,
     chord_delta_p_rt,
@@ -10,9 +13,9 @@ from quiverhopf.cuts import (
     epsilon,
 )
 from quiverhopf.hopf import _formula_terms, path_coproduct
-from quiverhopf.linear import LinComb, Tensor
+from quiverhopf.linear import LinComb, Monomial, Tensor
 from quiverhopf.quiver import Necklace, Path, Quiver, omega
-from quiverhopf.symalg import cop_free
+from quiverhopf.symalg import antipode_free, cop_free, multiplicative
 from quiverhopf.trees import OrientedTree, RootedTree, rho
 
 
@@ -75,6 +78,13 @@ def oracle_children(pairs) -> dict:
     for c in sorted(pairs):
         kids[oracle_parent(pairs, c)].append(c)
     return kids
+
+
+def oracle_simple_subcuts(h: Cut):
+    """Every subset of a cut's chords that is nesting-free, in canonical order:
+    all 2^n subsets are built and filtered. An oracle for `cuts.simple_subcuts`."""
+    subsets = (Cut(c) for r in range(len(h) + 1) for c in itertools.combinations(h.pairs, r))
+    return sorted(sub for sub in subsets if sub.is_simple())
 
 
 # The necklace cobracket as a cyclic cut on an explicit closed word, sharing
@@ -242,6 +252,17 @@ def oracle_cut_coproduct(x: Path, kind) -> Tensor:
         left = kind(tuple(comps.chords[c] for c in h.pairs))
         terms.append(((left, kind((comps.outer,))), epsilon(d)))
     return Tensor(2, terms)
+
+
+# The geometric-series antipode of a symmetric monomial, the product of its
+# generators' series: the oracle for `hopf.path_antipode`'s cut-forest sum and
+# the antipode the tests check the tree and chord-diagram Hopf laws with.
+
+
+def antipode_monomial(gen_cop, m: Monomial) -> LinComb:
+    """In the commutative case S(xy) = S(x)S(y), so the product of the
+    per-generator antipode series."""
+    return multiplicative(lambda x: antipode_free(gen_cop, Monomial((x,))), m)
 
 
 # Tree constructors only the tests use: the edgeless tree, and the reader of

@@ -37,7 +37,6 @@ from quiverhopf.quiver import Necklace, Path, all_necklaces, all_paths
 from quiverhopf.symalg import (
     antipode_defect,
     antipode_free,
-    antipode_monomial,
     coassoc_defect,
 )
 from quiverhopf.trees import (
@@ -49,7 +48,7 @@ from quiverhopf.trees import (
     tree_coproduct,
 )
 from quiverhopf.verify import FAMILY, LAWS, verify_defect, verify_lie_coalgebra
-from support import counit_defect, layer, point
+from support import antipode_monomial, counit_defect, layer, point
 
 Q1, LOOP, TWO_LOOPS, LOOP_EDGE, TRIANGLE = (
     FAMILY[name] for name in ("one_edge", "loop", "two_loops", "loop_edge", "triangle")
@@ -215,10 +214,13 @@ def test_criterion_3_hopf_laws():
         )
         if not rep.ok:
             failures.append(rep.line())
+    # The path antipode's cut-forest sum against the geometric series.
+    formula = sweep_group("antipode-formula", {"quiver.all_paths": THEOREM_SIZES}, ())
+    failures.extend(collect(formula))
     report_criterion(
         3,
         "Hopf laws for Sym paths / chord diagrams / trees and the ordered coproduct,"
-        " plus the order/precedence expansion",
+        " plus the order/precedence expansion and the path antipode formula",
         failures,
     )
 

@@ -9,6 +9,7 @@ import pytest
 
 from quiverhopf import cuts, hopf, symalg
 from quiverhopf.cli import main
+from quiverhopf.linear import Monomial
 from quiverhopf.verify import LAWS, Report
 
 
@@ -223,7 +224,7 @@ def test_verify_laws_pass():
 
 
 def test_verify_theorems_pass():
-    for theorem in ("1", "2", "coassoc", "antipode", "injective"):
+    for theorem in ("1", "2", "coassoc", "antipode", "antipode-formula", "injective"):
         rc, out = run(["verify", "--theorem", theorem, "--max-len", "4"])
         assert rc == 0, (theorem, out)
         for line in out.split("\n"):
@@ -327,8 +328,9 @@ D_OR_SIGNED = (
     '-2 * {"children":[],"label":"[2]"} (x) {"children":[],"label":"[1]"}\n'
 )
 
-# Full stdout and exit code of `verify` on the built-in quiver at --max-len 3,
-# as printed before the law registry replaced the hand-written sweeps.
+# Full stdout and exit code of `verify` at --max-len 3: on the built-in quiver
+# as printed before the law registry replaced the hand-written sweeps, and the
+# antipode formula group on two_loops.
 GOLDEN_VERIFY = [
     (
         ["--law", "lie", "--theorem", "2"],
@@ -386,6 +388,11 @@ GOLDEN_VERIFY = [
         + D_OR_SIGNED
         + "PASS S_rt Hopf morphism (8 elements)\n"
         "PASS D_rt Hopf morphism (14 elements)\n",
+    ),
+    (
+        ["--theorem", "antipode-formula", "--quiver", TWO_LOOPS],
+        0,
+        "PASS antipode cut-forest formula: paths (85 elements)\n",
     ),
 ]
 
@@ -509,6 +516,16 @@ def test_antipode_sweep_expands_each_generator_once(monkeypatch):
         }
 
 
+def test_antipode_formula_law_reports_the_smallest_witness(monkeypatch):
+    """A cut-forest sum whose graft drops the inner components fails the
+    series comparison, first at the two-letter path."""
+    monkeypatch.setattr(hopf, "_forest", lambda outer, kids: Monomial((outer,)))
+    assert run(["verify", "--theorem", "antipode-formula", "--max-len", "3"]) == (
+        1,
+        "FAIL antipode cut-forest formula: paths: witness 1 e e*, defect -1 * {1}; 1 * {1}{2}\n",
+    )
+
+
 def readme_commands():
     """Every `quiverhopf ...` line of the sh block under README's "Command line"."""
     with open(os.path.join(ROOT, "README.md")) as f:
@@ -552,6 +569,6 @@ def test_readme_layout_names_resolve():
 def test_readme_command_lines_run():
     """The documented commands still parse and succeed."""
     commands = readme_commands()
-    assert len(commands) == 16
+    assert len(commands) == 17
     for argv in commands:
         assert run(argv)[0] == 0, argv

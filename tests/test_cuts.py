@@ -39,6 +39,7 @@ from support import (
     oracle_order,
     oracle_parent,
     oracle_simple,
+    oracle_simple_subcuts,
     oracle_valid,
 )
 
@@ -368,6 +369,35 @@ def test_one_cut_check_per_diagram(monkeypatch, two_loops):
     assert main(argv, out=io.StringIO()) == 0
     assert counts["diagrams"] > 0
     assert counts["checks"] == counts["diagrams"]
+
+
+def test_simple_subcuts_equal_the_subset_filter():
+    nested = 0
+    for q in FAMILY.values():
+        for p in all_paths(q, 5):
+            for h in enumerate_cuts(p):
+                assert simple_subcuts(h) == oracle_simple_subcuts(h)
+                nested += not h.is_simple()
+    assert nested  # cuts with nested chords were among those compared
+
+
+def test_simple_subcuts_build_only_the_simple_ones(monkeypatch):
+    """A fully nested 12-chord cut has 13 simple subcuts (the empty one and
+    each chord alone); only those 13 are built, not all 4,096 subsets."""
+    h = Cut((k, 25 - k) for k in range(1, 13))
+    built = []
+    init = Cut.__init__
+
+    def counting_init(self, pairs=()):
+        built.append(pairs)
+        init(self, pairs)
+
+    monkeypatch.setattr(Cut, "__init__", counting_init)
+    subs = simple_subcuts(h)
+    assert len(built) == 13
+    del built[:]
+    assert subs == oracle_simple_subcuts(h) and len(subs) == 13
+    assert len(built) == 4096
 
 
 def test_precedes(q1):

@@ -33,9 +33,9 @@ from quiverhopf.quiver import Necklace, Path, all_necklaces, all_paths
 from quiverhopf.symalg import (
     antipode_defect,
     antipode_free,
-    antipode_monomial,
     coassoc_defect,
     cop_free,
+    multiplicative,
 )
 from quiverhopf.trees import (
     OrientedTree,
@@ -53,7 +53,13 @@ from quiverhopf.verify import (
     verify_hopf_morphism,
     verify_injectivity,
 )
-from support import coassoc_formula_terms, counit_defect, oracle_cut_coproduct, point
+from support import (
+    antipode_monomial,
+    coassoc_formula_terms,
+    counit_defect,
+    oracle_cut_coproduct,
+    point,
+)
 
 COASSOC = "coassociativity: direct, formula, and flipped"
 
@@ -148,7 +154,7 @@ def test_path_antipode_values(q1):
 
 
 def test_path_antipode_axiom(q1, loop, two_loops):
-    sm = lambda m: antipode_monomial(path_coproduct, m)
+    sm = lambda m: multiplicative(path_antipode, m)
     for q in (q1, loop, two_loops):
         for x in all_paths(q, 5):
             assert not antipode_defect(path_coproduct, M(x), sm)
@@ -276,7 +282,7 @@ def test_eta_oracle_catches_the_signed_eta_or_grafted():
     so grafting over the cuts of one representative gets it wrong."""
 
     def grafted(n):
-        trees = hopf._dual_trees(n.rep, signed=True)
+        trees = hopf._graft_cuts(n.rep, hopf._dual_tree, signed=True)
         return LinComb((oriented_from_rooted(t, Necklace), c) for t, c in trees.items())
 
     assert eta_oracle_mismatch(4, eta_necklace=grafted, signed=True) is not None
@@ -295,9 +301,9 @@ def test_eta_builds_no_chord_diagram(two_loops, monkeypatch):
     assert len(path_coproduct(x)) == len(nc_coproduct(x)) == 7
 
 
-def test_eta_memo_is_call_scoped(two_loops, monkeypatch):
-    """Two equal calls do equal work, and within one call each sub-word is
-    enumerated once."""
+def walked_intervals(monkeypatch, f, arg):
+    """(f(arg), Counter of the intervals the cut walk enumerated) for each of
+    two equal calls."""
     seen = []
     simple_cuts = hopf._simple_cuts
 
@@ -306,12 +312,19 @@ def test_eta_memo_is_call_scoped(two_loops, monkeypatch):
         return simple_cuts(letters, start, lo, hi)
 
     monkeypatch.setattr(hopf, "_simple_cuts", counting_simple_cuts)
+    runs = []
+    for _ in range(2):
+        del seen[:]
+        runs.append((f(arg), Counter(seen)))
+    return runs
+
+
+def test_eta_memo_is_call_scoped(two_loops, monkeypatch):
+    """Two equal calls do equal work, and within one call each sub-word is
+    enumerated once."""
     x = two_loops.parse_path("v a a* b a b* a* a a*")
     for eta, arg in ((eta_rt, x), (eta_or, Necklace(x))):
-        runs = []
-        for _ in range(2):
-            del seen[:]
-            runs.append((eta(arg), Counter(seen)))
+        runs = walked_intervals(monkeypatch, eta, arg)
         assert runs[0] == runs[1]
         assert len(runs[0][1]) > 3 and set(runs[0][1].values()) == {1}
 
@@ -534,22 +547,59 @@ def test_prelie_part_of_path_coproduct_is_delta_p_rt(q1, two_loops):
 
 
 def test_path_antipode_memo_is_call_scoped(two_loops, monkeypatch):
-    """Two equal calls do equal work: no memo outlives its call."""
-    seen = []
-
-    def counting_path_coproduct(x):
-        seen.append(x)
-        return path_coproduct(x)
-
-    monkeypatch.setattr(hopf, "path_coproduct", counting_path_coproduct)
+    """Two equal calls do equal work: no memo outlives its call, and within
+    one call each sub-word is walked once."""
     x = two_loops.parse_path("v a b a* b a* b*")
-    runs = []
-    for _ in range(2):
-        del seen[:]
-        runs.append((hopf.path_antipode(x), Counter(seen)))
+    runs = walked_intervals(monkeypatch, path_antipode, x)
     assert runs[0] == runs[1]
-    # Within one call each path's coproduct is computed once.
-    assert set(runs[0][1].values()) == {1}
+    assert len(runs[0][1]) > 3 and set(runs[0][1].values()) == {1}
+
+
+# The six word shapes of the benchmark's long_words workload over two_loops:
+# 166 to 607 cuts each, 58 to 161 of them simple.
+LONG_WORDS = (
+    "v b* b a* a a* b* b b* b* b* a* a* b* b*",
+    "v b b b* b a b a* a a* b a* a* b a",
+    "v a a a a* b b* a a a a* b* b* a b",
+    "v b* b* a* a* a* b a a b* b* a b a b",
+    "v b* a* b b b* b b a* a* b b* a b a",
+    "v b* a* b* a a a* a b b* b* b b* b* a*",
+)
+
+
+def antipode_oracle_mismatch():
+    """The first FAMILY path (of length <= family_max_len) or long two_loops
+    word on which path_antipode differs from the geometric series of the
+    reduced path coproduct, or None."""
+    samples = [all_paths(q, family_max_len(q)) for q in FAMILY.values()]
+    samples.append([FAMILY["two_loops"].parse_path(w) for w in LONG_WORDS])
+    for x in itertools.chain.from_iterable(samples):
+        if path_antipode(x) != antipode_free(path_coproduct, Monomial((x,))):
+            return x
+    return None
+
+
+def test_path_antipode_equals_the_geometric_series():
+    """The cut-forest sum over the eta walk is the series' closed form."""
+    assert antipode_oracle_mismatch() is None
+
+
+@pytest.mark.parametrize(
+    "mutant, witness",
+    [
+        (lambda walk: lambda x, graft, signed, factor=1: walk(x, graft, False, factor), "1 e e*"),
+        (lambda walk: lambda x, graft, signed, factor=1: walk(x, graft, signed, -factor), "1"),
+    ],
+    ids=["cut sign dropped", "component factor +1"],
+)
+def test_antipode_oracle_catches_a_mutated_walk(monkeypatch, mutant, witness):
+    monkeypatch.setattr(hopf, "_graft_cuts", mutant(hopf._graft_cuts))
+    assert antipode_oracle_mismatch().text() == witness
+
+
+def test_antipode_oracle_catches_dropped_children(monkeypatch):
+    monkeypatch.setattr(hopf, "_forest", lambda outer, kids: Monomial((outer,)))
+    assert antipode_oracle_mismatch().text() == "1 e e*"
 
 
 def test_structure_maps_have_int_coefficients(q1, two_loops, loop_edge):

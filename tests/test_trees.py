@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Necklace, Quiver
-from quiverhopf.symalg import antipode_defect, antipode_monomial, coassoc_defect
+from quiverhopf.symalg import antipode_defect, coassoc_defect
 from quiverhopf.trees import (
     OrientedTree,
     RootedTree,
@@ -23,6 +23,7 @@ from quiverhopf.trees import (
 )
 from quiverhopf.verify import FAMILY, tree_sample, verify_lie_coalgebra, verify_prelie_coalgebra
 from support import (
+    antipode_monomial,
     counit_defect,
     oracle_delete_edge,
     oracle_oriented_from_rooted,
