@@ -19,7 +19,6 @@ from .quiver import (
     Quiver,
     all_necklaces,
     all_paths,
-    compose,
     omega,
     rotate,
 )

@@ -10,6 +10,7 @@ extension happens at the call site when needed.
 
 from __future__ import annotations
 
+from .cuts import _outside, _piece
 from .linear import Tensor, skew
 from .quiver import Necklace, Path, omega
 
@@ -39,8 +40,8 @@ def delta_p_rt(x: Path) -> Tensor:
             w = omega(x.letters[i - 1], x.letters[j - 1])
             if not w:
                 continue
-            inner = Path(x.letters[i - 1].tgt, x.letters[i : j - 1])
-            outer = Path(x.start, x.letters[: i - 1] + x.letters[j:])
+            inner = _piece(x.letters, i, j)
+            outer = Path(x.start, _outside(x.letters, 1, n, ((i, j),)))
             terms.append(((inner, outer), -w))
     return Tensor(2, terms)
 

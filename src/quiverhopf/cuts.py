@@ -1,16 +1,19 @@
 """Cuts of paths and necklaces, chord diagrams, and their (co)algebras.
 
 A cut pairs positions of a word whose letters are mutual reverses, with the
-chords drawn as non-crossing arcs above the word. Surgery along a chord
-splits the word into an inner closed piece and an outer piece carrying the
-basepoint; iterating the surgery produces the cut components. The chord
-algebras live on (word, cut) pairs and carry the comultiplications induced by
-removing one chord at a time, plus a coproduct obtained by cutting out simple
-subcuts.
+chords drawn as non-crossing arcs above the word. Cutting along the chords
+splits the word into pieces, all read by one slicing rule (`_outside`): a
+chord (i, j) owns the letters i+1..j-1 that lie outside the chords nested in
+it, read as a closed path from the target of letter i, and the letters
+outside every chord form the outer piece, which keeps the basepoint. The
+chord algebras live on (word, cut) pairs and carry the comultiplications
+induced by removing one chord at a time, plus a coproduct obtained by cutting
+out simple subcuts.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -112,18 +115,30 @@ def _matchings(letters, lo: int, hi: int, simple_only: bool = False):
                     yield ((lo, q),) + left + right
 
 
+def _outside(seq, lo: int, hi: int, holes=()) -> tuple:
+    """The entries of a tuple seq at positions lo..hi (1-based, inclusive)
+    that lie outside the sibling chords `holes`, which sit in lo..hi ordered by
+    left endpoint; a chord covers its two end positions and all between them.
+    Read by slicing, one slice per gap between holes."""
+    out, pos = (), lo
+    for i, j in holes:
+        out += seq[pos - 1 : i - 1]
+        pos = j + 1
+    return out + seq[pos - 1 : hi]
+
+
+def _piece(letters, i: int, j: int, holes=()) -> Path:
+    """The piece of chord (i, j) of a word: its letters outside the chords
+    `holes` nested in it, as a closed path from the target of letter i."""
+    return Path(letters[i - 1].tgt, _outside(letters, i + 1, j - 1, holes))
+
+
 def _simple_cuts(letters, start: str, lo: int, hi: int):
     """The simple cuts of positions lo..hi of a word, the first of which starts
     at vertex start, each as (pairs, outer piece): the letters outside every
-    chord, as a path from start. Chord (i, j)'s piece is letters[i:j-1] from
-    the target of letter i."""
+    chord, as a path from start."""
     for pairs in _matchings(letters, lo, hi, simple_only=True):
-        outer, pos = [], lo
-        for i, j in pairs:
-            outer += letters[pos - 1 : i - 1]
-            pos = j + 1
-        outer += letters[pos - 1 : hi]
-        yield pairs, Path(start, outer)
+        yield pairs, Path(start, _outside(letters, lo, hi, pairs))
 
 
 def enumerate_cuts(p: Path, simple_only: bool = False):
@@ -157,53 +172,27 @@ class CutComponents:
     chords: Dict[Tuple[int, int], Path]
 
 
-def _surgery(p: Path, cut: Cut, sub) -> dict:
-    """Cut a word along the chords `sub` of `cut`, in one left-to-right pass.
+def nesting_children(cut: Cut):
+    """Forest structure on the chords: children are immediately nested chords.
 
-    Each letter that is not an endpoint of a chord in `sub` joins the piece of
-    the innermost open chord of `sub`, or the outer piece. The other chords of
-    `cut` cannot cross, so each lies inside one piece and is renumbered there.
-    Returns {chord or None: (Path, renumbered pairs)}; None is the outer piece,
-    which keeps the basepoint, and a chord's piece starts at the target of its
-    left letter.
+    Returns a map from a chord (or None for the top level) to the list of its
+    immediate children, each list ordered by left endpoint (from Cut.parents).
     """
-    letters = p.letters
-    ends = {}  # left endpoint -> its chord, right endpoint -> None
-    for c in sub:
-        ends[c[0]] = c
-        ends[c[1]] = None
-    partner = {j: i for i, j in cut.pairs if i not in ends}
-    outer = ([], [])
-    pieces = {None: outer}
-    stack = [outer]
-    new_index = {}
-    for pos, lt in enumerate(letters, 1):
-        if pos in ends:
-            c = ends[pos]
-            if c is None:
-                stack.pop()
-            else:
-                piece = pieces[c] = ([], [])
-                stack.append(piece)
-        else:
-            word, pairs = stack[-1]
-            word.append(lt)
-            new_index[pos] = len(word)
-            if pos in partner:
-                pairs.append((new_index[partner[pos]], len(word)))
-    out = {None: (Path(p.start, tuple(outer[0])), outer[1])}
-    for c in sub:
-        word, pairs = pieces[c]
-        out[c] = (Path(letters[c[0] - 1].tgt, tuple(word)), pairs)
-    return out
+    kids = {None: []}
+    for c, parent in zip(cut.pairs, cut.parents):
+        kids[c] = []
+        kids[parent].append(c)
+    return kids
 
 
 def cut_components(d: PathDiagram | NecklaceDiagram) -> CutComponents:
     """Delete all matched letters of a chord diagram (path or necklace) and
     reglue: one piece per chord plus the outer piece."""
-    pieces = _surgery(d.path, d.cut, d.cut.pairs)
+    kids = nesting_children(d.cut)
+    letters = d.path.letters
     return CutComponents(
-        outer=pieces[None][0], chords={c: pieces[c][0] for c in d.cut.pairs}
+        outer=Path(d.path.start, _outside(letters, 1, len(letters), kids[None])),
+        chords={(i, j): _piece(letters, i, j, kids[i, j]) for i, j in d.cut.pairs},
     )
 
 
@@ -231,20 +220,16 @@ def precedes(h1: Cut, h2: Cut) -> bool:
 
 def simple_subcuts(h: Cut):
     """All simple (nesting-free) subsets of a cut, the empty one included, in
-    canonical order. Each chord, by left endpoint, is left out, or taken and
-    the chords nested under it (the run after it that starts inside it)
-    skipped, so only the simple subsets are built."""
-    pairs = h.pairs
+    canonical order. Over the nesting forest, each sibling chord is either
+    taken or replaced by a simple subset of its children, so only the simple
+    subsets are built."""
+    kids = nesting_children(h)
 
-    def subsets(k: int):
-        if k == len(pairs):
-            return [()]
-        after = k + 1
-        while after < len(pairs) and pairs[after][0] < pairs[k][1]:
-            after += 1
-        return subsets(k + 1) + [(pairs[k],) + rest for rest in subsets(after)]
+    def subsets(chords):
+        options = [[(c,)] + subsets(kids[c]) for c in chords]
+        return [sum(combo, ()) for combo in itertools.product(*options)]
 
-    return sorted(Cut(sub) for sub in subsets(0))
+    return sorted(Cut(sub) for sub in subsets(kids[None]))
 
 
 class PathDiagram(BasisElement):
@@ -328,9 +313,20 @@ def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):
             raise ValueError("chord %r is not part of the cut %s" % (c, d.cut.text()))
     if not sub.is_simple():
         raise ValueError("subcut %s is not simple" % sub.text())
-    pieces = _surgery(d.path, d.cut, sub.pairs)
-    outer = PathDiagram(pieces[None][0], Cut(pieces[None][1]))
-    return outer, {c: PathDiagram(pieces[c][0], Cut(pieces[c][1])) for c in sub.pairs}
+    letters = d.path.letters
+    n = len(letters)
+    positions = tuple(range(1, n + 1))
+
+    def renumbered(path: Path, lo: int, hi: int, holes=()) -> PathDiagram:
+        """The diagram on path, the piece at positions lo..hi outside holes,
+        with the chords of d that lie in it renumbered by place."""
+        at = {pos: k for k, pos in enumerate(_outside(positions, lo, hi, holes), 1)}
+        return PathDiagram(path, Cut((at[i], at[j]) for i, j in d.cut.pairs if i in at))
+
+    outer = Path(d.path.start, _outside(letters, 1, n, sub.pairs))
+    return renumbered(outer, 1, n, sub.pairs), {
+        (i, j): renumbered(_piece(letters, i, j), i + 1, j - 1) for i, j in sub.pairs
+    }
 
 
 def chord_delta_p_rt(d: PathDiagram | NecklaceDiagram) -> Tensor:

@@ -1,41 +1,30 @@
 """Dual trees of chord diagrams.
 
 The faces of a chord diagram (one per chord, plus the unbounded face) become
-tree vertices; edges cross chords. Vertex labels are the surgery components,
-children are ordered by chord left endpoints, and the edge dual to a chord
-(i, j) is oriented away from the root exactly when letter i is unstarred --
-the combinatorial shadow of drawing the chord from i to j in the upper half
-plane and crossing it positively. This orientation choice, together with the
-unsigned oriented map below, is pinned by the coalgebra-morphism test suite:
-flipping either one breaks the oriented morphism on quivers with loops.
+tree vertices; edges cross chords. Vertex labels are the cut components
+(`cuts.cut_components`), a face's children are the faces of the chords
+immediately nested in its chord (`cuts.nesting_children`), ordered by left
+endpoint, and the edge dual to a chord (i, j) is oriented away from the root
+exactly when letter i is unstarred -- the combinatorial shadow of drawing the
+chord from i to j in the upper half plane and crossing it positively. This
+orientation choice, together with the unsigned oriented map below, is pinned
+by the coalgebra-morphism test suite: flipping either one breaks the oriented
+morphism on quivers with loops.
 """
 
 from __future__ import annotations
 
-from .cuts import Cut, NecklaceDiagram, PathDiagram, cut_components, epsilon
+from .cuts import NecklaceDiagram, PathDiagram, cut_components, epsilon, nesting_children
 from .linear import LinComb
 from .quiver import Necklace
 from .trees import OrientedTree, RootedTree, oriented_from_rooted
-
-
-def nesting_children(cut: Cut):
-    """Forest structure on the chords: children are immediately nested chords.
-
-    Returns a map from a chord (or None for the top level) to the list of its
-    immediate children, each list ordered by left endpoint (from Cut.parents).
-    """
-    kids = {None: []}
-    for c, parent in zip(cut.pairs, cut.parents):
-        kids[c] = []
-        kids[parent].append(c)
-    return kids
 
 
 def dual_rooted_tree(d: PathDiagram | NecklaceDiagram) -> RootedTree:
     """Dual decorated rooted tree of a chord diagram (path or necklace).
 
     The root is the unbounded face labeled by the outer component; each chord
-    face is labeled by its surgery component. The edge dual to chord (i, j)
+    face is labeled by its cut component. The edge dual to chord (i, j)
     points away from the root iff letter i is unstarred.
     """
     comps = cut_components(d)

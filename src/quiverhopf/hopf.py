@@ -23,6 +23,7 @@ from .cuts import (
     Cut,
     NecklaceDiagram,
     PathDiagram,
+    _piece,
     _sign,
     _simple_cuts,
     cut_components,
@@ -43,7 +44,7 @@ def _path_splits(x: Path):
     every simple cut of x, the empty one included."""
     letters = x.letters
     for pairs, outer in _simple_cuts(letters, x.start, 1, len(letters)):
-        pieces = tuple(Path(letters[i - 1].tgt, letters[i : j - 1]) for i, j in pairs)
+        pieces = tuple(_piece(letters, i, j) for i, j in pairs)
         yield pieces, outer, _sign(letters, pairs)
 
 

@@ -132,15 +132,6 @@ class Quiver:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def to_dict(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [
-                {"id": eid, "source": s, "target": t}
-                for eid, (s, t) in sorted(self.edges.items())
-            ],
-        }
-
     def parse_path(self, text: str) -> "Path":
         """Parse "v0 e1 e2* ..." with an explicit start vertex."""
         toks = text.split()
@@ -266,17 +257,6 @@ class Path(BasisElement):
 
     def text(self) -> str:
         return self.skey[2:]
-
-
-def compose(p: Path, q: Path):
-    """Concatenate paths when the endpoints match; None is the zero marker.
-
-    Distinct vertex idempotents annihilate, so a mismatched concatenation is
-    zero in the path algebra rather than an error.
-    """
-    if p.end != q.start:
-        return None
-    return Path(p.start, p.letters + q.letters)
 
 
 def rotate(p: Path, k: int) -> Path:

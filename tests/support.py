@@ -282,3 +282,28 @@ def tree_from_json(q: Quiver, data: dict) -> RootedTree:
             raise ValueError("orient must be 'in' or 'out', got %r" % orient)
         children.append((orient == "in", tree_from_json(q, entry["node"])))
     return RootedTree(label, tuple(children))
+
+
+# Path composition and the quiver JSON writer: only the tests use them, to
+# check composability and the reader `Quiver.from_dict`.
+
+
+def compose(p: Path, q: Path):
+    """Concatenate paths when the endpoints match; None is the zero marker.
+
+    Distinct vertex idempotents annihilate, so a mismatched concatenation is
+    zero in the path algebra rather than an error.
+    """
+    if p.end != q.start:
+        return None
+    return Path(p.start, p.letters + q.letters)
+
+
+def quiver_to_dict(q: Quiver) -> dict:
+    """The JSON schema that `Quiver.from_dict` reads."""
+    return {
+        "vertices": list(q.vertices),
+        "edges": [
+            {"id": eid, "source": s, "target": t} for eid, (s, t) in sorted(q.edges.items())
+        ],
+    }

@@ -22,6 +22,7 @@ from quiverhopf.cuts import (
     enumerate_cuts,
     epsilon,
     necklace_diagrams,
+    nesting_children,
     path_diagrams,
     precedes,
     remove_chords,
@@ -29,7 +30,6 @@ from quiverhopf.cuts import (
     validate_cut,
 )
 from quiverhopf.linear import Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.dual import nesting_children
 from quiverhopf.hopf import eta_or, eta_rt
 from quiverhopf.quiver import Path, all_closed_paths, all_necklaces, all_paths, rotate
 from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
@@ -421,35 +421,45 @@ def test_remove_chords_matches_components_on_simple_cuts(q1, two_loops):
                     assert inners[c].cut == Cut(())
 
 
+def diagrams_of(p, h):
+    """The path diagram of (p, h), and its necklace diagram when p is closed."""
+    return [PathDiagram(p, h)] + ([NecklaceDiagram(p, h)] if p.is_closed() else [])
+
+
 def test_cut_components_match_sliced_surgery(two_loops, loop_edge):
-    checked = 0
+    checked = rotated = 0
     for q in (two_loops, loop_edge):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                pieces = sliced_surgery(p, h.pairs, h.pairs)
-                expect = CutComponents(
-                    outer=pieces[None][0], chords={c: pieces[c][0] for c in h.pairs}
-                )
-                assert cut_components(PathDiagram(p, h)) == expect
-                checked += any(not oracle_simple([c, d]) for c in h.pairs for d in h.pairs)
+                for d in diagrams_of(p, h):
+                    pieces = sliced_surgery(d.path, d.cut.pairs, d.cut.pairs)
+                    expect = CutComponents(
+                        outer=pieces[None][0], chords={c: pieces[c][0] for c in d.cut.pairs}
+                    )
+                    assert cut_components(d) == expect
+                    rotated += d.path != p
+                checked += any(not oracle_simple([c, e]) for c in h.pairs for e in h.pairs)
     assert checked  # nested cuts were among those compared
+    assert rotated  # so were necklace diagrams read at another rotation
 
 
 def test_remove_chords_matches_sliced_surgery(two_loops, loop_edge):
-    checked = 0
+    checked = rotated = 0
     for q in (two_loops, loop_edge):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                d = PathDiagram(p, h)
-                for sub in simple_subcuts(h):
-                    pieces = sliced_surgery(p, h.pairs, sub.pairs)
-                    outer, inners = remove_chords(d, sub)
-                    assert outer == PathDiagram(pieces[None][0], Cut(pieces[None][1]))
-                    assert set(inners) == set(sub.pairs)
-                    for c in sub.pairs:
-                        assert inners[c] == PathDiagram(pieces[c][0], Cut(pieces[c][1]))
-                    checked += len(pieces[None][1]) > 0
+                for d in diagrams_of(p, h):
+                    for sub in simple_subcuts(d.cut):
+                        pieces = sliced_surgery(d.path, d.cut.pairs, sub.pairs)
+                        outer, inners = remove_chords(d, sub)
+                        assert outer == PathDiagram(pieces[None][0], Cut(pieces[None][1]))
+                        assert set(inners) == set(sub.pairs)
+                        for c in sub.pairs:
+                            assert inners[c] == PathDiagram(pieces[c][0], Cut(pieces[c][1]))
+                        checked += len(pieces[None][1]) > 0
+                        rotated += d.path != p
     assert checked  # residual chords were renumbered in some outer pieces
+    assert rotated  # necklace diagrams read at another rotation were compared
 
 
 def test_chord_delta_p_rt_one_chord(q1):

@@ -7,9 +7,10 @@ from quiverhopf.cuts import (
     enumerate_cuts,
     cut_components,
     necklace_diagrams,
+    nesting_children,
     path_diagrams,
 )
-from quiverhopf.dual import d_or, d_rt, dual_oriented_tree, dual_rooted_tree, nesting_children
+from quiverhopf.dual import d_or, d_rt, dual_oriented_tree, dual_rooted_tree
 from quiverhopf.linear import LinComb
 from quiverhopf.quiver import Necklace, Path, all_paths, rotate
 from quiverhopf.trees import OrientedTree, RootedTree, oriented_from_rooted, rho, rho_ss_oriented

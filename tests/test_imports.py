@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and only
+`cuts` and `quiver` slice a word's letters.
 
-A stdlib stand-in for a linter's unused-import rule: each module of
-`src/quiverhopf` except `__init__.py` (whose imports are its exports) is
-parsed with `ast`. An import line carrying `# noqa` is exempt, for modules
-imported to be looked up by name.
+Stdlib stand-ins for lint rules: each module of `src/quiverhopf` except
+`__init__.py` (whose imports are its exports) is parsed with `ast`. An import
+line carrying `# noqa` is exempt, for modules imported to be looked up by
+name. The pieces of every cut are read by one slicing rule in `cuts`
+(`_outside`); `quiver` slices letters only to rotate a word.
 """
 
 import ast
@@ -36,10 +38,42 @@ def test_unused_import_check_flags_an_unused_name():
     assert unused_imports(source) == ["os", "d"]
 
 
-def test_library_modules_import_nothing_unused():
+def letter_slices(source: str):
+    """The line numbers of `source` that take a slice of a sequence named
+    `letters`, either a bare name or an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+            seq = node.value
+            name = seq.id if isinstance(seq, ast.Name) else getattr(seq, "attr", None)
+            if name == "letters":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def library_sources():
+    """{file name: source} of every library module except `__init__.py`."""
     paths = sorted(glob.glob(os.path.join(ROOT, "src", "quiverhopf", "*.py")))
-    modules = [p for p in paths if os.path.basename(p) != "__init__.py"]
-    assert len(modules) == 11
-    for path in modules:
-        with open(path) as f:
-            assert unused_imports(f.read()) == [], os.path.basename(path)
+    sources = {}
+    for path in paths:
+        if os.path.basename(path) != "__init__.py":
+            with open(path) as f:
+                sources[os.path.basename(path)] = f.read()
+    assert len(sources) == 11
+    return sources
+
+
+def test_library_modules_import_nothing_unused():
+    for name, source in library_sources().items():
+        assert unused_imports(source) == [], name
+
+
+def test_letter_slice_check_flags_a_slice_of_letters():
+    source = "a = letters[1:3]\nb = p.letters[k] + p.letters[:k]\nc = words[1:]\nd = x.letters[0]\n"
+    assert letter_slices(source) == [1, 2]
+
+
+def test_only_cuts_and_quiver_slice_letters():
+    for name, source in library_sources().items():
+        if name not in ("cuts.py", "quiver.py"):
+            assert letter_slices(source) == [], name
