@@ -8,7 +8,8 @@ only through the split of its left monomial into a single generator times the
 rest, which is inverted by multiplying back and dividing by the factor count.
 The division is the one place exact rationals are genuinely needed; the
 reconstructed constants come out integral again, which the tests assert, and
-an integral quotient is stored as an int.
+an integral quotient is stored as an int. The recursion visits the generators
+in degree order, expands each layer once, and keeps its memos for one call.
 """
 
 from __future__ import annotations
@@ -113,11 +114,11 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
 
     basis must contain every generator of degree <= max_degree reachable from
     its own coproduct components (both instances here are closed under taking
-    components). Layer n+1 is recovered from layers <= n, verified to satisfy
-    its defining equation exactly, and the loop stops when a layer vanishes
-    identically (guaranteed by the grading). Within one degree step the
-    layers do not change, so each generator's total and each monomial's
-    coproduct is computed once per step.
+    components). Generators are visited in increasing degree, ties by key, so
+    an error names the least failing degree. Layer n+1 of each is recovered
+    from its layers <= n and its components' complete coproducts, verified
+    to satisfy its defining equation exactly, and expanded once; the grading
+    bounds the layers. Each total and monomial coproduct is built once a call.
     """
     elems = sorted(x for x in basis if degree(x) <= max_degree)
     if not elems:
@@ -138,47 +139,43 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
             layers[1][x] = monomialize(graft)
     min_deg = min(degree(x) for x in elems)
 
-    # At step n, layers holds exactly the layers 1..n, so its total is the
-    # coproduct truncated above layer n.
+    # Every component of v's coproduct has lower degree, so in degree order
+    # (ties by key, as elems is sorted) each component's coproduct is complete
+    # when v is reached, and one memo serves the whole call.
     result = CoproductLayers(layers)
-    n = 1
     bound = max_degree // max(min_deg, 1) + 1
-    while True:
-        total = functools.cache(result.total)
-        cop = functools.cache(lambda m: cop_free(total, m))
-        nxt: Dict = {}
-        for v in elems:
-            t = total(v)
-            a3 = t.slot_expand(1, cop, 2)
-            b3 = t.slot_expand(0, cop, 2)
-            r = Tensor(3, (
-                ((m1, m2, m3), c)
-                for (m1, m2, m3), c in (a3 - b3).items()
-                if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and len(m1) + len(m2) == n + 1
-            ))
-            if not r:
-                continue
-            # Invert the (generator (x) Sym^n) split of the left monomial.
-            split = Tensor(
-                2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1)
-            )
-            layer = Tensor(2, ((key, _divide(c, n + 1)) for key, c in split.items()))
+    total = functools.cache(result.total)
+    cop = functools.cache(lambda m: cop_free(total, m))
+    for v in sorted(elems, key=degree):
+        # buckets[k]: terms m1 (x) m2 (x) m3 of (1 (x) cop - cop (x) 1) over
+        # v's layers so far, |m1|, |m2| >= 1, |m3| = 1, |m1| + |m2| = k > n.
+        # Layer n reaches bucket n only through its delta0_prime part.
+        buckets: Dict[int, list] = {}
+        n, layer = 1, layers[1].get(v, Tensor(2))
+        while layer or buckets:
+            d3 = layer.slot_expand(1, cop, 2) - layer.slot_expand(0, cop, 2)
+            for (m1, m2, m3), c in d3.items():
+                k = len(m1) + len(m2)
+                if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and k > n:
+                    buckets.setdefault(k, []).append(((m1, m2, m3), c))
+            n += 1
+            # Layer n's right-hand side, read before layer n is absorbed.
+            r = Tensor(3, buckets.pop(n, ()))
+            # Invert the (generator (x) Sym^(n-1)) split of the left monomial.
+            split = Tensor(2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1))
+            layer = Tensor(2, ((key, _divide(c, n)) for key, c in split.items()))
             check = layer.slot_expand(0, delta0_prime, 2) - r
             if check:
                 raise ValueError(
                     "no graded coproduct extends this pre-Lie map at %s: "
-                    "layer %d defect %s" % (v.text(), n + 1, check.text())
+                    "layer %d defect %s" % (v.text(), n, check.text())
                 )
-            nxt[v] = layer
-        if nxt:
-            layers[n + 1] = nxt
-        n += 1
-        if not nxt:
-            break
-        if n > bound:
-            raise RuntimeError(
-                "coproduct layers failed to vanish within the grading bound %d" % bound
-            )
+            if layer and n > bound:
+                raise RuntimeError(
+                    "coproduct layers failed to vanish within the grading bound %d" % bound
+                )
+            if layer:
+                layers.setdefault(n, {})[v] = layer
     return result
 
 
@@ -213,14 +210,16 @@ class GradedPreLieCoalgebra:
     rho: Callable
 
     def check(self) -> Report:
+        # One memo for both sweeps: the coaxiom re-expands rho's components.
+        rho = functools.cache(self.rho)
         for x in self.basis:
             d = self.degree(x)
             if d < 1:
                 return Report("positive grading", 0, (x, "degree %d" % d))
-            for (a, b), _ in self.rho(x).terms():
+            for (a, b), _ in rho(x).terms():
                 if self.degree(a) + self.degree(b) != d:
                     return Report("degree preservation", 0, (x, Tensor.single((a, b))))
-        return verify_prelie_coalgebra(self.rho, self.basis, "pre-Lie coaxiom")
+        return verify_prelie_coalgebra(rho, self.basis, "pre-Lie coaxiom")
 
     def reconstruct(self, max_degree: int) -> CoproductLayers:
         return reconstruct_coproduct(self.basis, self.degree, self.rho, max_degree)

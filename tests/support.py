@@ -1,7 +1,9 @@
 """Helpers shared by several test modules that the library does not need."""
 
+import functools
 import itertools
 
+from quiverhopf.bridge import CoproductLayers, _divide, delta0_prime, monomialize
 from quiverhopf.cobrackets import delta_p_rt
 from quiverhopf.cuts import (
     Cut,
@@ -263,6 +265,48 @@ def antipode_monomial(gen_cop, m: Monomial) -> LinComb:
     """In the commutative case S(xy) = S(x)S(y), so the product of the
     per-generator antipode series."""
     return multiplicative(lambda x: antipode_free(gen_cop, Monomial((x,))), m)
+
+
+# The step-major layer recursion: at step n every generator's coproduct,
+# truncated above layer n, is expanded in full on both sides of
+# coassociativity and only the terms of layer n + 1 are kept. The oracle for
+# `bridge.reconstruct_coproduct`'s degree-ordered pass.
+
+
+def oracle_reconstruct(basis, degree, rho, max_degree: int) -> dict:
+    """The layers dict of the step-major recursion on a valid pre-Lie map."""
+    elems = sorted(x for x in basis if degree(x) <= max_degree)
+    if not elems:
+        return {}
+    layers = {1: {x: monomialize(g) for x in elems if (g := rho(x))}}
+    result = CoproductLayers(layers)
+    n = 1
+    bound = max_degree // min(degree(x) for x in elems) + 1
+    while True:
+        total = functools.cache(result.total)
+        cop = functools.cache(lambda m: cop_free(total, m))
+        nxt = {}
+        for v in elems:
+            t = total(v)
+            r = Tensor(3, (
+                ((m1, m2, m3), c)
+                for (m1, m2, m3), c in (t.slot_expand(1, cop, 2) - t.slot_expand(0, cop, 2)).items()
+                if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and len(m1) + len(m2) == n + 1
+            ))
+            if not r:
+                continue
+            split = Tensor(
+                2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1)
+            )
+            layer = Tensor(2, ((key, _divide(c, n + 1)) for key, c in split.items()))
+            assert not (layer.slot_expand(0, delta0_prime, 2) - r), (v, n + 1)
+            nxt[v] = layer
+        if nxt:
+            layers[n + 1] = nxt
+        n += 1
+        if not nxt:
+            return layers
+        assert n <= bound, bound
 
 
 # Tree constructors only the tests use: the edgeless tree, and the reader of

@@ -6,6 +6,7 @@ import pytest
 from quiverhopf import bridge
 from quiverhopf.bridge import (
     CoproductLayers,
+    GradedPreLieCoalgebra,
     compare_coproducts,
     delta0_prime,
     extract_prelie,
@@ -20,7 +21,8 @@ from quiverhopf.linear import BasisElement, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Path, all_paths
 from quiverhopf.symalg import cop_free
 from quiverhopf.trees import all_rooted_trees, rho, tree_coproduct
-from support import layer, point
+from quiverhopf.verify import FAMILY
+from support import layer, oracle_reconstruct, point
 
 
 def M(*xs):
@@ -149,8 +151,26 @@ def test_reconstruct_rejects_non_prelie_map():
             return tensor(a, b)
         return Tensor(2)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"at X\|d: layer 2 defect"):
         reconstruct_coproduct([a, b, c, d], degree, bad_rho, 3)
+
+
+def test_reconstruct_names_the_least_degree_failure():
+    # Generators are visited in degree order, so of two failing generators
+    # the error names the one of lower degree, here X|e (degree 3) rather
+    # than X|d (degree 4), which comes first in key order. Both fail at
+    # layer 2.
+    a, b, c, d, e = (BasisElement("X|%s" % s) for s in "abcde")
+    degree = {a: 1, b: 1, c: 2, e: 3, d: 4}.__getitem__
+    maps = {c: tensor(a, b), e: tensor(c, a), d: tensor(c, c)}
+
+    def bad_rho(x):
+        return maps.get(x, Tensor(2))
+
+    with pytest.raises(ValueError, match=r"at X\|e: layer 2 defect"):
+        reconstruct_coproduct([a, b, c, d, e], degree, bad_rho, 4)
+    with pytest.raises(ValueError, match=r"at X\|d: layer 2 defect"):
+        reconstruct_coproduct([a, b, c, d], degree, bad_rho, 4)
 
 
 def test_degree_preservation_of_instances(q1, loop_edge):
@@ -172,8 +192,6 @@ def test_term_counts_reported(q1):
 
 
 def test_graded_prelie_bundle(q1):
-    from quiverhopf.bridge import GradedPreLieCoalgebra
-
     inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 4)), path_degree, delta_p_rt)
     assert inst.check().ok
     layers = inst.reconstruct(6)
@@ -184,6 +202,21 @@ def test_graded_prelie_bundle(q1):
 
     bad_inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 2)), path_degree, bad)
     assert not bad_inst.check().ok
+
+
+def test_graded_prelie_check_expands_each_element_once(two_loops):
+    """The pre-check's degree loop and coaxiom sweep share one rho memo."""
+    calls = Counter()
+
+    def counting_rho(t):
+        calls[t] += 1
+        return rho(t)
+
+    inst, _ = bridge.instance(two_loops, "trees", 5)
+    report = GradedPreLieCoalgebra(inst.basis, tree_degree, counting_rho).check()
+    assert report == inst.check() and report.ok
+    # The basis is closed under rho's components, so rho sees each tree once.
+    assert calls == Counter(inst.basis)
 
 
 def test_reconstruct_memos_are_call_scoped(q1, monkeypatch):
@@ -208,8 +241,27 @@ def test_reconstruct_memos_are_call_scoped(q1, monkeypatch):
     assert runs[0] == runs[1]
     layers, rho_calls, cop_calls = runs[0]
     assert rho_calls == len(basis)
-    # One memo per degree step: a monomial is expanded at most once a step.
-    assert max(cop_calls.values()) <= len(layers)
+    # One memo for the whole call: each monomial is expanded exactly once.
+    assert max(cop_calls.values()) == 1
+
+
+def typed_layers(layers: dict) -> dict:
+    """Layers with every coefficient paired with its type, so 2 != Fraction(2)."""
+    return {
+        n: {v: {k: (c, type(c)) for k, c in t.items()} for v, t in d.items()}
+        for n, d in layers.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_reconstruct_matches_step_major_oracle(name):
+    # Degree-ordered pass against the step-major recursion, layer by layer.
+    for kind, max_degree in (("paths", 6), ("trees", 5)):
+        inst, _ = bridge.instance(FAMILY[name], kind, max_degree)
+        args = (inst.basis, inst.degree, inst.rho, max_degree)
+        layers = reconstruct_coproduct(*args).layers
+        assert typed_layers(layers) == typed_layers(oracle_reconstruct(*args))
+        assert len(layers) >= 2
 
 
 def test_reconstructed_layers_are_int(two_loops):
