@@ -224,12 +224,13 @@ def simple_subcuts(h: Cut):
     taken or replaced by a simple subset of its children, so only the simple
     subsets are built."""
     kids = nesting_children(h)
+    return sorted(Cut(sub) for sub in _simple_subsets(kids, kids[None]))
 
-    def subsets(chords):
-        options = [[(c,)] + subsets(kids[c]) for c in chords]
-        return [sum(combo, ()) for combo in itertools.product(*options)]
 
-    return sorted(Cut(sub) for sub in subsets(kids[None]))
+def _simple_subsets(kids, chords):
+    """The simple subsets of the chords below chords in the nesting forest kids."""
+    options = [[(c,)] + _simple_subsets(kids, kids[c]) for c in chords]
+    return [sum(combo, ()) for combo in itertools.product(*options)]
 
 
 class PathDiagram(BasisElement):

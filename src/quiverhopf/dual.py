@@ -27,16 +27,16 @@ def dual_rooted_tree(d: PathDiagram | NecklaceDiagram) -> RootedTree:
     face is labeled by its cut component. The edge dual to chord (i, j)
     points away from the root iff letter i is unstarred.
     """
-    comps = cut_components(d)
-    kids = nesting_children(d.cut)
-    letters = d.path.letters
+    return _dual_subtree(cut_components(d), nesting_children(d.cut), d.path.letters, None)
 
-    def build(c) -> RootedTree:
-        children = tuple((letters[k[0] - 1].starred, build(k)) for k in kids[c])
-        label = comps.outer if c is None else comps.chords[c]
-        return RootedTree(label, children)
 
-    return build(None)
+def _dual_subtree(comps, kids, letters, c) -> RootedTree:
+    """The dual tree below chord c's face (the unbounded face when c is None)."""
+    children = tuple(
+        (letters[k[0] - 1].starred, _dual_subtree(comps, kids, letters, k)) for k in kids[c]
+    )
+    label = comps.outer if c is None else comps.chords[c]
+    return RootedTree(label, children)
 
 
 def dual_oriented_tree(x: NecklaceDiagram) -> OrientedTree:

@@ -77,25 +77,28 @@ def _graft_cuts(x: Path, graft, signed: bool, factor: int = 1) -> LinComb:
     the coefficient is multiplicative over components. The result for each
     sub-word is memoized by its interval for this call.
     """
+    return _graft_walk(x, graft, signed, factor, {}, 1, len(x.letters))
+
+
+def _graft_walk(x: Path, graft, signed: bool, factor: int, memo: dict, lo: int, hi: int):
+    """_graft_cuts on the sub-word of x at positions lo..hi, memoized in memo
+    by its interval."""
+    if (lo, hi) in memo:
+        return memo[lo, hi]
     letters = x.letters
-
-    @functools.cache
-    def walk(lo: int, hi: int) -> LinComb:
-        """The graft sum over every cut of the sub-word at positions lo..hi."""
-        start = letters[lo - 2].tgt if lo > 1 else x.start
-        terms = []
-        for pairs, outer in _simple_cuts(letters, start, lo, hi):
-            sign = factor * _sign(letters, pairs) if signed else factor
-            kids = [
-                [((letters[i - 1], v), c) for v, c in walk(i + 1, j - 1).items()]
-                for i, j in pairs
-            ]
-            for combo in itertools.product(*kids):
-                coeff = sign * math.prod(c for _, c in combo)
-                terms.append((graft(outer, [kid for kid, _ in combo]), coeff))
-        return LinComb(terms)
-
-    return walk(1, len(letters))
+    start = letters[lo - 2].tgt if lo > 1 else x.start
+    terms = []
+    for pairs, outer in _simple_cuts(letters, start, lo, hi):
+        sign = factor * _sign(letters, pairs) if signed else factor
+        kids = []
+        for i, j in pairs:
+            inner = _graft_walk(x, graft, signed, factor, memo, i + 1, j - 1)
+            kids.append([((letters[i - 1], v), c) for v, c in inner.items()])
+        for combo in itertools.product(*kids):
+            coeff = sign * math.prod(c for _, c in combo)
+            terms.append((graft(outer, [kid for kid, _ in combo]), coeff))
+    value = memo[lo, hi] = LinComb(terms)
+    return value
 
 
 def _dual_tree(outer: Path, kids) -> RootedTree:

@@ -12,7 +12,6 @@ rotation choices.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from typing import Callable, Tuple
@@ -147,21 +146,22 @@ def _walk_tree(root, expand):
     toward the root, which is how RootedTree lifts it.
     """
     labels, edge_list, adj = [], [], []
-
-    def visit(node, parent_edge):
-        v = len(labels)
-        label, kids = expand(node)
-        labels.append(label)
-        es = [] if parent_edge is None else [parent_edge]
-        adj.append(es)
-        for up, child in kids:
-            w, e = len(labels), len(edge_list)
-            edge_list.append((w, v) if up else (v, w))
-            es.append(e)
-            visit(child, e)
-
-    visit(root, None)
+    _visit(root, None, expand, labels, edge_list, adj)
     return labels, edge_list, adj
+
+
+def _visit(node, parent_edge, expand, labels, edge_list, adj):
+    """Append node and the subtree below it to _walk_tree's numbering."""
+    v = len(labels)
+    label, kids = expand(node)
+    labels.append(label)
+    es = [] if parent_edge is None else [parent_edge]
+    adj.append(es)
+    for up, child in kids:
+        w, e = len(labels), len(edge_list)
+        edge_list.append((w, v) if up else (v, w))
+        es.append(e)
+        _visit(child, e, expand, labels, edge_list, adj)
 
 
 class OrientedTree(BasisElement):
@@ -207,26 +207,14 @@ class OrientedTree(BasisElement):
         self.canon_rot = best[2]
 
     @staticmethod
-    def _serialize(labels, edge_list, adj, root: int, rot: int, below=None) -> str:
+    def _serialize(labels, edge_list, adj, root: int, rot: int, below: dict) -> str:
         """Planar serialization from root, its cyclic order started at rot.
 
         The serialization of a non-root vertex depends only on the edge toward
         the root, not on root or rot; below memoizes it per (vertex, edge) so
         the candidates of one tree share it.
         """
-        if below is None:
-            below = {}
-
-        def ser(v, parent_edge):
-            parts = []
-            for up, (w, eidx) in _planar_children(edge_list, adj, v, parent_edge, rot):
-                sub = below.get((w, eidx))
-                if sub is None:
-                    sub = below[w, eidx] = ser(w, eidx)
-                parts.append(("^" if up else "v") + sub)
-            return "{%s:%s}" % (labels[v].skey, "".join(parts))
-
-        return ser(root, None)
+        return _serialize_at(labels, edge_list, adj, rot, below, root, None)
 
     def vertex_count(self) -> int:
         return len(self.labels)
@@ -248,19 +236,31 @@ class OrientedTree(BasisElement):
         )
 
     def to_json(self) -> dict:
-        def walk(v, parent_edge):
-            children = [
-                {"orient": "in" if up else "out", "node": walk(w, eidx)}
-                for up, (w, eidx) in _planar_children(
-                    self.edge_list, self.adj, v, parent_edge, self.canon_rot
-                )
-            ]
-            return {"label": self.labels[v].text(), "children": children}
-
-        return walk(self.canon_root, None)
+        return _json_at(self, self.canon_root, None)
 
     def text(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+def _serialize_at(labels, edge_list, adj, rot: int, below: dict, v, parent_edge) -> str:
+    """OrientedTree._serialize below vertex v, entered by parent_edge (None
+    at the root); below memoizes each non-root vertex by (vertex, edge)."""
+    parts = []
+    for up, (w, eidx) in _planar_children(edge_list, adj, v, parent_edge, rot):
+        sub = below.get((w, eidx))
+        if sub is None:
+            sub = below[w, eidx] = _serialize_at(labels, edge_list, adj, rot, below, w, eidx)
+        parts.append(("^" if up else "v") + sub)
+    return "{%s:%s}" % (labels[v].skey, "".join(parts))
+
+
+def _json_at(t: OrientedTree, v, parent_edge) -> dict:
+    """OrientedTree.to_json below vertex v, entered by parent_edge."""
+    children = [
+        {"orient": "in" if up else "out", "node": _json_at(t, w, eidx)}
+        for up, (w, eidx) in _planar_children(t.edge_list, t.adj, v, parent_edge, t.canon_rot)
+    ]
+    return {"label": t.labels[v].text(), "children": children}
 
 
 def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) -> OrientedTree:
@@ -291,24 +291,18 @@ def all_rooted_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,))
     """
     labels = tuple(labels)
     flags = tuple(flags)
-
-    @functools.cache
-    def trees(budget: int):
-        return [RootedTree(lab, kids) for kids in forests(budget) for lab in labels]
-
-    @functools.cache
-    def forests(budget: int):
-        if budget == 0:
-            return [()]
-        return [
+    # trees[b] and forests[b] hold the trees and planar forests with b edges.
+    trees, forests = [], []
+    for budget in range(max_edges + 1):
+        forests.append([()] if budget == 0 else [
             ((flag, sub),) + rest
             for first_size in range(budget)
-            for sub in trees(first_size)
+            for sub in trees[first_size]
             for flag in flags
-            for rest in forests(budget - 1 - first_size)
-        ]
-
-    return sorted(t for e in range(max_edges + 1) for t in trees(e))
+            for rest in forests[budget - 1 - first_size]
+        ])
+        trees.append([RootedTree(lab, kids) for kids in forests[budget] for lab in labels])
+    return sorted(t for level in trees for t in level)
 
 
 def all_oriented_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False, True)):

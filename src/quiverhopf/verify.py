@@ -113,13 +113,14 @@ def verify_hopf_morphism(
 
     cop_src/cop_tgt are generator-level monomial-slot coproducts; f maps a
     source generator to a LinComb of target generators. The check runs on
-    generators, which suffices multiplicatively.
+    generators, which suffices multiplicatively; it extends each monomial once.
     """
 
+    @functools.cache
     def f_mono(x):
         return LinComb((Monomial((y,)), c) for y, c in f(x).items())
 
-    fs = functools.partial(symalg.multiplicative, f_mono)
+    fs = functools.cache(functools.partial(symalg.multiplicative, f_mono))
     return verify_defect(
         lambda x: cop_src(x).slot_map(0, fs).slot_map(1, fs) - _lift(cop_tgt, f(x)),
         sample,
@@ -138,11 +139,11 @@ def verify_injectivity(eta: Callable, sample, law: str) -> Report:
 def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator of the symmetric algebra.
 
-    Within one call each generator's antipode series is computed once, and a
-    monomial's antipode is the product of its generators' antipodes.
+    Within one call each generator's antipode series is computed once, and
+    each monomial's antipode, the product of its generators' antipodes, once.
     """
     gen_antipode = functools.cache(lambda x: symalg.antipode_free(gen_cop, Monomial((x,))))
-    antipode = functools.partial(symalg.multiplicative, gen_antipode)
+    antipode = functools.cache(functools.partial(symalg.multiplicative, gen_antipode))
     return verify_defect(
         lambda x: symalg.antipode_defect(gen_cop, Monomial((x,)), antipode), sample, law
     )

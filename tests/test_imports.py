@@ -1,11 +1,15 @@
-"""Every name a library module imports is used in that module, and only
-`cuts` and `quiver` slice a word's letters.
+"""Every name a library module imports is used in that module, only `cuts`
+and `quiver` slice a word's letters, and no nested function recurses.
 
 Stdlib stand-ins for lint rules: each module of `src/quiverhopf` except
 `__init__.py` (whose imports are its exports) is parsed with `ast`. An import
 line carrying `# noqa` is exempt, for modules imported to be looked up by
 name. The pieces of every cut are read by one slicing rule in `cuts`
-(`_outside`); `quiver` slices letters only to rotate a word.
+(`_outside`); `quiver` slices letters only to rotate a word. A nested
+function that calls itself or a function nested beside it can reach itself
+through its own closure, so every call of the enclosing function leaves a
+reference cycle for the cyclic collector; recursions are module-level
+functions that take their state as arguments.
 """
 
 import ast
@@ -77,3 +81,55 @@ def test_only_cuts_and_quiver_slice_letters():
     for name, source in library_sources().items():
         if name not in ("cuts.py", "quiver.py"):
             assert letter_slices(source) == [], name
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def nested_functions(fn):
+    """The functions defined in fn's own scope, not inside another function,
+    lambda or class in it."""
+    found, stack = [], list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            found.append(node)
+        elif not isinstance(node, (ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def recursive_closures(source: str):
+    """The names, as outer.inner, of the functions nested in a function of
+    `source` that refer to their own name or to a function nested beside them."""
+    flagged = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        nested = nested_functions(outer)
+        names = {f.name for f in nested}
+        for f in nested:
+            used = {n.id for stmt in f.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            if used & names:
+                flagged.append("%s.%s" % (outer.name, f.name))
+    return sorted(flagged)
+
+
+def test_recursive_closure_check_flags_self_and_sibling_calls():
+    source = (
+        "def f(n):\n"
+        "    def g(k):\n        return g(k - 1) if k else 0\n"
+        "    def h(k):\n        return k + n\n"
+        "    if n:\n"
+        "        def a(k):\n            return b(k)\n"
+        "        def b(k):\n            return a(k - 1) if k else 0\n"
+        "    return g(n) + h(n)\n"
+        "def r(n):\n    return r(n - 1) if n else 0\n"
+        "class C:\n    def m(self):\n        return self.m()\n"
+    )
+    assert recursive_closures(source) == ["f.a", "f.b", "f.g"]
+
+
+def test_no_library_function_recurses_through_a_closure():
+    for name, source in library_sources().items():
+        assert recursive_closures(source) == [], name

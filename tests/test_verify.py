@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverhopf import hopf, verify
+from quiverhopf import hopf, symalg, verify
 from quiverhopf.quiver import Quiver
 from quiverhopf.verify import FAMILY, LAWS, SELECTED, run_laws
 
@@ -139,3 +139,21 @@ def test_law_run_alone_builds_its_own_memo(monkeypatch):
         del calls[:]
         assert law.run(FAMILY["two_loops"], 3).ok
         assert len(calls) == len(set(calls)) == 85
+
+
+@pytest.mark.parametrize("checker", ["verify_hopf_morphism", "verify_antipode"])
+def test_multiplicative_extension_runs_once_per_monomial(monkeypatch, checker):
+    """Each Hopf-morphism and antipode sweep extends a monomial once; without
+    the memo the laws on two_loops repeat extensions."""
+    calls = []
+    original = symalg.multiplicative
+
+    def counting(f, m):
+        calls.append(m)
+        return original(f, m)
+
+    monkeypatch.setattr(symalg, "multiplicative", counting)
+    for law in [law for law in LAWS if law.checker == checker]:
+        del calls[:]
+        assert law.run(FAMILY["two_loops"], 3).ok
+        assert len(calls) == len(set(calls)) > 0, law.label
