@@ -264,8 +264,8 @@ class NecklaceDiagram(BasisElement):
             raise ValueError("necklace diagram needs a closed word")
         validate_cut(path, cut)
         n = len(path.letters)
-        keys = tuple(lt.sort_key for lt in path.letters) * 2
-        words = [keys[k : k + n] for k in range(max(n, 1))]
+        letters = path.letters * 2
+        words = [letters[k : k + n] for k in range(max(n, 1))]
         least = min(words)
 
         def rotated_pairs(k):

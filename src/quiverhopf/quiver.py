@@ -10,6 +10,7 @@ rotation, stored by their lexicographically minimal rotation.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .linear import BasisElement
 
@@ -24,40 +25,26 @@ def _check_id(s: str, what: str) -> str:
     return s
 
 
-class Letter:
+class Letter(NamedTuple):
     """One letter of the double quiver: a base edge id plus a star flag.
 
     The reverse of a letter swaps source and target and toggles the flag;
-    reversing twice gives the letter back. Letters are ordered by
-    (edge id, flag), which fixes all necklace canonical forms.
+    reversing twice gives the letter back. Within one quiver the edge id and
+    the flag fix source and target, so the tuple's own equality, hash and
+    order are those of (edge id, flag), which fixes all necklace canonical
+    forms.
     """
 
-    __slots__ = ("eid", "starred", "src", "tgt")
-
-    def __init__(self, eid: str, starred: bool, src: str, tgt: str):
-        self.eid = eid
-        self.starred = bool(starred)
-        self.src = src
-        self.tgt = tgt
+    eid: str
+    starred: bool
+    src: str
+    tgt: str
 
     def star(self) -> "Letter":
         return Letter(self.eid, not self.starred, self.tgt, self.src)
 
-    @property
-    def sort_key(self):
-        return (self.eid, self.starred)
-
     def text(self) -> str:
         return self.eid + ("*" if self.starred else "")
-
-    def __eq__(self, other):
-        return isinstance(other, Letter) and self.sort_key == other.sort_key
-
-    def __hash__(self):
-        return hash(self.sort_key)
-
-    def __lt__(self, other):
-        return self.sort_key < other.sort_key
 
     def __repr__(self):
         return self.text()
@@ -99,11 +86,7 @@ class Quiver:
 
     def letters(self):
         """All letters of the double quiver, in canonical order."""
-        out = []
-        for eid in sorted(self.edges):
-            out.append(self.letter(eid, False))
-            out.append(self.letter(eid, True))
-        return out
+        return sorted(self.letter(eid, starred) for eid in self.edges for starred in (False, True))
 
     def trivial(self, v: str) -> "Path":
         return Path(str(v), ())
@@ -132,22 +115,20 @@ class Quiver:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
 
-    def parse_path(self, text: str) -> "Path":
-        """Parse "v0 e1 e2* ..." with an explicit start vertex."""
-        toks = text.split()
-        if not toks:
-            raise ParseError("empty path (expected a start vertex)", 0)
-        v = toks[0]
-        if v not in set(self.vertices):
-            raise ParseError("token 1: %r is not a vertex id" % v, 1)
+    def _read(self, tok: str, pos: int) -> Letter:
+        """The letter a token names; pos is its number among the typed tokens."""
+        starred = tok.endswith("*")
+        eid = tok[:-1] if starred else tok
+        if eid not in self.edges:
+            raise ParseError("token %d: %r is not an edge id" % (pos, tok), pos)
+        return self.letter(eid, starred)
+
+    def _walk(self, v: str, toks, pos: int) -> "Path":
+        """Read letter tokens as a path from vertex v, numbering them from pos."""
         letters = []
         at = v
-        for pos, tok in enumerate(toks[1:], start=2):
-            starred = tok.endswith("*")
-            eid = tok[:-1] if starred else tok
-            if eid not in self.edges:
-                raise ParseError("token %d: %r is not an edge id" % (pos, tok), pos)
-            lt = self.letter(eid, starred)
+        for pos, tok in enumerate(toks, start=pos):
+            lt = self._read(tok, pos)
             if lt.src != at:
                 raise ParseError(
                     "token %d: letter %s starts at %s but the path is at %s"
@@ -158,31 +139,28 @@ class Quiver:
             at = lt.tgt
         return Path(v, tuple(letters))
 
+    def parse_path(self, text: str) -> "Path":
+        """Parse "v0 e1 e2* ..." with an explicit start vertex."""
+        toks = text.split()
+        if not toks:
+            raise ParseError("empty path (expected a start vertex)", 0)
+        if toks[0] not in self.vertices:
+            raise ParseError("token 1: %r is not a vertex id" % toks[0], 1)
+        return self._walk(toks[0], toks[1:], 2)
+
     def parse_necklace(self, text: str) -> "Necklace":
-        """Parse "[e1 e2* ...]" (start inferred) or "[v]" for a trivial necklace."""
+        """Parse "[e1 e2* ...]" (start inferred), "[v e1 e2* ...]", or "[v]" for a
+        trivial necklace."""
         s = text.strip()
         if not (s.startswith("[") and s.endswith("]")):
             raise ParseError("necklace must be bracketed like [e e*]", 0)
-        inner = s[1:-1].strip()
-        toks = inner.split()
+        toks = s[1:-1].split()
         if not toks:
             raise ParseError("empty necklace brackets", 0)
-        vset = set(self.vertices)
-        if len(toks) == 1 and toks[0] in vset:
-            return Necklace(self.trivial(toks[0]))
-        start = None
-        if toks[0] in vset:
-            start = toks[0]
-            toks = toks[1:]
-        first = toks[0]
-        starred = first.endswith("*")
-        eid = first[:-1] if starred else first
-        if eid not in self.edges:
-            raise ParseError("token 1: %r is not an edge id" % first, 1)
-        lt = self.letter(eid, starred)
-        if start is None:
-            start = lt.src
-        p = self.parse_path(" ".join([start] + toks))
+        if toks[0] in self.vertices:
+            p = self._walk(toks[0], toks[1:], 2)
+        else:
+            p = self._walk(self._read(toks[0], 1).src, toks, 1)
         if not p.is_closed():
             raise ParseError("necklace word is not closed (ends at %s, starts at %s)" % (p.end, p.start), 0)
         return Necklace(p)
@@ -285,10 +263,10 @@ class Necklace(BasisElement):
             raise ValueError("necklace requires a closed path, got %s" % p.text())
         rep = p
         if p.letters:
-            # Compare rotations of the key tuple; min keeps the first on a tie.
+            # Compare rotations of the letter word; min keeps the first on a tie.
             n = len(p.letters)
-            keys = tuple(lt.sort_key for lt in p.letters) * 2
-            rep = rotate(p, min(range(n), key=lambda k: keys[k : k + n]))
+            word = p.letters * 2
+            rep = rotate(p, min(range(n), key=lambda k: word[k : k + n]))
         BasisElement.__init__(self, "N|" + rep.skey[2:])
         self.rep = rep
 

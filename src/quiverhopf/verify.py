@@ -30,7 +30,6 @@ class Report:
     law: str
     checked: int
     witness: Optional[tuple] = None  # (element, defect)
-    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -39,8 +38,7 @@ class Report:
 
     def line(self) -> str:
         if self.ok:
-            suffix = " [%s]" % self.note if self.note else ""
-            return "PASS %s (%d elements)%s" % (self.law, self.checked, suffix)
+            return "PASS %s (%d elements)" % (self.law, self.checked)
         if self.witness is None:
             return "FAIL %s: no elements checked" % self.law
         x, defect = self.witness

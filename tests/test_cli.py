@@ -248,6 +248,12 @@ def test_parse_error_exit_code(capsys):
     assert "token 3" in capsys.readouterr().err
 
 
+def test_necklace_parse_error_names_the_typed_token(capsys):
+    rc = main(["cobracket", "--kind", "or", "--input", "[a x]", "--quiver", TWO_LOOPS])
+    assert rc == 2
+    assert "token 2" in capsys.readouterr().err
+
+
 def test_unknown_quiver_file(capsys):
     rc = main(["coproduct", "--input", "1 e", "--quiver", "/nonexistent.json"])
     assert rc == 2

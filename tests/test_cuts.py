@@ -536,7 +536,7 @@ def brute_necklace_diagram(path, cut):
                 for i, j in cut.pairs
             )
         )
-        cands.append(((tuple(lt.sort_key for lt in word.letters), moved.pairs), word, moved))
+        cands.append(((tuple((lt.eid, lt.starred) for lt in word.letters), moved.pairs), word, moved))
     best = cands[0]
     for cand in cands[1:]:
         if cand[0] < best[0]:

@@ -13,6 +13,7 @@ from quiverhopf.quiver import (
     omega,
     rotate,
 )
+from quiverhopf.verify import FAMILY
 from support import compose, quiver_to_dict
 
 
@@ -93,7 +94,7 @@ def brute_necklace_rep(p: Path) -> Path:
     best = None
     for k in range(max(len(p.letters), 1)):
         cand = rotate(p, k)
-        key = tuple(lt.sort_key for lt in cand.letters)
+        key = tuple((lt.eid, lt.starred) for lt in cand.letters)
         if best is None or key < best[0]:
             best = (key, cand)
     return best[1]
@@ -146,6 +147,52 @@ def test_parse_errors(q1):
     assert "token 3" in str(exc.value)
     with pytest.raises(ParseError):
         q1.parse_necklace("[e]")  # not closed
+
+
+@pytest.mark.parametrize(
+    "name, parse, text, pos, message",
+    [
+        ("two_loops", "parse_necklace", "[a x]", 2, "token 2: 'x' is not an edge id"),
+        ("triangle", "parse_necklace", "[e g]", 2, "token 2: letter g starts at 3 but the path is at 2"),
+        ("two_loops", "parse_necklace", "[v x]", 2, "token 2: 'x' is not an edge id"),
+        ("two_loops", "parse_necklace", "[v a x]", 3, "token 3: 'x' is not an edge id"),
+        ("one_edge", "parse_path", "1 e e", 3, "token 3: letter e starts at 1 but the path is at 2"),
+    ],
+    ids=["unknown-edge", "broken-walk", "unknown-after-start", "unknown-third", "path"],
+)
+def test_parse_error_names_the_typed_token(name, parse, text, pos, message):
+    with pytest.raises(ParseError) as exc:
+        getattr(FAMILY[name], parse)(text)
+    assert (exc.value.pos, str(exc.value)) == (pos, message)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_letter_order_and_identity(name):
+    q = FAMILY[name]
+    letters = q.letters()
+    assert letters == sorted(letters) == sorted(letters, key=lambda lt: (lt.eid, lt.starred))
+    assert len(set(letters)) == len(letters) == 2 * len(q.edges)
+    for a in letters:
+        assert a.star().star() == a
+        assert omega(a, a.star()) == -omega(a.star(), a) != 0
+        for b in letters + [q.letter(lt.eid, lt.starred) for lt in letters]:
+            same = (a.eid, a.starred) == (b.eid, b.starred)
+            assert (a == b, hash(a) == hash(b)) == (same, same)
+        with pytest.raises(AttributeError):
+            a.eid = "z"
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_necklace_roundtrip_through_every_written_form(name):
+    q = FAMILY[name]
+    seen = set()
+    for p in all_closed_paths(q, 3):
+        word = " ".join(lt.text() for lt in p.letters)
+        forms = ["[%s]" % p.start] if p.is_trivial() else ["[%s]" % word, "[%s %s]" % (p.start, word)]
+        for text in forms:
+            assert q.parse_necklace(text) == Necklace(p)
+        seen.add(Necklace(p))
+    assert seen == set(all_necklaces(q, 3))
 
 
 def test_quiver_validation():
