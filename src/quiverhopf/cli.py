@@ -21,7 +21,7 @@ from .dual import dual_rooted_tree
 from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
 from .linear import format_scalar
 from .quiver import ONE_EDGE_QUIVER, Necklace, ParseError, Quiver
-from .trees import OrientedTree, tree_to_json
+from .trees import json_text
 from .verify import LAWS, run_laws
 
 _CUT_PAIR = r"\(\s*(\d+)\s*,\s*(\d+)\s*\)"
@@ -41,12 +41,6 @@ def _size(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %d" % n)
     return n
-
-
-def _tree_text(t) -> str:
-    if isinstance(t, OrientedTree):
-        return t.text()
-    return json.dumps(tree_to_json(t), sort_keys=True, separators=(",", ":"))
 
 
 def _quiver(args) -> Quiver:
@@ -112,7 +106,7 @@ def cmd_dualtree(args, out) -> int:
     q = _quiver(args)
     d = PathDiagram(q.parse_path(args.path), _parse_cut(args.cut))
     print("eps=%s" % format_scalar(epsilon(d)), file=out)
-    print(_tree_text(dual_rooted_tree(d)), file=out)
+    print(json_text(dual_rooted_tree(d)), file=out)
     return 0
 
 
@@ -128,7 +122,7 @@ def cmd_eta(args, out) -> int:
         print("0", file=out)
         return 0
     for t, c in lc.terms():
-        print("%s * %s" % (format_scalar(c, structured), _tree_text(t)), file=out)
+        print("%s * %s" % (format_scalar(c, structured), json_text(t)), file=out)
     return 0
 
 

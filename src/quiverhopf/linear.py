@@ -338,64 +338,63 @@ TAU123 = (2, 3, 1)  # cycle (123): 1 -> 2 -> 3 -> 1
 TAU132 = (3, 1, 2)  # cycle (132): 1 -> 3 -> 2 -> 1
 
 
-class Monomial(BasisElement):
+class _Product(BasisElement):
+    """The body Monomial and Word share: a product of factors, multiplied by
+    concatenation, the empty product being the unit. Each subclass builds its
+    own key and sets _bracket; different monoids never multiply."""
+
+    __slots__ = ("factors",)
+
+    def __mul__(self, other):
+        kind = type(self)
+        if type(other) is not kind:
+            raise TypeError("cannot multiply %s by %s" % (kind.__name__, type(other).__name__))
+        return kind(self.factors + other.factors)
+
+    def is_unit(self) -> bool:
+        return not self.factors
+
+    def __len__(self):
+        return len(self.factors)
+
+    def text(self) -> str:
+        if not self.factors:
+            return "1"
+        return "".join(self._bracket % f.text() for f in self.factors)
+
+
+class Monomial(_Product):
     """Symmetric monomial: an unordered multiset of basis elements.
 
     The empty monomial is the unit 1 of the symmetric algebra.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
+    _bracket = "{%s}"
 
     def __init__(self, factors=()):
         fs = tuple(sorted(factors))
         BasisElement.__init__(self, "M|" + "".join("{%s}" % f.skey for f in fs))
         self.factors = fs
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.factors + other.factors)
-
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def __len__(self):
-        return len(self.factors)
-
-    def text(self) -> str:
-        if not self.factors:
-            return "1"
-        return "".join("{%s}" % f.text() for f in self.factors)
-
 
 SYM_UNIT = Monomial(())
 
 
-class Word(BasisElement):
+class Word(_Product):
     """Ordered word of basis elements: a monomial of the tensor algebra.
 
     Unlike Monomial, the factor order is significant; the empty word is the
     unit.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
+    _bracket = "(%s)"
 
     def __init__(self, factors=()):
         fs = tuple(factors)
         BasisElement.__init__(self, "W|" + "".join("(%s)" % f.skey for f in fs))
         self.factors = fs
-
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.factors + other.factors)
-
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def __len__(self):
-        return len(self.factors)
-
-    def text(self) -> str:
-        if not self.factors:
-            return "1"
-        return "".join("(%s)" % f.text() for f in self.factors)
 
 
 WORD_UNIT = Word(())

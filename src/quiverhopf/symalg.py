@@ -5,8 +5,9 @@ or words) extends multiplicatively to all monomials. This module supplies
 the graft-shaped body of every generator coproduct, that extension, the
 multiplicative extension of any generator map, the reduced coproduct
 obtained by dropping unit slots, the geometric-series antipode, and the
-coassociativity and antipode defects used by the law checkers. Everything works for both Monomial (symmetric) and Word (ordered)
-coefficients because both carry their own multiplication and unit.
+coassociativity and antipode defects used by the law checkers. All of it
+works for Monomial (symmetric) and Word (ordered) slots alike: each carries
+its own product and unit, and lift_generator reads the monoid off a coproduct.
 """
 
 from __future__ import annotations
@@ -18,8 +19,15 @@ from typing import Callable
 from .linear import LinComb, Monomial, Tensor
 
 
-def _unit_like(m):
-    return type(m)(())
+MAX_STEPS = 64  # the antipode series gives up after this many steps
+
+
+def lift_generator(gen_cop: Callable, x):
+    """x in the monoid (Monomial or Word) that gen_cop(x) is valued in, read
+    off a slot of its terms; every graft coproduct holds x (x) 1."""
+    for (a, _), _ in gen_cop(x).items():
+        return type(a)((x,))
+    raise ValueError("the coproduct of %s has no terms, so it names no monoid" % x.text())
 
 
 def graft_coproduct(x, splits, kind=Monomial) -> Tensor:
@@ -40,7 +48,7 @@ def cop_free(gen_cop: Callable, m) -> Tensor:
     gen_cop must return the full coproduct of a generator (including the
     x (x) 1 and 1 (x) x terms) with slots already of the same monoid type as m.
     """
-    unit = _unit_like(m)
+    unit = type(m)(())
     out = Tensor.single((unit, unit))
     for x in m.factors:
         add = gen_cop(x).items()
@@ -70,12 +78,12 @@ def multiply_slots(t: Tensor) -> LinComb:
     return LinComb((functools.reduce(operator.mul, key), c) for key, c in t.items())
 
 
-def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
+def antipode_free(gen_cop: Callable, m) -> LinComb:
     """Geometric-series antipode of a monomial/word.
 
     S(m) = -m + sum_{n>=1} (-1)^(n+1) mu^n (reduced cop)^n (m), with S(1) = 1.
     The series terminates because every reduced-coproduct slot strictly drops
-    the grading; max_steps guards against a non-terminating (ungraded) input.
+    the grading; MAX_STEPS guards against a non-terminating (ungraded) input.
     This is the convolution-inverse series, so it is valid for the ordered
     (word) algebra as well, where it is automatically anti-multiplicative.
     Within one call each generator's coproduct and each monomial's reduced
@@ -91,10 +99,10 @@ def antipode_free(gen_cop: Callable, m, max_steps: int = 64) -> LinComb:
     steps = 0
     while current:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             raise RuntimeError(
                 "antipode series did not terminate within %d steps; "
-                "the coproduct does not strictly decrease any grading" % max_steps
+                "the coproduct does not strictly decrease any grading" % MAX_STEPS
             )
         result = result + sign * multiply_slots(current)
         current = current.slot_expand(0, reduced, 2)
@@ -114,7 +122,7 @@ def multiplicative(f: Callable, m) -> LinComb:
     unit of m's monoid; f sends a generator to a combination of monomials or
     words of that monoid.
     """
-    out = LinComb.single(_unit_like(m))
+    out = LinComb.single(type(m)(()))
     for x in m.factors:
         out = mul_lincomb(out, f(x))
     return out
@@ -138,5 +146,5 @@ def antipode_defect(gen_cop: Callable, m, antipode: Callable) -> LinComb:
         for sa, ca in antipode(a).items()
     )
     if m.is_unit():
-        acc = acc - LinComb.single(_unit_like(m), 1)
+        acc = acc - LinComb.single(m)
     return acc

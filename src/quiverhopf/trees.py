@@ -59,11 +59,17 @@ class RootedTree(BasisElement):
 
 def tree_to_json(t: RootedTree) -> dict:
     """Structured-text form: {"label": ..., "children": [{"orient", "node"}]}."""
+    return _json_at(t, lambda node: (node.label, node.children))
+
+
+def _json_at(node, expand) -> dict:
+    """tree_to_json below node, for any expand of _walk_tree's protocol."""
+    label, kids = expand(node)
     return {
-        "label": t.label.text(),
+        "label": label.text(),
         "children": [
-            {"orient": "in" if up else "out", "node": tree_to_json(child)}
-            for up, child in t.children
+            {"orient": "in" if up else "out", "node": _json_at(child, expand)}
+            for up, child in kids
         ],
     }
 
@@ -123,7 +129,7 @@ def tree_coproduct(t: RootedTree) -> Tensor:
 def _planar_children(edge_list, adj, v, parent_edge, rot: int):
     """The edges below v in planar order, as (points at v, (far end, edge)):
     after the edge toward the root (parent_edge), or from position rot at the
-    root. The pairs (far end, edge) are the nodes that delete_edge walks."""
+    root. The pairs (far end, edge) are the nodes of OrientedTree._expand."""
     es = adj[v]
     if parent_edge is None:
         order = es[rot:] + es[:rot]
@@ -222,24 +228,32 @@ class OrientedTree(BasisElement):
     def edge_count(self) -> int:
         return len(self.edge_list)
 
+    def _expand(self, node):
+        """_walk_tree's expand on (vertex, edge toward the root or None)."""
+        v, parent_edge = node
+        return self.labels[v], _planar_children(
+            self.edge_list, self.adj, v, parent_edge, self.canon_rot
+        )
+
     def delete_edge(self, eidx: int):
         """Split at one edge; returns (away_part, toward_part) following the
         edge orientation: the second component is the one the edge points to.
         Each side is walked from its end of the edge."""
-
-        def expand(node):
-            v, parent_edge = node
-            return self.labels[v], _planar_children(self.edge_list, self.adj, v, parent_edge, 0)
-
         return tuple(
-            OrientedTree(*_walk_tree((end, eidx), expand)) for end in self.edge_list[eidx]
+            OrientedTree(*_walk_tree((end, eidx), self._expand)) for end in self.edge_list[eidx]
         )
 
     def to_json(self) -> dict:
-        return _json_at(self, self.canon_root, None)
+        return _json_at((self.canon_root, None), self._expand)
 
     def text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return json_text(self)
+
+
+def json_text(t) -> str:
+    """The printed structured-text form of a rooted or oriented tree."""
+    obj = t.to_json() if isinstance(t, OrientedTree) else tree_to_json(t)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _serialize_at(labels, edge_list, adj, rot: int, below: dict, v, parent_edge) -> str:
@@ -252,15 +266,6 @@ def _serialize_at(labels, edge_list, adj, rot: int, below: dict, v, parent_edge)
             sub = below[w, eidx] = _serialize_at(labels, edge_list, adj, rot, below, w, eidx)
         parts.append(("^" if up else "v") + sub)
     return "{%s:%s}" % (labels[v].skey, "".join(parts))
-
-
-def _json_at(t: OrientedTree, v, parent_edge) -> dict:
-    """OrientedTree.to_json below vertex v, entered by parent_edge."""
-    children = [
-        {"orient": "in" if up else "out", "node": _json_at(t, w, eidx)}
-        for up, (w, eidx) in _planar_children(t.edge_list, t.adj, v, parent_edge, t.canon_rot)
-    ]
-    return {"label": t.labels[v].text(), "children": children}
 
 
 def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) -> OrientedTree:

@@ -15,10 +15,11 @@ from quiverhopf.cuts import (
     epsilon,
 )
 from quiverhopf.hopf import _formula_terms, path_coproduct
-from quiverhopf.linear import LinComb, Monomial, Tensor
+from quiverhopf.linear import LinComb, Monomial, Tensor, Word
 from quiverhopf.quiver import Necklace, Path, Quiver, omega
-from quiverhopf.symalg import antipode_free, cop_free, multiplicative
+from quiverhopf.symalg import antipode_defect, antipode_free, cop_free, multiplicative
 from quiverhopf.trees import OrientedTree, RootedTree, rho
+from quiverhopf.verify import Report, verify_defect
 
 
 def counit_defect(gen_cop, m) -> LinComb:
@@ -265,6 +266,19 @@ def antipode_monomial(gen_cop, m: Monomial) -> LinComb:
     """In the commutative case S(xy) = S(x)S(y), so the product of the
     per-generator antipode series."""
     return multiplicative(lambda x: antipode_free(gen_cop, Monomial((x,))), m)
+
+
+# The antipode axiom of the ordered algebra with a geometric series run on
+# every word the coproduct's left slots hold, and no extension from the
+# generators: the oracle for `verify.verify_antipode` on word-valued
+# coproducts, which extends its generator series anti-multiplicatively.
+
+
+def oracle_word_antipode(gen_cop, sample, law: str) -> Report:
+    """mu(S (x) 1)cop = eps on each generator of the ordered algebra, with
+    one series per distinct word."""
+    antipode = functools.cache(functools.partial(antipode_free, gen_cop))
+    return verify_defect(lambda x: antipode_defect(gen_cop, Word((x,)), antipode), sample, law)
 
 
 # The step-major layer recursion: at step n every generator's coproduct,

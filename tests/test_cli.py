@@ -496,7 +496,7 @@ def test_antipode_sweep_computes_each_series_once(monkeypatch):
         counts.append(len(calls))
     # One series per distinct (law, generator); a second run repeats them all,
     # so no memo outlives its sweep (532 calls without the memo).
-    assert counts == [308, 308]
+    assert counts == [307, 307]
     per_law = {}
     for args in calls:
         per_law.setdefault(args[0], []).append(args[1])

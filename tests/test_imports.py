@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, only `cuts`
-and `quiver` slice a word's letters, and no nested function recurses.
+and `quiver` slice a word's letters, no nested function recurses, and the
+law checkers never name a monoid.
 
 Stdlib stand-ins for lint rules: each module of `src/quiverhopf` except
 `__init__.py` (whose imports are its exports) is parsed with `ast`. An import
@@ -9,7 +10,8 @@ name. The pieces of every cut are read by one slicing rule in `cuts`
 function that calls itself or a function nested beside it can reach itself
 through its own closure, so every call of the enclosing function leaves a
 reference cycle for the cyclic collector; recursions are module-level
-functions that take their state as arguments.
+functions that take their state as arguments. `verify` reads the monoid
+(`Monomial` or `Word`) off the coproduct a law checks, so it names neither.
 """
 
 import ast
@@ -133,3 +135,36 @@ def test_recursive_closure_check_flags_self_and_sibling_calls():
 def test_no_library_function_recurses_through_a_closure():
     for name, source in library_sources().items():
         assert recursive_closures(source) == [], name
+
+
+MONOIDS = ("Monomial", "Word")
+
+
+def monoid_names(source: str):
+    """The monoid class names that `source` imports, binds, or reads as a
+    name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update((alias.name.rpartition(".")[2], alias.asname))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            names.add(node.name)
+    return sorted(names.intersection(MONOIDS))
+
+
+def test_monoid_name_check_flags_imports_bindings_and_attributes():
+    assert monoid_names("from .linear import Monomial as M\nx = linear.Word(())\n") == [
+        "Monomial",
+        "Word",
+    ]
+    assert monoid_names("Word = 1\n") == ["Word"]
+    assert monoid_names('from .linear import LinComb\n"""A Word."""\nWords = 1\n') == []
+
+
+def test_verify_names_no_monoid():
+    assert monoid_names(library_sources()["verify.py"]) == []

@@ -178,6 +178,13 @@ def test_word_order_matters():
     assert Word((A,)) * Word((B,)) == Word((A, B))
 
 
+def test_monomials_and_words_never_multiply_each_other():
+    with pytest.raises(TypeError):
+        Monomial(()) * Word((A,))
+    with pytest.raises(TypeError):
+        Word(()) * Monomial((A,))
+
+
 def test_keys_are_type_tagged():
     # Same payload in different basis types must never collide.
     assert Monomial((A,)) != Word((A,))

@@ -1,4 +1,6 @@
-"""Run-scoped map memos of `verify.run_laws`: oracle, counting and lifetime."""
+"""Run-scoped map memos of `verify.run_laws`: oracle, counting and lifetime.
+Also the one Hopf-law path of both monoids: the checkers read the monoid
+(Monomial or Word) off the coproduct they are given."""
 
 import functools
 import gc
@@ -9,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverhopf import hopf, symalg, verify
-from quiverhopf.quiver import Quiver
+from quiverhopf.linear import LinComb, Monomial, Tensor, Word
+from quiverhopf.quiver import Quiver, all_paths
 from quiverhopf.verify import FAMILY, LAWS, SELECTED, run_laws
+
+from support import oracle_word_antipode
 
 SIGNS = ("unsigned", "signed")
 
@@ -157,3 +162,66 @@ def test_multiplicative_extension_runs_once_per_monomial(monkeypatch, checker):
         del calls[:]
         assert law.run(FAMILY["two_loops"], 3).ok
         assert len(calls) == len(set(calls)) > 0, law.label
+
+
+def test_lift_generator_reads_the_monoid_off_the_coproduct():
+    x = FAMILY["loop"].parse_path("v a")
+    assert symalg.lift_generator(hopf.path_coproduct, x) == Monomial((x,))
+    assert symalg.lift_generator(hopf.nc_coproduct, x) == Word((x,))
+    with pytest.raises(ValueError, match="v a"):
+        symalg.lift_generator(lambda y: Tensor(2), x)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_ordered_antipode_matches_the_per_word_series(name):
+    """The generator series extended anti-multiplicatively gives the same
+    report as a series run on every word."""
+    sample = all_paths(FAMILY[name], 4)
+    got = verify.verify_antipode(hopf.nc_coproduct, sample, "ordered")
+    want = oracle_word_antipode(hopf.nc_coproduct, sample, "ordered")
+    assert (got.ok, got.checked, got.line()) == (want.ok, want.checked, want.line())
+    assert got.ok
+
+
+# The in-order (not reversed) extension of the generator series: the first
+# length at which the ordered antipode law sees it, and its witness there.
+IN_ORDER_WITNESS = {
+    "chain2": (4, "2 e* e f f*"),
+    "loop_edge": (4, "v a a* e e*"),
+    "triangle": (4, "1 e e* g* g"),
+    "loop": (5, "v a a a* a a*"),
+    "two_loops": (5, "v a a a* a a*"),
+    "one_edge": (5, "1 e e* e e* e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_ORDER_WITNESS))
+def test_ordered_antipode_law_catches_an_in_order_extension(monkeypatch, name):
+    original = symalg.multiplicative
+    monkeypatch.setattr(
+        symalg, "multiplicative", lambda f, m: original(f, type(m)(m.factors[::-1]))
+    )
+    law = next(law for law in LAWS if law.label == "antipode axiom: ordered paths")
+    n, witness = IN_ORDER_WITNESS[name]
+    assert law.run(FAMILY[name], n - 1).ok
+    report = law.run(FAMILY[name], n)
+    assert report.witness is not None and report.witness[0].text() == witness
+
+
+def reversed_pieces(x):
+    """nc_coproduct with its severed pieces in reversed order."""
+    return Tensor(
+        2, (((Word(a.factors[::-1]), b), c) for (a, b), c in hopf.nc_coproduct(x).items())
+    )
+
+
+def test_hopf_morphism_checks_word_valued_coproducts():
+    sample = all_paths(FAMILY["two_loops"], 5)
+    same = verify.verify_hopf_morphism(
+        LinComb.single, hopf.nc_coproduct, hopf.nc_coproduct, sample, "identity"
+    )
+    assert same.ok and same.checked == 1365
+    report = verify.verify_hopf_morphism(
+        LinComb.single, hopf.nc_coproduct, reversed_pieces, sample, "reversed"
+    )
+    assert report.witness[0].text() == "v a a a* a a*"
