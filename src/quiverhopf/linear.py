@@ -39,7 +39,7 @@ def format_scalar(c: Scalar, structured: bool = False) -> str:
 
 
 class BasisElement:
-    """Canonical basis element: hashable and totally ordered by a string key.
+    """Canonical basis element: hashable, and ordered by a string key through `<`.
 
     Keys are type-tagged ("P|", "N|", "M|", ...) so elements of heterogeneous
     bases never collide; byte-equal keys mean equal elements. Subclasses build
@@ -63,15 +63,6 @@ class BasisElement:
 
     def __lt__(self, other):
         return self.skey < other.skey
-
-    def __le__(self, other):
-        return self.skey <= other.skey
-
-    def __gt__(self, other):
-        return self.skey > other.skey
-
-    def __ge__(self, other):
-        return self.skey >= other.skey
 
     def text(self) -> str:
         """Human-readable form; subclasses override."""
@@ -275,14 +266,6 @@ class Tensor(LinComb):
         return _tensor(
             n, {tuple(key[inv[k]] for k in range(n)): c for key, c in self._terms.items()}
         )
-
-    def slot_map(self, slot: int, f) -> "Tensor":
-        """Apply a linear map f: elem -> LinComb inside one slot (0-based)."""
-        acc: dict = {}
-        for key, c in self._terms.items():
-            for y, cy in f(key[slot])._terms.items():
-                _accumulate(acc, key[:slot] + (y,) + key[slot + 1 :], c * cy)
-        return _tensor(self.arity, acc)
 
     def slot_expand(self, slot: int, f, m: int) -> "Tensor":
         """Expand one slot through f: elem -> Tensor(m); arity grows by m - 1."""

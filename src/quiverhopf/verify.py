@@ -89,6 +89,25 @@ def verify_lie_coalgebra(delta: Callable, sample, law: str = "Lie coalgebra axio
     return Report(law, count)
 
 
+def _squared(fs: Callable, t: Tensor):
+    """The terms of (fs (x) fs)(t) for a 2-tensor t, reading the two images of
+    each term of t once."""
+    for (a, b), c in t.items():
+        fa, fb = fs(a).items(), fs(b).items()
+        for ya, ca in fa:
+            for yb, cb in fb:
+                yield (ya, yb), c * ca * cb
+
+
+def _verify_morphism(fs, f, delta_src, delta_tgt, sample, law: str) -> Report:
+    """Check (fs (x) fs) o delta_src = delta_tgt o f on a sample: the one body
+    of both morphism checkers, whose slot map fs is f itself or, for a Hopf
+    morphism, its multiplicative extension to monomials."""
+    return verify_defect(
+        lambda x: Tensor(2, _squared(fs, delta_src(x))) - _lift(delta_tgt, f(x)), sample, law
+    )
+
+
 def verify_coalgebra_morphism(
     f: Callable, delta_src: Callable, delta_tgt: Callable, sample, law: str
 ) -> Report:
@@ -97,11 +116,7 @@ def verify_coalgebra_morphism(
     f maps a source basis element to a LinComb over the target basis; both
     deltas are basis-level maps into arity-2 tensors.
     """
-    return verify_defect(
-        lambda x: delta_src(x).slot_map(0, f).slot_map(1, f) - _lift(delta_tgt, f(x)),
-        sample,
-        law,
-    )
+    return _verify_morphism(f, f, delta_src, delta_tgt, sample, law)
 
 
 def verify_hopf_morphism(
@@ -112,15 +127,11 @@ def verify_hopf_morphism(
     cop_src/cop_tgt are generator-level coproducts; f maps a source generator
     to a LinComb of target generators, each wrapped in the monoid type of the
     source monomial. The check runs on generators, which suffices
-    multiplicatively; it extends each monomial once.
+    multiplicatively, with that extension, memoized per monomial, as slot map.
     """
     f_in = functools.cache(lambda kind, x: LinComb((kind((y,)), c) for y, c in f(x).items()))
     fs = functools.cache(lambda m: symalg.multiplicative(functools.partial(f_in, type(m)), m))
-    return verify_defect(
-        lambda x: cop_src(x).slot_map(0, fs).slot_map(1, fs) - _lift(cop_tgt, f(x)),
-        sample,
-        law,
-    )
+    return _verify_morphism(fs, f, cop_src, cop_tgt, sample, law)
 
 
 def verify_injectivity(eta: Callable, sample, law: str) -> Report:
@@ -131,37 +142,42 @@ def verify_injectivity(eta: Callable, sample, law: str) -> Report:
     )
 
 
+def _lifted(gen_cop: Callable, sample):
+    """The sample in canonical order, and the lift of its generators into the
+    monoid that gen_cop is valued in, read once off the first generator's
+    coproduct (symalg.lift_generator). An empty sample calls nothing."""
+    xs = sorted(sample)
+    kind = type(symalg.lift_generator(gen_cop, xs[0])) if xs else None
+    return xs, lambda x: kind((x,))
+
+
 def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
     """Check mu(S (x) 1)cop = eps on each generator, in the monoid that
-    gen_cop is valued in (symalg.lift_generator).
+    gen_cop is valued in.
 
     Within one call each generator's antipode series is computed once, and
     each monomial's antipode, the product of its generators' antipodes in
     reverse order (S is anti-multiplicative), once.
     """
-    lift = functools.partial(symalg.lift_generator, gen_cop)
+    xs, lift = _lifted(gen_cop, sample)
     gen_antipode = functools.cache(lambda x: symalg.antipode_free(gen_cop, lift(x)))
     antipode = functools.cache(
         lambda m: symalg.multiplicative(gen_antipode, type(m)(m.factors[::-1]))
     )
-    return verify_defect(
-        lambda x: symalg.antipode_defect(gen_cop, lift(x), antipode), sample, law
-    )
+    return verify_defect(lambda x: symalg.antipode_defect(gen_cop, lift(x), antipode), xs, law)
 
 
 def verify_antipode_formula(antipode: Callable, gen_cop: Callable, sample, law: str) -> Report:
     """Check a closed-form generator antipode against the geometric series of
     the reduced coproduct (symalg.antipode_free), element by element."""
-    lift = functools.partial(symalg.lift_generator, gen_cop)
-    return verify_defect(
-        lambda x: antipode(x) - symalg.antipode_free(gen_cop, lift(x)), sample, law
-    )
+    xs, lift = _lifted(gen_cop, sample)
+    return verify_defect(lambda x: antipode(x) - symalg.antipode_free(gen_cop, lift(x)), xs, law)
 
 
 def verify_coassoc(gen_cop: Callable, sample, law: str) -> Report:
     """Check coassociativity on each generator, in the monoid gen_cop is valued in."""
-    lift = functools.partial(symalg.lift_generator, gen_cop)
-    return verify_defect(lambda x: symalg.coassoc_defect(gen_cop, lift(x)), sample, law)
+    xs, lift = _lifted(gen_cop, sample)
+    return verify_defect(lambda x: symalg.coassoc_defect(gen_cop, lift(x)), xs, law)
 
 
 def tree_sample(q, max_edges: int):

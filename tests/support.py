@@ -281,6 +281,39 @@ def oracle_word_antipode(gen_cop, sample, law: str) -> Report:
     return verify_defect(lambda x: antipode_defect(gen_cop, Word((x,)), antipode), sample, law)
 
 
+# The morphism defect as two one-slot passes over the source coproduct, the
+# first slot and then the second: the oracle for the one-pass body that
+# `verify_coalgebra_morphism` and `verify_hopf_morphism` share.
+
+
+def oracle_morphism_defect(fs, f, delta_src, delta_tgt):
+    """x -> (fs (x) fs)(delta_src(x)) - delta_tgt(f(x)), with delta_tgt
+    extended linearly over f(x)."""
+
+    def slot_pass(t, i):
+        terms = []
+        for key, c in t.items():
+            for y, cy in fs(key[i]).items():
+                terms.append((key[:i] + (y,) + key[i + 1 :], c * cy))
+        return Tensor(2, terms)
+
+    def defect(x):
+        target = Tensor(
+            2, ((k, c * ck) for y, c in f(x).items() for k, ck in delta_tgt(y).items())
+        )
+        return slot_pass(slot_pass(delta_src(x), 0), 1) - target
+
+    return defect
+
+
+def oracle_extension(f):
+    """The multiplicative extension of a generator map f to a monomial or
+    word, each image of f wrapped in that monomial's own type."""
+    return lambda m: multiplicative(
+        lambda y: LinComb((type(m)((z,)), c) for z, c in f(y).items()), m
+    )
+
+
 # The step-major layer recursion: at step n every generator's coproduct,
 # truncated above layer n, is expanded in full on both sides of
 # coassociativity and only the terms of layer n + 1 are kept. The oracle for

@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, only `cuts`
-and `quiver` slice a word's letters, no nested function recurses, and the
-law checkers never name a monoid.
+and `quiver` slice a word's letters, no nested function recurses, the law
+checkers never name a monoid, and the library defines no dead helper.
 
 Stdlib stand-ins for lint rules: each module of `src/quiverhopf` except
 `__init__.py` (whose imports are its exports) is parsed with `ast`. An import
@@ -12,11 +12,15 @@ through its own closure, so every call of the enclosing function leaves a
 reference cycle for the cyclic collector; recursions are module-level
 functions that take their state as arguments. `verify` reads the monoid
 (`Monomial` or `Word`) off the coproduct a law checks, so it names neither.
+Every function, class and method of the library is named somewhere in the
+repository's code besides the line that defines it; dunder methods are
+exempt, since Python calls them implicitly.
 """
 
 import ast
 import glob
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -168,3 +172,67 @@ def test_monoid_name_check_flags_imports_bindings_and_attributes():
 
 def test_verify_names_no_monoid():
     assert monoid_names(library_sources()["verify.py"]) == []
+
+
+# Where a library definition may be named: the library, its tests, the
+# scripts and the benchmark.
+CODE_DIRS = ("src", "tests", "scripts", "perfbench")
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def code_sources():
+    """{path relative to the repository: source} of every Python file in CODE_DIRS."""
+    sources = {}
+    for top in CODE_DIRS:
+        for path in sorted(glob.glob(os.path.join(ROOT, top, "**", "*.py"), recursive=True)):
+            with open(path) as f:
+                sources[os.path.relpath(path, ROOT)] = f.read()
+    return sources
+
+
+def unnamed_definitions(library: dict, corpus: dict):
+    """The non-dunder functions, classes and methods that a module of
+    `library` defines and that no line of `corpus` names, lines that define
+    that name in the library excepted. Both map a path to its source; the
+    library's own files belong to the corpus."""
+    defined: dict = {}  # name -> {(path, line) of each library definition}
+    for path, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defined.setdefault(node.name, set()).add((path, node.lineno))
+    named = set()
+    for path, source in corpus.items():
+        for i, line in enumerate(source.splitlines(), 1):
+            named.update(
+                name for name in IDENTIFIER.findall(line)
+                if name in defined and (path, i) not in defined[name]
+            )
+    return sorted(set(defined) - named)
+
+
+def test_dead_helper_check_flags_a_definition_named_nowhere_else():
+    module = (
+        "class A:\n"
+        "    def used(self):\n        return self._helper()\n"
+        "    def _helper(self):\n        return 0\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "class B:\n    def _helper(self):\n        return 1\n"
+        "def dead():\n    return 0\n"
+        "def by_name():\n    return 0\n"
+        'NAMES = ("by_name",)\n'
+    )
+    corpus = {"lib/m.py": module, "tests/t.py": "from m import A\nA().used()\n"}
+    assert unnamed_definitions({"lib/m.py": module}, corpus) == ["B", "dead"]
+    assert unnamed_definitions({"lib/m.py": module}, {"lib/m.py": module}) == [
+        "A", "B", "dead", "used"
+    ]
+
+
+def test_library_defines_no_dead_helper():
+    corpus = code_sources()
+    library = {path: source for path, source in corpus.items()
+               if path.startswith(os.path.join("src", "quiverhopf", ""))}
+    assert len(library) == 12
+    assert unnamed_definitions(library, corpus) == []

@@ -193,8 +193,6 @@ def test_keys_are_type_tagged():
 
 def test_slot_map_and_expand():
     t = tensor(A, B)
-    swap = lambda x: LinComb.single(B if x == A else A)
-    assert t.slot_map(0, swap) == tensor(B, B)
     dup = lambda x: tensor(x, x)
     assert t.slot_expand(1, dup, 2) == tensor(A, B, B)
 

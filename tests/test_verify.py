@@ -1,6 +1,7 @@
 """Run-scoped map memos of `verify.run_laws`: oracle, counting and lifetime.
 Also the one Hopf-law path of both monoids: the checkers read the monoid
-(Monomial or Word) off the coproduct they are given."""
+(Monomial or Word) off the coproduct they are given, once per sweep. And the
+one morphism body of both levels, against two one-slot passes."""
 
 import functools
 import gc
@@ -10,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverhopf import hopf, symalg, verify
+from quiverhopf import cobrackets, hopf, symalg, trees, verify
 from quiverhopf.linear import LinComb, Monomial, Tensor, Word
 from quiverhopf.quiver import Quiver, all_paths
 from quiverhopf.verify import FAMILY, LAWS, SELECTED, run_laws
 
-from support import oracle_word_antipode
+from support import oracle_extension, oracle_morphism_defect, oracle_word_antipode
 
 SIGNS = ("unsigned", "signed")
 
@@ -25,13 +26,20 @@ def resolve(name):
     return getattr(getattr(verify, module) if module else verify, attr)
 
 
-def unmemoized(law, q, n, sign):
-    """The law's checker on its own sample, with freshly resolved maps and
-    no memo: the registry contract written out by hand."""
+def unmemoized_maps(law, sign):
+    """The law's maps freshly resolved, the first bound to its convention."""
     convention = sign if law.sign in ("", SELECTED) else law.sign
     maps = [resolve(name) for name in law.maps]
     if law.sign:
         maps[0] = functools.partial(maps[0], signed=convention == "signed")
+    return maps
+
+
+def unmemoized(law, q, n, sign):
+    """The law's checker on its own sample, with freshly resolved maps and
+    no memo: the registry contract written out by hand."""
+    convention = sign if law.sign in ("", SELECTED) else law.sign
+    maps = unmemoized_maps(law, sign)
     sample = resolve(law.sampler)(q, n if law.cap is None else min(n, law.cap))
     return resolve(law.checker)(*maps, sample, law.label.format(sign=convention))
 
@@ -225,3 +233,92 @@ def test_hopf_morphism_checks_word_valued_coproducts():
         LinComb.single, hopf.nc_coproduct, reversed_pieces, sample, "reversed"
     )
     assert report.witness[0].text() == "v a a a* a a*"
+
+
+def test_coassoc_reads_the_monoid_once_per_sweep():
+    """An unmemoized coproduct is called by each defect and once more for the
+    monoid of the whole sweep (238 calls when each element read it again)."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return hopf.nc_coproduct(x)
+
+    rep = verify.verify_coassoc(counting, all_paths(FAMILY["two_loops"], 3), "ordered")
+    assert rep.line() == "PASS ordered (85 elements)"
+    assert (len(calls), len(set(calls))) == (154, 85)
+
+
+@pytest.mark.parametrize(
+    "checker, n_maps",
+    [("verify_coassoc", 1), ("verify_antipode", 1), ("verify_antipode_formula", 2)],
+)
+def test_an_empty_sweep_calls_nothing_and_fails(checker, n_maps):
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return hopf.path_coproduct(x)
+
+    rep = getattr(verify, checker)(*[counting] * n_maps, [], "empty")
+    assert (rep.ok, rep.line(), calls) == (False, "FAIL empty: no elements checked", [])
+
+
+MORPHISM_CHECKERS = ("verify_coalgebra_morphism", "verify_hopf_morphism")
+
+# The morphism laws that report a witness on two_loops at length 3.
+TWO_LOOPS_WITNESSES = {
+    "unsigned": ["D_or Lie morphism (signed)"],
+    "signed": ["eta_or Lie coalgebra morphism (signed)", "D_or Lie morphism (signed)"],
+}
+
+
+def oracle_report(checker, f, src, tgt, sample, law):
+    """The morphism checker's report from two one-slot passes; a Hopf
+    morphism maps the slots through the multiplicative extension of f."""
+    fs = oracle_extension(f) if checker == "verify_hopf_morphism" else f
+    return verify.verify_defect(oracle_morphism_defect(fs, f, src, tgt), sample, law)
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_morphism_body_matches_two_slot_passes_on_registry_laws(name, sign):
+    laws = [law for law in LAWS if law.checker in MORPHISM_CHECKERS]
+    assert len(laws) == 10
+    witnesses = []
+    for law in laws:
+        sample = law.sample(FAMILY[name], 3)
+        got = law.check(sample, sign)
+        want = oracle_report(law.checker, *unmemoized_maps(law, sign), sample, law.title(sign))
+        assert (got, got.line()) == (want, want.line()), law.title(sign)
+        if got.witness:
+            witnesses.append(got.law)
+    if name == "two_loops":
+        assert witnesses == TWO_LOOPS_WITNESSES[sign]
+
+
+def eta_rt_missing_a_term(x):
+    """eta_rt with its first term dropped wherever it has more than one."""
+    terms = hopf.eta_rt(x).terms()
+    return LinComb(terms[1:] if len(terms) > 1 else terms)
+
+
+@pytest.mark.parametrize(
+    "checker, src, tgt, defect",
+    [
+        (
+            "verify_coalgebra_morphism", cobrackets.delta_p_rt, trees.rho,
+            "-1 * <1> (x) <1 e e*>; 1 * <2 e* e> (x) <1>; 2 * <2> (x) <1 e e*>",
+        ),
+        (
+            "verify_hopf_morphism", hopf.path_coproduct, trees.tree_coproduct,
+            "-1 * {<1>} (x) {<1 e e*>}; 1 * {<2 e* e>} (x) {<1>}; 2 * {<2>} (x) {<1 e e*>}",
+        ),
+    ],
+)
+def test_morphism_body_matches_two_slot_passes_on_a_mutant(checker, src, tgt, defect):
+    sample = all_paths(FAMILY["triangle"], 4)
+    got = getattr(verify, checker)(eta_rt_missing_a_term, src, tgt, sample, "mutant")
+    want = oracle_report(checker, eta_rt_missing_a_term, src, tgt, sample, "mutant")
+    assert (got, got.line()) == (want, want.line())
+    assert got.line() == "FAIL mutant: witness 1 e e* e e*, defect " + defect
