@@ -109,50 +109,50 @@ def _divide(c, d: int):
     return q.numerator if q.denominator == 1 else q
 
 
-def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: int) -> CoproductLayers:
+def reconstruct_coproduct(basis, degree: Callable, rho: Callable) -> CoproductLayers:
     """Build every coproduct layer above a degree-preserving pre-Lie map.
 
-    basis must contain every generator of degree <= max_degree reachable from
-    its own coproduct components (both instances here are closed under taking
-    components). Generators are visited in increasing degree, ties by key, so
-    an error names the least failing degree. Layer n+1 of each is recovered
-    from its layers <= n and its components' complete coproducts, verified
-    to satisfy its defining equation exactly, and expanded once; the grading
-    bounds the layers. Each total and monomial coproduct is built once a call.
+    basis must contain every generator reachable from its own coproduct
+    components (both instances here are closed under taking components).
+    Generators are visited once, in increasing degree, ties by key, so an
+    error names the least failing degree: the least degree must be positive,
+    and each generator's pre-Lie map is checked to preserve degree when the
+    walk reaches it. Layer n+1 of each is recovered from its layers <= n and
+    its components' complete coproducts, verified to satisfy its defining
+    equation exactly, and expanded once; the grading bounds the layers. Each
+    total and monomial coproduct is built once a call.
     """
-    elems = sorted(x for x in basis if degree(x) <= max_degree)
+    elems = sorted((degree(x), x) for x in basis)
     if not elems:
         return CoproductLayers({})
+    least, x = elems[0]
+    if least < 1:
+        raise ValueError("degrees must be positive, got %d for %s" % (least, x.text()))
+
+    # Every component of v's coproduct has lower degree, so in degree order
+    # each component's coproduct is complete when v is reached, and one memo
+    # serves the whole call.
     layers: Dict[int, Dict] = {1: {}}
-    for x in elems:
-        d = degree(x)
-        if d < 1:
-            raise ValueError("degrees must be positive, got %d for %s" % (d, x.text()))
-        graft = rho(x)
+    result = CoproductLayers(layers)
+    bound = elems[-1][0] // least + 1
+    total = functools.cache(result.total)
+    cop = functools.cache(lambda m: cop_free(total, m))
+    for d, v in elems:
+        graft = rho(v)
         for (a, b), _ in graft.terms():
             if degree(a) + degree(b) != d:
                 raise ValueError(
                     "pre-Lie map does not preserve degree on %s: %s (x) %s"
-                    % (x.text(), a.text(), b.text())
+                    % (v.text(), a.text(), b.text())
                 )
-        if graft:
-            layers[1][x] = monomialize(graft)
-    min_deg = min(degree(x) for x in elems)
-
-    # Every component of v's coproduct has lower degree, so in degree order
-    # (ties by key, as elems is sorted) each component's coproduct is complete
-    # when v is reached, and one memo serves the whole call.
-    result = CoproductLayers(layers)
-    bound = max_degree // max(min_deg, 1) + 1
-    total = functools.cache(result.total)
-    cop = functools.cache(lambda m: cop_free(total, m))
-    for v in sorted(elems, key=degree):
         # buckets[k]: terms m1 (x) m2 (x) m3 of (1 (x) cop - cop (x) 1) over
         # v's layers so far, |m1|, |m2| >= 1, |m3| = 1, |m1| + |m2| = k > n.
         # Layer n reaches bucket n only through its delta0_prime part.
         buckets: Dict[int, list] = {}
-        n, layer = 1, layers[1].get(v, Tensor(2))
+        n, layer = 1, monomialize(graft)
         while layer or buckets:
+            if layer:
+                layers.setdefault(n, {})[v] = layer
             d3 = layer.slot_expand(1, cop, 2) - layer.slot_expand(0, cop, 2)
             for (m1, m2, m3), c in d3.items():
                 k = len(m1) + len(m2)
@@ -174,8 +174,6 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable, max_degree: in
                 raise RuntimeError(
                     "coproduct layers failed to vanish within the grading bound %d" % bound
                 )
-            if layer:
-                layers.setdefault(n, {})[v] = layer
     return result
 
 
@@ -200,9 +198,9 @@ def tree_degree(t) -> int:
 class GradedPreLieCoalgebra:
     """A positively graded basis with a degree-preserving pre-Lie map.
 
-    Bundles the three inputs of the reconstruction; check() verifies the
-    stated invariants (degree preservation plus the pre-Lie coaxiom) on the
-    whole basis before any layers are built.
+    Bundles the three inputs of the reconstruction. check() sweeps the
+    pre-Lie coaxiom over the whole basis before any layers are built; the
+    grading is checked by reconstruct(), as its walk reaches each generator.
     """
 
     basis: Tuple
@@ -210,42 +208,42 @@ class GradedPreLieCoalgebra:
     rho: Callable
 
     def check(self) -> Report:
-        # One memo for both sweeps: the coaxiom re-expands rho's components.
-        rho = functools.cache(self.rho)
-        for x in self.basis:
-            d = self.degree(x)
-            if d < 1:
-                return Report("positive grading", 0, (x, "degree %d" % d))
-            for (a, b), _ in rho(x).terms():
-                if self.degree(a) + self.degree(b) != d:
-                    return Report("degree preservation", 0, (x, Tensor.single((a, b))))
-        return verify_prelie_coalgebra(rho, self.basis, "pre-Lie coaxiom")
+        # One memo for the sweep: the coaxiom re-expands rho's components.
+        return verify_prelie_coalgebra(functools.cache(self.rho), self.basis, "pre-Lie coaxiom")
 
-    def reconstruct(self, max_degree: int) -> CoproductLayers:
-        return reconstruct_coproduct(self.basis, self.degree, self.rho, max_degree)
+    def reconstruct(self) -> CoproductLayers:
+        return reconstruct_coproduct(self.basis, self.degree, self.rho)
+
+
+def _vertex_trees(q: Quiver, max_edges: int):
+    """Plain-edged rooted trees labelled by the trivial path at q's first vertex."""
+    return all_rooted_trees(max_edges, (q.trivial(q.vertices[0]),), flags=(False,))
+
+
+def instance_table() -> Dict[str, tuple]:
+    """Each bridge instance, once: its name -> (least degree, basis builder
+    (q, n) -> the generators of degree <= least + n, grading, pre-Lie map,
+    direct coproduct). Built per call, so a rebound module attribute reaches it.
+    """
+    return {
+        "paths": (2, all_paths, path_degree, delta_p_rt, path_coproduct),
+        "trees": (1, _vertex_trees, tree_degree, rho, tree_coproduct),
+    }
 
 
 def instance(q: Quiver, kind: str, max_degree: int) -> Tuple[GradedPreLieCoalgebra, Callable]:
-    """The "paths" or "trees" instance on q up to max_degree, with its direct
-    coproduct.
+    """The instance `kind` on q up to max_degree, with its direct coproduct.
 
-    Paths carry delta_p_rt and the cut coproduct. Trees are rooted trees
-    labelled by the trivial path at the first vertex of q, with plain edges,
-    and carry rho and the forest coproduct. A degree cap below the instance's
-    least degree (a trivial path has degree 2, a one-vertex tree degree 1)
-    is an error, since such an instance has nothing to check.
+    A degree cap below the instance's least degree is an error, since such an
+    instance has nothing to check.
     """
-    if kind not in ("paths", "trees"):
+    table = instance_table()
+    if kind not in table:
         raise ValueError("unknown bridge instance %r" % (kind,))
-    least = 2 if kind == "paths" else 1
+    least, basis, degree, pre_lie, direct = table[kind]
     if max_degree < least:
         raise ValueError(
             "--max-degree %d is below %d, the least degree of the %s instance"
             % (max_degree, least, kind)
         )
-    if kind == "paths":
-        basis = all_paths(q, max_degree - 2)
-        return GradedPreLieCoalgebra(tuple(basis), path_degree, delta_p_rt), path_coproduct
-    label = q.trivial(q.vertices[0])
-    basis = all_rooted_trees(max_degree - 1, (label,), flags=(False,))
-    return GradedPreLieCoalgebra(tuple(basis), tree_degree, rho), tree_coproduct
+    return GradedPreLieCoalgebra(tuple(basis(q, max_degree - least)), degree, pre_lie), direct

@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .bridge import compare_coproducts, instance as bridge_instance
+from .bridge import compare_coproducts, instance as bridge_instance, instance_table
 from .cobrackets import delta_or, delta_p_rt, delta_rt
 from .cuts import Cut, PathDiagram, cut_components, cut_order, enumerate_cuts, epsilon
 from .dual import dual_rooted_tree
@@ -93,7 +93,7 @@ def cmd_chords(args, out) -> int:
         comps = cut_components(d)
         fields = [h.text()]
         if args.with_signs:
-            fields.append("eps=%s" % format_scalar(epsilon(d)))
+            fields.append("eps=%s" % format_scalar(epsilon(d), args.format == "structured"))
         fields.append("ord=%d" % cut_order(h))
         fields.append("outer=%s" % comps.outer.text())
         for c in h.pairs:
@@ -105,7 +105,7 @@ def cmd_chords(args, out) -> int:
 def cmd_dualtree(args, out) -> int:
     q = _quiver(args)
     d = PathDiagram(q.parse_path(args.path), _parse_cut(args.cut))
-    print("eps=%s" % format_scalar(epsilon(d)), file=out)
+    print("eps=%s" % format_scalar(epsilon(d), args.format == "structured"), file=out)
     print(json_text(dual_rooted_tree(d)), file=out)
     return 0
 
@@ -133,7 +133,7 @@ def cmd_bridge(args, out) -> int:
     if not pre.ok:
         print(pre.line(), file=out)
         return 1
-    layers = instance.reconstruct(args.max_degree)
+    layers = instance.reconstruct()
     for n, count in layers.term_counts().items():
         print("layer %d: %d terms" % (n, count), file=out)
     print("integral coefficients: %s" % ("yes" if layers.all_integral() else "NO"), file=out)
@@ -164,7 +164,9 @@ def cmd_verify(args, out) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiver", help="quiver JSON file (default: built-in e: 1 -> 2)")
-    common.add_argument(
+    # Only the subcommands that print scalars take --format.
+    printing = argparse.ArgumentParser(add_help=False, parents=[common])
+    printing.add_argument(
         "--format", choices=("pretty", "structured"), default="pretty", help="output style"
     )
     parser = argparse.ArgumentParser(
@@ -173,38 +175,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cobracket", parents=[common], help="evaluate a cobracket")
+    p = sub.add_parser("cobracket", parents=[printing], help="evaluate a cobracket")
     p.add_argument("--kind", choices=("or", "p-rt", "rt"), required=True)
     p.add_argument("--input", required=True, help='path "1 e e*" or necklace "[e e*]"')
     p.set_defaults(func=cmd_cobracket)
 
-    p = sub.add_parser("coproduct", parents=[common], help="coproduct of a path")
+    p = sub.add_parser("coproduct", parents=[printing], help="coproduct of a path")
     p.add_argument("--input", required=True)
     p.add_argument("--ordered", action="store_true", help="ordered (word) variant")
     p.set_defaults(func=cmd_coproduct)
 
-    p = sub.add_parser("antipode", parents=[common], help="antipode of a path")
+    p = sub.add_parser("antipode", parents=[printing], help="antipode of a path")
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_antipode)
 
-    p = sub.add_parser("chords", parents=[common], help="list cuts of a path")
+    p = sub.add_parser("chords", parents=[printing], help="list cuts of a path")
     p.add_argument("--path", required=True)
     p.add_argument("--simple", action="store_true")
     p.add_argument("--with-signs", action="store_true")
     p.set_defaults(func=cmd_chords)
 
-    p = sub.add_parser("dualtree", parents=[common], help="dual tree of a chord diagram")
+    p = sub.add_parser("dualtree", parents=[printing], help="dual tree of a chord diagram")
     p.add_argument("--path", required=True)
     p.add_argument("--cut", required=True, help='like "(1,4),(2,3)" or "()"')
     p.set_defaults(func=cmd_dualtree)
 
-    p = sub.add_parser("eta", parents=[common], help="tree expansion of a path or necklace")
+    p = sub.add_parser("eta", parents=[printing], help="tree expansion of a path or necklace")
     p.add_argument("--input", required=True)
     p.add_argument("--sign-convention", choices=("signed", "unsigned"), default="unsigned")
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("bridge", parents=[common], help="reconstruct coproduct layers")
-    p.add_argument("--instance", choices=("paths", "trees"), required=True)
+    p.add_argument("--instance", choices=tuple(instance_table()), required=True)
     p.add_argument("--max-degree", type=_size, default=8)
     p.add_argument("--compare", action="store_true")
     p.set_defaults(func=cmd_bridge)

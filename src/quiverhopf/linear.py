@@ -115,8 +115,7 @@ class LinComb:
 
     def __init__(self, terms=()):
         acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for x, c in items:
+        for x, c in terms:
             if not isinstance(x, BasisElement):
                 raise TypeError("LinComb keys must be BasisElement, got %r" % (x,))
             _accumulate(acc, x, as_scalar(c))
@@ -208,8 +207,7 @@ class Tensor(LinComb):
         if arity < 1:
             raise ValueError("tensor arity must be >= 1")
         acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, c in items:
+        for key, c in terms:
             key = tuple(key)
             if len(key) != arity:
                 raise ValueError("tensor key %r does not match arity %d" % (key, arity))

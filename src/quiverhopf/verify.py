@@ -42,8 +42,8 @@ class Report:
         if self.witness is None:
             return "FAIL %s: no elements checked" % self.law
         x, defect = self.witness
-        shown = defect.text() if hasattr(defect, "text") else str(defect)
-        return "FAIL %s: witness %s, defect %s" % (self.law, x.text(), "; ".join(shown.split("\n")))
+        shown = defect.text().replace("\n", "; ")
+        return "FAIL %s: witness %s, defect %s" % (self.law, x.text(), shown)
 
 
 def verify_defect(defect: Callable, sample, law: str) -> Report:

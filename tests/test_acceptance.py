@@ -293,7 +293,7 @@ def test_criterion_6_bridge():
         basis = paths.basis
         if basis != tuple(all_paths(q, 6)) or direct is not path_coproduct:
             failures.append("the paths instance is not all paths of length <= 6")
-        layers = paths.reconstruct(8)
+        layers = paths.reconstruct()
         rep = compare_coproducts(layers, path_coproduct, basis)
         if not rep.ok:
             failures.append(rep.line())
@@ -313,7 +313,7 @@ def test_criterion_6_bridge():
         direct is not tree_coproduct
     ):
         failures.append("the trees instance is not the 1-labelled trees with <= 5 edges")
-    tree_layers = trees.reconstruct(6)
+    tree_layers = trees.reconstruct()
     rep = compare_coproducts(tree_layers, tree_coproduct, tree_basis)
     if not rep.ok:
         failures.append(rep.line())
@@ -375,7 +375,7 @@ def test_criterion_7_concrete_counts():
     want = LinComb(((Monomial((two,)), -1), (Monomial((t2, t1)), -1)))
     if path_antipode(two) != want:
         failures.append("antipode of e e* is not -e e* - triv_2 triv_1")
-    layers = reconstruct_coproduct(all_paths(Q1, 6), path_degree, delta_p_rt, 8)
+    layers = reconstruct_coproduct(all_paths(Q1, 6), path_degree, delta_p_rt)
     if layer(layers, 2, x) != Tensor.single((Monomial((t2, t2)), Monomial((t1,)))):
         failures.append("layer 2 of e e* e e* is not triv_2^2 (x) triv_1")
     report_criterion(7, "concrete counts on e e* e e* over the one-edge quiver", failures)

@@ -85,7 +85,7 @@ def test_extract_prelie_shape_violation():
 
 def test_reconstruct_paths_layer_values(q1):
     basis = all_paths(q1, 6)
-    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
+    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt)
     e = q1.letter("e")
     x2 = Path("1", (e, e.star()))
     assert layer(layers, 2, x2) == 0
@@ -97,7 +97,7 @@ def test_reconstruct_paths_layer_values(q1):
 
 def test_reconstruct_paths_matches_direct(q1):
     basis = all_paths(q1, 6)
-    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
+    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt)
     report = compare_coproducts(layers, path_coproduct, basis)
     assert report.ok and report.checked == len(basis)
 
@@ -105,21 +105,21 @@ def test_reconstruct_paths_matches_direct(q1):
 def test_reconstruct_trees_matches_direct(q1):
     label = q1.trivial("1")
     basis = all_rooted_trees(4, (label,), flags=(False,))
-    layers = reconstruct_coproduct(basis, tree_degree, rho, 5)
+    layers = reconstruct_coproduct(basis, tree_degree, rho)
     assert compare_coproducts(layers, tree_coproduct, basis).ok
     assert layers.all_integral()
 
 
 def test_reconstruct_round_trip(q1):
     basis = all_paths(q1, 5)
-    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 7)
+    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt)
     for x in basis:
         assert extract_prelie(layers.total, x) == extract_prelie(path_coproduct, x)
 
 
 def test_reconstruct_zero_map(q1):
     basis = [q1.trivial("1"), q1.trivial("2")]
-    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
+    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt)
     for x in basis:
         whole, unit = M(x), Monomial(())
         assert layers.total(x) == Tensor.single((whole, unit)) + Tensor.single((unit, whole))
@@ -135,7 +135,7 @@ def test_reconstruct_rejects_degree_breaking_map(q1):
         return Tensor(2)
 
     with pytest.raises(ValueError):
-        reconstruct_coproduct(basis, path_degree, bad, 4)
+        reconstruct_coproduct(basis, path_degree, bad)
 
 
 def test_reconstruct_rejects_non_prelie_map():
@@ -152,7 +152,7 @@ def test_reconstruct_rejects_non_prelie_map():
         return Tensor(2)
 
     with pytest.raises(ValueError, match=r"at X\|d: layer 2 defect"):
-        reconstruct_coproduct([a, b, c, d], degree, bad_rho, 3)
+        reconstruct_coproduct([a, b, c, d], degree, bad_rho)
 
 
 def test_reconstruct_names_the_least_degree_failure():
@@ -168,9 +168,33 @@ def test_reconstruct_names_the_least_degree_failure():
         return maps.get(x, Tensor(2))
 
     with pytest.raises(ValueError, match=r"at X\|e: layer 2 defect"):
-        reconstruct_coproduct([a, b, c, d, e], degree, bad_rho, 4)
+        reconstruct_coproduct([a, b, c, d, e], degree, bad_rho)
     with pytest.raises(ValueError, match=r"at X\|d: layer 2 defect"):
-        reconstruct_coproduct([a, b, c, d], degree, bad_rho, 4)
+        reconstruct_coproduct([a, b, c, d], degree, bad_rho)
+
+
+def test_reconstruct_names_the_least_degree_grading_failure():
+    # The grading is checked as the degree-ordered walk reaches each
+    # generator, so of two maps that break it the error names X|e (degree 3),
+    # not X|d (degree 4), which comes first in key order.
+    a, b, c, d, e = (BasisElement("X|%s" % s) for s in "abcde")
+    degree = {a: 1, b: 1, c: 2, e: 3, d: 4}.__getitem__
+    maps = {c: tensor(a, b), e: tensor(a, a), d: tensor(a, b)}
+
+    def bad_rho(x):
+        return maps.get(x, Tensor(2))
+
+    with pytest.raises(ValueError, match=r"does not preserve degree on X\|e: X\|a \(x\) X\|a"):
+        reconstruct_coproduct([a, b, c, d, e], degree, bad_rho)
+    with pytest.raises(ValueError, match=r"does not preserve degree on X\|d: X\|a \(x\) X\|b"):
+        reconstruct_coproduct([a, b, c, d], degree, bad_rho)
+
+
+def test_reconstruct_rejects_non_positive_least_degree():
+    a, b = BasisElement("X|a"), BasisElement("X|b")
+    degree = {a: 1, b: 0}.__getitem__
+    with pytest.raises(ValueError, match=r"degrees must be positive, got 0 for X\|b"):
+        reconstruct_coproduct([a, b], degree, lambda x: Tensor(2))
 
 
 def test_degree_preservation_of_instances(q1, loop_edge):
@@ -185,7 +209,7 @@ def test_degree_preservation_of_instances(q1, loop_edge):
 
 def test_term_counts_reported(q1):
     basis = all_paths(q1, 6)
-    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt, 8)
+    layers = reconstruct_coproduct(basis, path_degree, delta_p_rt)
     counts = layers.term_counts()
     assert counts[1] > 0 and counts[2] > 0
     assert max_layer(layers) >= 2
@@ -194,18 +218,22 @@ def test_term_counts_reported(q1):
 def test_graded_prelie_bundle(q1):
     inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 4)), path_degree, delta_p_rt)
     assert inst.check().ok
-    layers = inst.reconstruct(6)
+    layers = inst.reconstruct()
     assert compare_coproducts(layers, path_coproduct, inst.basis).ok
 
     def bad(x):
         return tensor(q1.trivial("1"), q1.trivial("1")) if x.letters else Tensor(2)
 
+    # check() sweeps the coaxiom alone, which this map satisfies; the grading
+    # is checked by the reconstruction's walk.
     bad_inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 2)), path_degree, bad)
-    assert not bad_inst.check().ok
+    assert bad_inst.check().ok
+    with pytest.raises(ValueError, match="does not preserve degree"):
+        bad_inst.reconstruct()
 
 
 def test_graded_prelie_check_expands_each_element_once(two_loops):
-    """The pre-check's degree loop and coaxiom sweep share one rho memo."""
+    """The pre-check's coaxiom sweep expands rho through one memo."""
     calls = Counter()
 
     def counting_rho(t):
@@ -236,7 +264,7 @@ def test_reconstruct_memos_are_call_scoped(q1, monkeypatch):
     runs = []
     for _ in range(2):
         del rho_args[:], cop_args[:]
-        layers = reconstruct_coproduct(basis, tree_degree, counting_rho, 5)
+        layers = reconstruct_coproduct(basis, tree_degree, counting_rho)
         runs.append((layers.layers, len(rho_args), Counter(cop_args)))
     assert runs[0] == runs[1]
     layers, rho_calls, cop_calls = runs[0]
@@ -258,9 +286,9 @@ def test_reconstruct_matches_step_major_oracle(name):
     # Degree-ordered pass against the step-major recursion, layer by layer.
     for kind, max_degree in (("paths", 6), ("trees", 5)):
         inst, _ = bridge.instance(FAMILY[name], kind, max_degree)
-        args = (inst.basis, inst.degree, inst.rho, max_degree)
+        args = (inst.basis, inst.degree, inst.rho)
         layers = reconstruct_coproduct(*args).layers
-        assert typed_layers(layers) == typed_layers(oracle_reconstruct(*args))
+        assert typed_layers(layers) == typed_layers(oracle_reconstruct(*args, max_degree))
         assert len(layers) >= 2
 
 
@@ -269,8 +297,8 @@ def test_reconstructed_layers_are_int(two_loops):
     paths = all_paths(two_loops, 4)
     trees = all_rooted_trees(5, (two_loops.trivial("v"),))
     for layers in (
-        reconstruct_coproduct(paths, path_degree, delta_p_rt, 6),
-        reconstruct_coproduct(trees, tree_degree, rho, 6),
+        reconstruct_coproduct(paths, path_degree, delta_p_rt),
+        reconstruct_coproduct(trees, tree_degree, rho),
     ):
         assert max_layer(layers) >= 2
         assert layers.all_integral()
@@ -303,3 +331,14 @@ def test_instance_builder(q1, two_loops):
             bridge.instance(q1, kind, least - 1)
     with pytest.raises(ValueError, match="unknown bridge instance"):
         bridge.instance(q1, "forests", 5)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_instance_table_least_degrees(name):
+    # Each row's least degree is the least degree of its own basis, and an
+    # instance capped at it is not empty.
+    for kind, (least, *_) in bridge.instance_table().items():
+        inst, _ = bridge.instance(FAMILY[name], kind, least + 2)
+        assert min(map(inst.degree, inst.basis)) == least
+        at_least = bridge.instance(FAMILY[name], kind, least)[0].basis
+        assert at_least and {inst.degree(x) for x in at_least} == {least}

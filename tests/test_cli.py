@@ -8,7 +8,8 @@ import shlex
 import pytest
 
 from quiverhopf import cuts, hopf, symalg
-from quiverhopf.cli import main
+from quiverhopf.bridge import instance_table
+from quiverhopf.cli import build_parser, main
 from quiverhopf.linear import Monomial
 from quiverhopf.verify import LAWS, Report
 
@@ -85,6 +86,36 @@ def test_dualtree_output():
     assert tree["children"][0]["node"]["children"][0]["orient"] == "in"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chords", "--path", "1 e e* e e*", "--with-signs"],
+        ["dualtree", "--path", "1 e e* e e*", "--cut", "(1,4),(2,3)"],
+    ],
+)
+def test_signs_follow_format(argv):
+    # eps=-1 is a scalar: structured output prints it as num/den.
+    rc, out = run(argv + ["--format", "structured"])
+    assert rc == 0 and "eps=-1/1" in out
+    rc, out = run(argv)
+    assert rc == 0 and "eps=-1" in out and "eps=-1/1" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--law", "prelie", "--max-len", "2"],
+        ["bridge", "--instance", "paths", "--max-degree", "3"],
+    ],
+)
+def test_format_is_not_offered_where_nothing_prints_scalars(argv, capsys):
+    assert run(argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--format", "structured"], out=io.StringIO())
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format structured" in capsys.readouterr().err
+
+
 def test_eta_output():
     rc, out = run(["eta", "--input", "1 e e*"])
     assert rc == 0
@@ -104,6 +135,12 @@ def test_bridge_compare():
     assert "layer 2: 16 terms" in out
     assert "integral coefficients: yes" in out
     assert "PASS layered vs direct coproduct (14 elements)" in out
+
+
+def test_bridge_instance_choices_are_the_table():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    option = next(a for a in commands.choices["bridge"]._actions if a.dest == "instance")
+    assert tuple(option.choices) == tuple(instance_table())
 
 
 def test_bridge_below_least_degree_rejected_paths(capsys):
