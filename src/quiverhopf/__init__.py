@@ -25,17 +25,16 @@ from .quiver import (
 from .cobrackets import delta_or, delta_p_rt, delta_rt
 from .cuts import (
     Cut,
-    CutComponents,
     NecklaceDiagram,
     PathDiagram,
     chord_coproduct,
     chord_delta_or,
     chord_delta_p_rt,
-    cut_components,
     cut_order,
     enumerate_cuts,
     epsilon,
     precedes,
+    remove_chords,
 )
 from .trees import (
     OrientedTree,

@@ -16,7 +16,7 @@ import sys
 
 from .bridge import compare_coproducts, instance as bridge_instance, instance_table
 from .cobrackets import delta_or, delta_p_rt, delta_rt
-from .cuts import Cut, PathDiagram, cut_components, cut_order, enumerate_cuts, epsilon
+from .cuts import Cut, PathDiagram, cut_order, enumerate_cuts, epsilon, remove_chords
 from .dual import dual_rooted_tree
 from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
 from .linear import format_scalar
@@ -90,14 +90,14 @@ def cmd_chords(args, out) -> int:
     p = q.parse_path(args.path)
     for h in enumerate_cuts(p, simple_only=args.simple):
         d = PathDiagram(p, h)
-        comps = cut_components(d)
+        outer, inners = remove_chords(d, d.cut)
         fields = [h.text()]
         if args.with_signs:
             fields.append("eps=%s" % format_scalar(epsilon(d), args.format == "structured"))
         fields.append("ord=%d" % cut_order(h))
-        fields.append("outer=%s" % comps.outer.text())
+        fields.append("outer=%s" % outer.path.text())
         for c in h.pairs:
-            fields.append("(%d,%d)->%s" % (c[0], c[1], comps.chords[c].text()))
+            fields.append("(%d,%d)->%s" % (c[0], c[1], inners[c].path.text()))
         print("  ".join(fields), file=out)
     return 0
 

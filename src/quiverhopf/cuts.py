@@ -1,21 +1,20 @@
 """Cuts of paths and necklaces, chord diagrams, and their (co)algebras.
 
 A cut pairs positions of a word whose letters are mutual reverses, with the
-chords drawn as non-crossing arcs above the word. Cutting along the chords
-splits the word into pieces, all read by one slicing rule (`_outside`): a
-chord (i, j) owns the letters i+1..j-1 that lie outside the chords nested in
-it, read as a closed path from the target of letter i, and the letters
-outside every chord form the outer piece, which keeps the basepoint. The
-chord algebras live on (word, cut) pairs and carry the comultiplications
-induced by removing one chord at a time, plus a coproduct obtained by cutting
-out simple subcuts.
+chords drawn as non-crossing arcs above the word. Cutting out any subset of
+the chords (`remove_chords`) splits the word into pieces, all read by one
+slicing rule (`_outside`): a removed chord (i, j) owns the letters i+1..j-1
+that lie outside the removed chords nested in it, read as a closed path from
+the target of letter i, and the letters outside every removed chord form the
+outer piece, which keeps the basepoint. The chords left in place fall inside
+one piece each. The chord algebras live on (word, cut) pairs and carry the
+comultiplications induced by removing one chord at a time, plus a coproduct
+obtained by cutting out simple subcuts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, Tuple
 
 from .linear import BasisElement, Tensor, skew
 from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
@@ -25,17 +24,21 @@ from .symalg import graft_coproduct
 class Cut:
     """A set of chords: position pairs (i < j), pairwise non-crossing.
 
-    Distinctness, order and non-crossing are checked here, by one left-to-right
-    scan that also records in `parents` the innermost chord enclosing each
-    chord of `pairs` (None at the top level). The diagram constructors check
-    the cut against a word. Simplicity means no chord nests inside another.
+    Integer endpoints, distinctness, order and non-crossing are checked here,
+    the last by one left-to-right scan that also records in `parents` the
+    innermost chord enclosing each chord of `pairs` (None at the top level).
+    The diagram constructors check the cut against a word. Simplicity means
+    no chord nests inside another.
     """
 
     __slots__ = ("pairs", "parents")
 
     def __init__(self, pairs=()):
-        ps = sorted((int(i), int(j)) for i, j in pairs)
+        ps = [(i, j) for i, j in pairs]
         flat = [k for p in ps for k in p]
+        if any(type(k) is not int for k in flat):
+            raise TypeError("cut endpoints must be ints: %r" % (ps,))
+        ps.sort()
         if len(set(flat)) != len(flat):
             raise ValueError("cut endpoints must be distinct: %r" % (ps,))
         parents = []
@@ -160,18 +163,6 @@ def epsilon(d: PathDiagram | NecklaceDiagram) -> int:
     return _sign(d.path.letters, d.cut.pairs)
 
 
-@dataclass(frozen=True)
-class CutComponents:
-    """Result of cutting along every chord of a cut.
-
-    outer keeps the original endpoints; chords maps each pair (i, j) to the
-    closed path running from the target of letter i to the source of letter j.
-    """
-
-    outer: Path
-    chords: Dict[Tuple[int, int], Path]
-
-
 def nesting_children(cut: Cut):
     """Forest structure on the chords: children are immediately nested chords.
 
@@ -183,17 +174,6 @@ def nesting_children(cut: Cut):
         kids[c] = []
         kids[parent].append(c)
     return kids
-
-
-def cut_components(d: PathDiagram | NecklaceDiagram) -> CutComponents:
-    """Delete all matched letters of a chord diagram (path or necklace) and
-    reglue: one piece per chord plus the outer piece."""
-    kids = nesting_children(d.cut)
-    letters = d.path.letters
-    return CutComponents(
-        outer=Path(d.path.start, _outside(letters, 1, len(letters), kids[None])),
-        chords={(i, j): _piece(letters, i, j, kids[i, j]) for i, j in d.cut.pairs},
-    )
 
 
 def cut_order(h: Cut) -> int:
@@ -302,31 +282,36 @@ def necklace_diagrams(q, max_len: int):
 
 
 def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):
-    """Cut out a simple subcut: the outer diagram plus one diagram per removed chord.
+    """Cut out any subset of the cut: the outer diagram plus one diagram per removed chord.
 
-    d is a path or necklace diagram; the pieces are path diagrams. Chords of
-    the remaining cut fall entirely inside one component and are relabeled by
-    the induced position map. Checks that sub is a simple subset of d.cut.
+    d is a path or necklace diagram; the pieces are path diagrams. A removed
+    chord's piece holds its letters outside the removed chords nested directly
+    in it, and the outer piece the letters outside every removed chord. Chords
+    of the remaining cut fall entirely inside one piece and are relabeled by
+    the induced position map. Checks that sub is a subset of d.cut.
     """
     pairs = set(d.cut.pairs)
     for c in sub.pairs:
         if c not in pairs:
             raise ValueError("chord %r is not part of the cut %s" % (c, d.cut.text()))
-    if not sub.is_simple():
-        raise ValueError("subcut %s is not simple" % sub.text())
+    kids = nesting_children(sub)  # keyed by None and the removed chords
+    rest = [c for c in d.cut.pairs if c not in kids]
     letters = d.path.letters
     n = len(letters)
     positions = tuple(range(1, n + 1))
 
-    def renumbered(path: Path, lo: int, hi: int, holes=()) -> PathDiagram:
+    def renumbered(path: Path, lo: int, hi: int, holes) -> PathDiagram:
         """The diagram on path, the piece at positions lo..hi outside holes,
-        with the chords of d that lie in it renumbered by place."""
-        at = {pos: k for k, pos in enumerate(_outside(positions, lo, hi, holes), 1)}
-        return PathDiagram(path, Cut((at[i], at[j]) for i, j in d.cut.pairs if i in at))
+        with the remaining chords of d that lie in it renumbered by place."""
+        kept = _outside(positions, lo, hi, holes)
+        return PathDiagram(
+            path, Cut((kept.index(i) + 1, kept.index(j) + 1) for i, j in rest if i in kept)
+        )
 
-    outer = Path(d.path.start, _outside(letters, 1, n, sub.pairs))
-    return renumbered(outer, 1, n, sub.pairs), {
-        (i, j): renumbered(_piece(letters, i, j), i + 1, j - 1) for i, j in sub.pairs
+    outer = Path(d.path.start, _outside(letters, 1, n, kids[None]))
+    return renumbered(outer, 1, n, kids[None]), {
+        (i, j): renumbered(_piece(letters, i, j, kids[i, j]), i + 1, j - 1, kids[i, j])
+        for i, j in sub.pairs
     }
 
 

@@ -2,7 +2,7 @@
 
 The faces of a chord diagram (one per chord, plus the unbounded face) become
 tree vertices; edges cross chords. Vertex labels are the cut components
-(`cuts.cut_components`), a face's children are the faces of the chords
+(`cuts.remove_chords`), a face's children are the faces of the chords
 immediately nested in its chord (`cuts.nesting_children`), ordered by left
 endpoint, and the edge dual to a chord (i, j) is oriented away from the root
 exactly when letter i is unstarred -- the combinatorial shadow of drawing the
@@ -14,7 +14,7 @@ morphism on quivers with loops.
 
 from __future__ import annotations
 
-from .cuts import NecklaceDiagram, PathDiagram, cut_components, epsilon, nesting_children
+from .cuts import NecklaceDiagram, PathDiagram, epsilon, nesting_children, remove_chords
 from .linear import LinComb
 from .quiver import Necklace
 from .trees import OrientedTree, RootedTree, oriented_from_rooted
@@ -27,16 +27,16 @@ def dual_rooted_tree(d: PathDiagram | NecklaceDiagram) -> RootedTree:
     face is labeled by its cut component. The edge dual to chord (i, j)
     points away from the root iff letter i is unstarred.
     """
-    return _dual_subtree(cut_components(d), nesting_children(d.cut), d.path.letters, None)
+    outer, inners = remove_chords(d, d.cut)
+    return _dual_subtree({None: outer, **inners}, nesting_children(d.cut), d.path.letters, None)
 
 
-def _dual_subtree(comps, kids, letters, c) -> RootedTree:
+def _dual_subtree(faces, kids, letters, c) -> RootedTree:
     """The dual tree below chord c's face (the unbounded face when c is None)."""
     children = tuple(
-        (letters[k[0] - 1].starred, _dual_subtree(comps, kids, letters, k)) for k in kids[c]
+        (letters[k[0] - 1].starred, _dual_subtree(faces, kids, letters, k)) for k in kids[c]
     )
-    label = comps.outer if c is None else comps.chords[c]
-    return RootedTree(label, children)
+    return RootedTree(faces[c].path, children)
 
 
 def dual_oriented_tree(x: NecklaceDiagram) -> OrientedTree:

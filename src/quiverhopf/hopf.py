@@ -26,11 +26,11 @@ from .cuts import (
     _piece,
     _sign,
     _simple_cuts,
-    cut_components,
     cut_order,
     enumerate_cuts,
     epsilon,
     precedes,
+    remove_chords,
 )
 from .dual import d_or
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
@@ -179,7 +179,7 @@ def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
         if cut_order(h) > 2:
             continue
         d = PathDiagram(x, h)
-        comps = cut_components(d)
+        outer, inners = remove_chords(d, d.cut)
         sign = epsilon(d)
         pairs = h.pairs
         for r in range(len(pairs) + 1):
@@ -190,9 +190,9 @@ def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
                     continue
                 if not precedes(h1, h2):
                     continue
-                left = Monomial(tuple(comps.chords[c] for c in h1.pairs))
-                mid = Monomial(tuple(comps.chords[c] for c in h2.pairs))
-                terms.append(((left, mid, Monomial((comps.outer,))), sign))
+                left = Monomial(tuple(inners[c].path for c in h1.pairs))
+                mid = Monomial(tuple(inners[c].path for c in h2.pairs))
+                terms.append(((left, mid, Monomial((outer.path,))), sign))
     return Tensor(3, terms)
 
 

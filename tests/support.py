@@ -10,9 +10,9 @@ from quiverhopf.cuts import (
     NecklaceDiagram,
     PathDiagram,
     chord_delta_p_rt,
-    cut_components,
     enumerate_cuts,
     epsilon,
+    remove_chords,
 )
 from quiverhopf.hopf import _formula_terms, path_coproduct
 from quiverhopf.linear import LinComb, Monomial, Tensor, Word
@@ -88,6 +88,40 @@ def oracle_simple_subcuts(h: Cut):
     all 2^n subsets are built and filtered. An oracle for `cuts.simple_subcuts`."""
     subsets = (Cut(c) for r in range(len(h) + 1) for c in itertools.combinations(h.pairs, r))
     return sorted(sub for sub in subsets if sub.is_simple())
+
+
+# Chord surgery by slicing a list of (position, letter) entries one chord at a
+# time, sharing no code with `cuts._outside`: an oracle for
+# `cuts.remove_chords` and for the face labels of `dual.dual_rooted_tree`.
+
+
+def sliced_surgery(p, cut_pairs, sub_pairs):
+    """Independent surgery: remove the chords of sub_pairs one at a time, from
+    the innermost outward, by slicing the word the way delta_p_rt does.
+
+    The word is a list of (original position, letter); the letters strictly
+    inside a chord become its piece, the rest stays. Returns
+    {chord or None: (Path, renumbered residual pairs)}, None being the outer
+    piece; a residual chord is renumbered inside the piece holding both ends.
+    """
+    word = list(enumerate(p.letters, 1))
+    pieces = {}
+    for i, j in sorted(sub_pairs, key=lambda c: c[1] - c[0]):
+        a = [pos for pos, _ in word].index(i)
+        b = [pos for pos, _ in word].index(j)
+        pieces[(i, j)] = (p.letters[i - 1].tgt, word[a + 1 : b])
+        word = word[:a] + word[b + 1 :]
+    pieces[None] = (p.start, word)
+    out = {}
+    for key, (start, entries) in pieces.items():
+        index = {pos: k + 1 for k, (pos, _) in enumerate(entries)}
+        residual = [
+            (index[i], index[j])
+            for i, j in cut_pairs
+            if (i, j) not in sub_pairs and i in index and j in index
+        ]
+        out[key] = (Path(start, tuple(lt for _, lt in entries)), sorted(residual))
+    return out
 
 
 # The necklace cobracket as a cyclic cut on an explicit closed word, sharing
@@ -241,7 +275,7 @@ def coassoc_formula_terms(x: Path) -> Tensor:
 # The simple-cut coproduct through the chord-diagram machinery, sharing only
 # the cut enumeration with the simple-cut walk in `cuts`: an oracle for
 # `path_coproduct` and `nc_coproduct`. Each simple cut becomes a checked
-# `PathDiagram`, cut by the full surgery pass and signed by `epsilon`.
+# `PathDiagram`, cut out whole by `remove_chords` and signed by `epsilon`.
 
 
 def oracle_cut_coproduct(x: Path, kind) -> Tensor:
@@ -251,9 +285,9 @@ def oracle_cut_coproduct(x: Path, kind) -> Tensor:
     terms = [((kind((x,)), kind(())), 1)]
     for h in enumerate_cuts(x, simple_only=True):
         d = PathDiagram(x, h)
-        comps = cut_components(d)
-        left = kind(tuple(comps.chords[c] for c in h.pairs))
-        terms.append(((left, kind((comps.outer,))), epsilon(d)))
+        outer, inners = remove_chords(d, d.cut)
+        left = kind(tuple(inners[c].path for c in h.pairs))
+        terms.append(((left, kind((outer.path,))), epsilon(d)))
     return Tensor(2, terms)
 
 

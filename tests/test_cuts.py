@@ -1,4 +1,5 @@
 import io
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -11,13 +12,12 @@ from quiverhopf import cuts
 from quiverhopf.cli import main
 from quiverhopf.cuts import (
     Cut,
-    CutComponents,
     NecklaceDiagram,
     PathDiagram,
+    _sign,
     chord_coproduct,
     chord_delta_or,
     chord_delta_p_rt,
-    cut_components,
     cut_order,
     enumerate_cuts,
     epsilon,
@@ -29,9 +29,10 @@ from quiverhopf.cuts import (
     simple_subcuts,
     validate_cut,
 )
-from quiverhopf.linear import Monomial, SYM_UNIT, Tensor, tensor
+from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.hopf import eta_or, eta_rt
 from quiverhopf.quiver import Path, all_closed_paths, all_necklaces, all_paths, rotate
+from quiverhopf.symalg import antipode_free
 from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
 from support import (
     oracle_children,
@@ -41,6 +42,7 @@ from support import (
     oracle_simple,
     oracle_simple_subcuts,
     oracle_valid,
+    sliced_surgery,
 )
 
 
@@ -82,35 +84,6 @@ def oracle_cuts(p):
 
     rec(0, [])
     return sorted(set(results))
-
-
-def sliced_surgery(p, cut_pairs, sub_pairs):
-    """Independent surgery: remove the chords of sub_pairs one at a time, from
-    the innermost outward, by slicing the word the way delta_p_rt does.
-
-    The word is a list of (original position, letter); the letters strictly
-    inside a chord become its piece, the rest stays. Returns
-    {chord or None: (Path, renumbered residual pairs)}, None being the outer
-    piece; a residual chord is renumbered inside the piece holding both ends.
-    """
-    word = list(enumerate(p.letters, 1))
-    pieces = {}
-    for i, j in sorted(sub_pairs, key=lambda c: c[1] - c[0]):
-        a = [pos for pos, _ in word].index(i)
-        b = [pos for pos, _ in word].index(j)
-        pieces[(i, j)] = (p.letters[i - 1].tgt, word[a + 1 : b])
-        word = word[:a] + word[b + 1 :]
-    pieces[None] = (p.start, word)
-    out = {}
-    for key, (start, entries) in pieces.items():
-        index = {pos: k + 1 for k, (pos, _) in enumerate(entries)}
-        residual = [
-            (index[i], index[j])
-            for i, j in cut_pairs
-            if (i, j) not in sub_pairs and i in index and j in index
-        ]
-        out[key] = (Path(start, tuple(lt for _, lt in entries)), sorted(residual))
-    return out
 
 
 def ee4(q1):
@@ -214,38 +187,74 @@ def test_epsilon_multiplicativity(q1, loop, two_loops):
                     assert epsilon(PathDiagram(p, sub)) * epsilon(PathDiagram(p, rest)) == eh
 
 
-def test_cut_components_two_letter(q1):
+def test_remove_chords_full_cut_two_letter(q1):
     e = q1.letter("e")
     two = Path("1", (e, e.star()))
-    comps = cut_components(PathDiagram(two, Cut(((1, 2),))))
-    assert comps.outer == q1.trivial("1")
-    assert comps.chords == {(1, 2): q1.trivial("2")}
+    outer, inners = remove_chords(PathDiagram(two, Cut(((1, 2),))), Cut(((1, 2),)))
+    assert outer == PathDiagram(q1.trivial("1"))
+    assert inners == {(1, 2): PathDiagram(q1.trivial("2"))}
 
 
-def test_cut_components_nested(q1):
-    x = ee4(q1)
-    comps = cut_components(PathDiagram(x, Cut(((1, 4), (2, 3)))))
-    assert comps.outer == q1.trivial("1")
-    assert comps.chords[(1, 4)] == q1.trivial("2")
-    assert comps.chords[(2, 3)] == q1.trivial("1")
+def test_remove_chords_full_cut_nested(q1):
+    h = Cut(((1, 4), (2, 3)))
+    outer, inners = remove_chords(PathDiagram(ee4(q1), h), h)
+    assert outer == PathDiagram(q1.trivial("1"))
+    assert inners[(1, 4)] == PathDiagram(q1.trivial("2"))
+    assert inners[(2, 3)] == PathDiagram(q1.trivial("1"))
 
 
-def test_cut_components_empty(q2):
+def test_remove_chords_full_cut_empty(q2):
     for p in all_paths(q2, 3):
-        comps = cut_components(PathDiagram(p, Cut(())))
-        assert comps.outer == p and comps.chords == {}
+        assert remove_chords(PathDiagram(p, Cut(())), Cut(())) == (PathDiagram(p), {})
 
 
-def test_cut_components_endpoints(q1, loop_edge):
+def test_remove_chords_full_cut_endpoints(q1, loop_edge):
     for q in (q1, loop_edge):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
-                comps = cut_components(PathDiagram(p, h))
-                assert comps.outer.start == p.start and comps.outer.end == p.end
-                for (i, j), piece in comps.chords.items():
-                    assert piece.start == p.letters[i - 1].tgt
-                    assert piece.end == p.letters[j - 1].src
-                    assert piece.is_closed()
+                outer, inners = remove_chords(PathDiagram(p, h), h)
+                assert outer.path.start == p.start and outer.path.end == p.end
+                for (i, j), piece in inners.items():
+                    assert piece.path.start == p.letters[i - 1].tgt
+                    assert piece.path.end == p.letters[j - 1].src
+                    assert piece.path.is_closed()
+
+
+def test_remove_chords_rejects_a_chord_outside_the_cut(q1):
+    d = PathDiagram(ee4(q1), Cut(((1, 2),)))
+    with pytest.raises(ValueError, match=r"chord \(3, 4\) is not part of the cut \(1,2\)"):
+        remove_chords(d, Cut(((3, 4),)))
+
+
+def test_remove_chords_accepts_a_nested_subset(q1):
+    """A nested subset is cut out chord by chord, each chord keeping its
+    letters outside the chord nested in it; the chord left in place lands,
+    renumbered, in the outer piece or in a chord's piece."""
+    e = q1.letter("e")
+    x = Path("1", (e, e.star()) * 3)
+    sub = Cut(((1, 4), (2, 3)))
+    assert not sub.is_simple()
+    outer, inners = remove_chords(PathDiagram(x, Cut(((1, 4), (2, 3), (5, 6)))), sub)
+    assert outer == PathDiagram(Path("1", (e, e.star())), Cut(((1, 2),)))
+    assert inners == {
+        (1, 4): PathDiagram(q1.trivial("2")),
+        (2, 3): PathDiagram(q1.trivial("1")),
+    }
+    outer, inners = remove_chords(
+        PathDiagram(x, Cut(((1, 6), (2, 3), (4, 5)))), Cut(((1, 6), (2, 3)))
+    )
+    assert outer == PathDiagram(q1.trivial("1"))
+    assert inners == {
+        (1, 6): PathDiagram(Path("2", (e.star(), e)), Cut(((1, 2),))),
+        (2, 3): PathDiagram(q1.trivial("1")),
+    }
+
+
+def test_cut_rejects_endpoints_that_are_not_ints():
+    for pairs in ([(1.7, 3.2)], [("1", "2")], [(1, 2), (3.0, 4)], [(True, 2)]):
+        with pytest.raises(TypeError, match="cut endpoints must be ints"):
+            Cut(pairs)
+    assert Cut([(1, 4), (2, 3)]).pairs == ((1, 4), (2, 3))
 
 
 def cut_order_at(p: Path, h: Cut, v) -> int:
@@ -409,57 +418,86 @@ def test_precedes(q1):
         precedes(Cut(((1, 2),)), Cut(((2, 3),)))  # overlapping endpoints
 
 
-def test_remove_chords_matches_components_on_simple_cuts(q1, two_loops):
-    for q in (q1, two_loops):
-        for p in all_paths(q, 6):
-            for h in enumerate_cuts(p, simple_only=True):
-                comps = cut_components(PathDiagram(p, h))
-                outer, inners = remove_chords(PathDiagram(p, h), h)
-                assert outer.path == comps.outer and outer.cut == Cut(())
-                for c in h.pairs:
-                    assert inners[c].path == comps.chords[c]
-                    assert inners[c].cut == Cut(())
-
-
 def diagrams_of(p, h):
     """The path diagram of (p, h), and its necklace diagram when p is closed."""
     return [PathDiagram(p, h)] + ([NecklaceDiagram(p, h)] if p.is_closed() else [])
 
 
-def test_cut_components_match_sliced_surgery(two_loops, loop_edge):
-    checked = rotated = 0
-    for q in (two_loops, loop_edge):
-        for p in all_paths(q, 6):
-            for h in enumerate_cuts(p):
-                for d in diagrams_of(p, h):
-                    pieces = sliced_surgery(d.path, d.cut.pairs, d.cut.pairs)
-                    expect = CutComponents(
-                        outer=pieces[None][0], chords={c: pieces[c][0] for c in d.cut.pairs}
-                    )
-                    assert cut_components(d) == expect
-                    rotated += d.path != p
-                checked += any(not oracle_simple([c, e]) for c in h.pairs for e in h.pairs)
-    assert checked  # nested cuts were among those compared
-    assert rotated  # so were necklace diagrams read at another rotation
+def all_subcuts(h: Cut):
+    """Every subset of a cut's chords, nested ones included."""
+    return [Cut(s) for r in range(len(h) + 1) for s in itertools.combinations(h.pairs, r)]
 
 
 def test_remove_chords_matches_sliced_surgery(two_loops, loop_edge):
-    checked = rotated = 0
+    """Every subset of every cut, the whole cut included, against the
+    word-slicing oracle, on path diagrams and on necklace diagrams."""
+    renumbered = nested = rotated = 0
     for q in (two_loops, loop_edge):
-        for p in all_paths(q, 6):
+        for p in all_paths(q, 5):
             for h in enumerate_cuts(p):
                 for d in diagrams_of(p, h):
-                    for sub in simple_subcuts(d.cut):
+                    for sub in all_subcuts(d.cut):
                         pieces = sliced_surgery(d.path, d.cut.pairs, sub.pairs)
                         outer, inners = remove_chords(d, sub)
                         assert outer == PathDiagram(pieces[None][0], Cut(pieces[None][1]))
                         assert set(inners) == set(sub.pairs)
                         for c in sub.pairs:
                             assert inners[c] == PathDiagram(pieces[c][0], Cut(pieces[c][1]))
-                        checked += len(pieces[None][1]) > 0
+                        renumbered += len(pieces[None][1]) > 0
+                        nested += not sub.is_simple()
                         rotated += d.path != p
-    assert checked  # residual chords were renumbered in some outer pieces
+    assert renumbered  # residual chords were renumbered in some outer pieces
+    assert nested  # subsets with nested chords were cut out
     assert rotated  # necklace diagrams read at another rotation were compared
+
+
+def test_remove_chords_full_cut_matches_sliced_surgery(two_loops, loop_edge):
+    """Cutting out the whole cut, one letter longer than the subset sweep:
+    every chord's piece and the bare outer path, against the slicing oracle."""
+    checked = rotated = 0
+    for q in (two_loops, loop_edge):
+        for p in all_paths(q, 6):
+            for h in enumerate_cuts(p):
+                for d in diagrams_of(p, h):
+                    pieces = sliced_surgery(d.path, d.cut.pairs, d.cut.pairs)
+                    outer, inners = remove_chords(d, d.cut)
+                    assert outer == PathDiagram(pieces[None][0])
+                    assert inners == {c: PathDiagram(pieces[c][0]) for c in d.cut.pairs}
+                    rotated += d.path != p
+                checked += any(not oracle_simple([c, e]) for c in h.pairs for e in h.pairs)
+    assert checked  # nested cuts were among those compared
+    assert rotated  # so were necklace diagrams read at another rotation
+
+
+def closed_form_antipode(d, signed=True, subcuts=all_subcuts) -> LinComb:
+    """The cut-forest antipode of a chord diagram: over every subset s of its
+    chords, (-1)^(|s|+1) times the sign of s times the product of the pieces
+    that cutting out s leaves."""
+    terms = []
+    for sub in subcuts(d.cut):
+        outer, inners = remove_chords(d, sub)
+        sign = (-1) ** (len(sub) + 1) * (_sign(d.path.letters, sub.pairs) if signed else 1)
+        terms.append((Monomial((outer,) + tuple(inners.values())), sign))
+    return LinComb(terms)
+
+
+def test_chord_antipode_closed_form():
+    """The closed form equals the geometric-series antipode of chord_coproduct."""
+    for q in FAMILY.values():
+        for d in path_diagrams(q, 4):
+            assert closed_form_antipode(d) == antipode_free(chord_coproduct, Monomial((d,)))
+
+
+def test_chord_antipode_closed_form_needs_the_sign_and_nested_subsets():
+    """Dropping the sign of the removed chords, or summing over the simple
+    subsets only, breaks the closed form on two_loops."""
+    diagrams = path_diagrams(QUIVER_2L, 4)
+    series = [antipode_free(chord_coproduct, Monomial((d,))) for d in diagrams]
+    unsigned = sum(closed_form_antipode(d, signed=False) != s for d, s in zip(diagrams, series))
+    simple_only = sum(
+        closed_form_antipode(d, subcuts=simple_subcuts) != s for d, s in zip(diagrams, series)
+    )
+    assert (len(diagrams), unsigned, simple_only) == (809, 242, 16)
 
 
 def test_chord_delta_p_rt_one_chord(q1):

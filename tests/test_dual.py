@@ -5,7 +5,6 @@ from quiverhopf.cuts import (
     chord_delta_or,
     chord_delta_p_rt,
     enumerate_cuts,
-    cut_components,
     necklace_diagrams,
     nesting_children,
     path_diagrams,
@@ -15,7 +14,7 @@ from quiverhopf.linear import LinComb
 from quiverhopf.quiver import Necklace, Path, all_paths, rotate
 from quiverhopf.trees import OrientedTree, RootedTree, oriented_from_rooted, rho, rho_ss_oriented
 from quiverhopf.verify import verify_coalgebra_morphism
-from support import point
+from support import point, sliced_surgery
 
 
 def ee4(q1):
@@ -63,16 +62,15 @@ def label_multiset(t):
     return sorted(out)
 
 
-def test_face_labels_equal_cut_components(q1, loop_edge):
+def test_face_labels_equal_sliced_surgery(q1, loop_edge):
     for q in (q1, loop_edge):
         for p in all_paths(q, 6):
             for h in enumerate_cuts(p):
                 d = PathDiagram(p, h)
-                comps = cut_components(d)
                 t = dual_rooted_tree(d)
                 assert t.edge_count() == len(h.pairs)
-                want = sorted([comps.outer] + list(comps.chords.values()))
-                assert label_multiset(t) == want
+                pieces = sliced_surgery(p, h.pairs, h.pairs)
+                assert label_multiset(t) == sorted(path for path, _ in pieces.values())
                 if h.pairs and h.is_simple():
                     # Simple cut: every dual edge is incident to the root.
                     assert all(not c.children for _, c in t.children)
