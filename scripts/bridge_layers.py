@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Rebuild the path and tree coproducts from their pre-Lie parts, layer by
-layer, and show how the layers fill in as the degree cap grows.
+layer, and show how the layers fill in as the degree cap grows. The
+reconstruction is the only check of the pre-Lie coaxiom: a map that breaks
+it has no layer 2, and the error names the generator.
 
     python scripts/bridge_layers.py [--max-degree D] [--quiver FILE]
 """
@@ -9,28 +11,24 @@ import argparse
 import sys
 import time
 
-from quiverhopf.bridge import compare_coproducts, instance
+from quiverhopf.bridge import compare_coproducts, instance, reconstruct_coproduct
 from quiverhopf.quiver import ONE_EDGE_QUIVER, Quiver
 
 
-def show(name, inst, direct) -> bool:
+def show(name, basis, degree, pre_lie, direct) -> bool:
     t0 = time.perf_counter()
-    pre = inst.check()
-    if not pre.ok:
-        print("%s: %s" % (name, pre.line()))
-        return False
-    layers = inst.reconstruct()
+    layers = reconstruct_coproduct(basis, degree, pre_lie)
     counts = layers.term_counts()
     print(
         "%s: %d basis elements, layers {%s}, integral=%s"
         % (
             name,
-            len(inst.basis),
+            len(basis),
             ", ".join("%d: %d" % (n, c) for n, c in counts.items()),
             layers.all_integral(),
         )
     )
-    rep = compare_coproducts(layers, direct, inst.basis)
+    rep = compare_coproducts(layers, direct, basis)
     print("   %s  (%.2fs)" % (rep.line(), time.perf_counter() - t0))
     return rep.ok
 
@@ -45,13 +43,11 @@ def main() -> int:
     # scale (5 edges) unless a smaller cap was requested.
     tdeg = min(args.max_degree, 6)
     try:
-        paths = instance(q, "paths", args.max_degree)
-        trees = instance(q, "trees", tdeg)
+        ok = show("paths", *instance(q, "paths", args.max_degree))
+        ok &= show("trees", *instance(q, "trees", tdeg))
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    ok = show("paths", *paths)
-    ok &= show("trees", *trees)
     return 0 if ok else 1
 
 

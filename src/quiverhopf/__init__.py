@@ -59,7 +59,6 @@ from .hopf import (
 )
 from .bridge import (
     CoproductLayers,
-    GradedPreLieCoalgebra,
     compare_coproducts,
     delta0_prime,
     extract_prelie,

@@ -10,12 +10,12 @@ The division is the one place exact rationals are genuinely needed; the
 reconstructed constants come out integral again, which the tests assert, and
 an integral quotient is stored as an int. The recursion visits the generators
 in degree order, expands each layer once, and keeps its memos for one call.
+Layer 2's equation is the pre-Lie coaxiom, so no separate coaxiom sweep is needed.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Tuple
 
@@ -25,7 +25,7 @@ from .linear import Monomial, Tensor
 from .quiver import Quiver, all_paths
 from .symalg import cop_free
 from .trees import all_rooted_trees, rho, tree_coproduct
-from .verify import Report, verify_defect, verify_prelie_coalgebra
+from .verify import Report, verify_defect
 
 
 def monomialize(t: Tensor) -> Tensor:
@@ -119,8 +119,11 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable) -> CoproductLa
     and each generator's pre-Lie map is checked to preserve degree when the
     walk reaches it. Layer n+1 of each is recovered from its layers <= n and
     its components' complete coproducts, verified to satisfy its defining
-    equation exactly, and expanded once; the grading bounds the layers. Each
-    total and monomial coproduct is built once a call.
+    equation exactly, and expanded once; the grading bounds the layers. Layer
+    2's check is (tau12 - 1)/2 applied to (1 (x) rho - rho (x) 1)rho(v), which
+    vanishes exactly when the pre-Lie coaxiom holds at v, so a map that breaks
+    the coaxiom raises a "layer 2 defect". Each total and monomial coproduct
+    is built once a call.
     """
     elems = sorted((degree(x), x) for x in basis)
     if not elems:
@@ -153,7 +156,7 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable) -> CoproductLa
         while layer or buckets:
             if layer:
                 layers.setdefault(n, {})[v] = layer
-            d3 = layer.slot_expand(1, cop, 2) - layer.slot_expand(0, cop, 2)
+            d3 = layer.slot_expand(1, cop) - layer.slot_expand(0, cop)
             for (m1, m2, m3), c in d3.items():
                 k = len(m1) + len(m2)
                 if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and k > n:
@@ -164,7 +167,7 @@ def reconstruct_coproduct(basis, degree: Callable, rho: Callable) -> CoproductLa
             # Invert the (generator (x) Sym^(n-1)) split of the left monomial.
             split = Tensor(2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1))
             layer = Tensor(2, ((key, _divide(c, n)) for key, c in split.items()))
-            check = layer.slot_expand(0, delta0_prime, 2) - r
+            check = layer.slot_expand(0, delta0_prime) - r
             if check:
                 raise ValueError(
                     "no graded coproduct extends this pre-Lie map at %s: "
@@ -194,27 +197,6 @@ def tree_degree(t) -> int:
     return t.edge_count() + 1
 
 
-@dataclass(frozen=True)
-class GradedPreLieCoalgebra:
-    """A positively graded basis with a degree-preserving pre-Lie map.
-
-    Bundles the three inputs of the reconstruction. check() sweeps the
-    pre-Lie coaxiom over the whole basis before any layers are built; the
-    grading is checked by reconstruct(), as its walk reaches each generator.
-    """
-
-    basis: Tuple
-    degree: Callable
-    rho: Callable
-
-    def check(self) -> Report:
-        # One memo for the sweep: the coaxiom re-expands rho's components.
-        return verify_prelie_coalgebra(functools.cache(self.rho), self.basis, "pre-Lie coaxiom")
-
-    def reconstruct(self) -> CoproductLayers:
-        return reconstruct_coproduct(self.basis, self.degree, self.rho)
-
-
 def _vertex_trees(q: Quiver, max_edges: int):
     """Plain-edged rooted trees labelled by the trivial path at q's first vertex."""
     return all_rooted_trees(max_edges, (q.trivial(q.vertices[0]),), flags=(False,))
@@ -231,8 +213,9 @@ def instance_table() -> Dict[str, tuple]:
     }
 
 
-def instance(q: Quiver, kind: str, max_degree: int) -> Tuple[GradedPreLieCoalgebra, Callable]:
-    """The instance `kind` on q up to max_degree, with its direct coproduct.
+def instance(q: Quiver, kind: str, max_degree: int) -> Tuple[tuple, Callable, Callable, Callable]:
+    """The instance `kind` on q up to max_degree: reconstruct_coproduct's
+    arguments (basis, grading, pre-Lie map), then the direct coproduct.
 
     A degree cap below the instance's least degree is an error, since such an
     instance has nothing to check.
@@ -246,4 +229,4 @@ def instance(q: Quiver, kind: str, max_degree: int) -> Tuple[GradedPreLieCoalgeb
             "--max-degree %d is below %d, the least degree of the %s instance"
             % (max_degree, least, kind)
         )
-    return GradedPreLieCoalgebra(tuple(basis(q, max_degree - least)), degree, pre_lie), direct
+    return tuple(basis(q, max_degree - least)), degree, pre_lie, direct

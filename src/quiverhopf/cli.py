@@ -14,7 +14,7 @@ import json
 import re
 import sys
 
-from .bridge import compare_coproducts, instance as bridge_instance, instance_table
+from .bridge import compare_coproducts, instance, instance_table, reconstruct_coproduct
 from .cobrackets import delta_or, delta_p_rt, delta_rt
 from .cuts import Cut, PathDiagram, cut_order, enumerate_cuts, epsilon, remove_chords
 from .dual import dual_rooted_tree
@@ -128,17 +128,13 @@ def cmd_eta(args, out) -> int:
 
 def cmd_bridge(args, out) -> int:
     q = _quiver(args)
-    instance, direct = bridge_instance(q, args.instance, args.max_degree)
-    pre = instance.check()
-    if not pre.ok:
-        print(pre.line(), file=out)
-        return 1
-    layers = instance.reconstruct()
+    basis, degree, pre_lie, direct = instance(q, args.instance, args.max_degree)
+    layers = reconstruct_coproduct(basis, degree, pre_lie)
     for n, count in layers.term_counts().items():
         print("layer %d: %d terms" % (n, count), file=out)
     print("integral coefficients: %s" % ("yes" if layers.all_integral() else "NO"), file=out)
     if args.compare:
-        rep = compare_coproducts(layers, direct, instance.basis)
+        rep = compare_coproducts(layers, direct, basis)
         print(rep.line(), file=out)
         return 0 if rep.ok else 1
     return 0

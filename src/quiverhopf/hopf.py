@@ -204,7 +204,7 @@ def coassoc_formula_defect(x: Path) -> Tensor:
     gen = functools.cache(path_coproduct)
     cop = functools.cache(lambda m: cop_free(gen, m))
     t = gen(x)
-    direct = t.slot_expand(0, cop, 2)
-    other = t.slot_expand(1, cop, 2)
+    direct = t.slot_expand(0, cop)
+    other = t.slot_expand(1, cop)
     formula = _formula_terms(x, t)
     return (direct - formula) or (direct - other)

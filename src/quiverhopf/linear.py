@@ -265,16 +265,16 @@ class Tensor(LinComb):
             n, {tuple(key[inv[k]] for k in range(n)): c for key, c in self._terms.items()}
         )
 
-    def slot_expand(self, slot: int, f, m: int) -> "Tensor":
-        """Expand one slot through f: elem -> Tensor(m); arity grows by m - 1."""
+    def slot_expand(self, slot: int, f) -> "Tensor":
+        """Expand one slot through f: elem -> Tensor(2); arity grows by 1."""
         acc: dict = {}
         for key, c in self._terms.items():
             sub = f(key[slot])
-            if sub.arity != m:
-                raise ValueError("slot_expand: expected arity %d, got %d" % (m, sub.arity))
+            if sub.arity != 2:
+                raise ValueError("slot_expand: expected arity 2, got %d" % sub.arity)
             for skey, sc in sub._terms.items():
                 _accumulate(acc, key[:slot] + skey + key[slot + 1 :], c * sc)
-        return _tensor(self.arity + m - 1, acc)
+        return _tensor(self.arity + 1, acc)
 
 
 def as_lincomb(x) -> LinComb:

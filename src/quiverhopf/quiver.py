@@ -89,7 +89,9 @@ class Quiver:
         return sorted(self.letter(eid, starred) for eid in self.edges for starred in (False, True))
 
     def trivial(self, v: str) -> "Path":
-        return Path(str(v), ())
+        if v not in self.vertices:
+            raise ValueError("unknown vertex %r" % (v,))
+        return Path(v, ())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Quiver":

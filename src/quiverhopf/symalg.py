@@ -105,7 +105,7 @@ def antipode_free(gen_cop: Callable, m) -> LinComb:
                 "the coproduct does not strictly decrease any grading" % MAX_STEPS
             )
         result = result + sign * multiply_slots(current)
-        current = current.slot_expand(0, reduced, 2)
+        current = current.slot_expand(0, reduced)
         sign = -sign
     return result
 
@@ -135,7 +135,7 @@ def coassoc_defect(gen_cop: Callable, m) -> Tensor:
     """
     cop = functools.cache(lambda a: cop_free(gen_cop, a))
     t = cop(m)
-    return t.slot_expand(0, cop, 2) - t.slot_expand(1, cop, 2)
+    return t.slot_expand(0, cop) - t.slot_expand(1, cop)
 
 
 def antipode_defect(gen_cop: Callable, m, antipode: Callable) -> LinComb:

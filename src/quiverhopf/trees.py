@@ -31,10 +31,10 @@ class RootedTree(BasisElement):
     __slots__ = ("label", "children")
 
     def __init__(self, label: Path, children=()):
-        children = tuple((bool(up), child) for up, child in children)
-        for _, child in children:
-            if not isinstance(child, RootedTree):
-                raise TypeError("children must be RootedTree instances")
+        children = tuple((up, child) for up, child in children)
+        for up, child in children:
+            if type(up) is not bool or not isinstance(child, RootedTree):
+                raise TypeError("children must be (bool, RootedTree) pairs: %r" % ((up, child),))
         parts = "".join(
             ("^" if up else "v") + child.skey[3:] for up, child in children
         )
@@ -143,17 +143,17 @@ def _planar_children(edge_list, adj, v, parent_edge, rot: int):
     return out
 
 
-def _walk_tree(root, expand):
-    """Number the vertices of a planar tree in preorder from root.
+def _walk_tree(root, expand) -> "OrientedTree":
+    """The OrientedTree of a planar tree, numbered in preorder from root.
 
     expand(node) gives (label, [(up, child), ...]) in planar order; up=True
-    means the edge points from the child toward node. Returns (labels,
-    edge_list, adj), each vertex's cyclic order starting at the edge back
-    toward the root, which is how RootedTree lifts it.
+    means the edge points from the child toward node. Each vertex's cyclic
+    order starts at the edge back toward the root, which is how RootedTree
+    lifts it.
     """
     labels, edge_list, adj = [], [], []
     _visit(root, None, expand, labels, edge_list, adj)
-    return labels, edge_list, adj
+    return OrientedTree(labels, edge_list, adj)
 
 
 def _visit(node, parent_edge, expand, labels, edge_list, adj):
@@ -182,15 +182,19 @@ class OrientedTree(BasisElement):
 
     def __init__(self, labels, edge_list, adj):
         labels = tuple(labels)
-        edge_list = tuple((int(u), int(v)) for u, v in edge_list)
-        adj = tuple(tuple(es) for es in adj)
+        edge_list = tuple(map(tuple, edge_list))
+        adj = tuple(map(tuple, adj))
         for lab in labels:
             if not isinstance(lab, Necklace):
                 raise TypeError("oriented tree labels must be necklaces")
-        if len(adj) != len(labels):
+        n = len(labels)
+        if len(adj) != n:
             raise ValueError("adjacency size differs from label count")
-        if len(edge_list) != len(labels) - 1:
+        if len(edge_list) != n - 1:
             raise ValueError("an oriented tree on n vertices needs n - 1 edges")
+        for u, v in edge_list:
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
+                raise ValueError("edge %r must join two vertices of 0..%d" % ((u, v), n - 1))
         best = None
         below: dict = {}
         # A serialization from root r starts with heads[r], so a root whose
@@ -239,9 +243,7 @@ class OrientedTree(BasisElement):
         """Split at one edge; returns (away_part, toward_part) following the
         edge orientation: the second component is the one the edge points to.
         Each side is walked from its end of the edge."""
-        return tuple(
-            OrientedTree(*_walk_tree((end, eidx), self._expand)) for end in self.edge_list[eidx]
-        )
+        return tuple(_walk_tree((end, eidx), self._expand) for end in self.edge_list[eidx])
 
     def to_json(self) -> dict:
         return _json_at((self.canon_root, None), self._expand)
@@ -276,7 +278,7 @@ def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) ->
     The cyclic order at a former non-root vertex starts with the edge back
     toward the root, matching the planar lifting used by RootedTree.
     """
-    return OrientedTree(*_walk_tree(t, lambda node: (to_label(node.label), node.children)))
+    return _walk_tree(t, lambda node: (to_label(node.label), node.children))
 
 
 def rho_ss_oriented(t: OrientedTree) -> Tensor:

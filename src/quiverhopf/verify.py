@@ -67,7 +67,7 @@ def verify_prelie_coalgebra(delta0: Callable, sample, law: str = "pre-Lie coaxio
 
     def defect(x):
         d = delta0(x)
-        t = d.slot_expand(0, delta0, 2) - d.slot_expand(1, delta0, 2)
+        t = d.slot_expand(0, delta0) - d.slot_expand(1, delta0)
         return t - t.permute(TAU12_3)
 
     return verify_defect(defect, sample, law)
@@ -82,7 +82,7 @@ def verify_lie_coalgebra(delta: Callable, sample, law: str = "Lie coalgebra axio
         anti = d + d.permute(TAU12_2)
         if anti:
             return Report(law + " (co-antisymmetry)", count, (x, anti))
-        u = d.slot_expand(0, delta, 2)
+        u = d.slot_expand(0, delta)
         jac = u + u.permute(TAU123) + u.permute(TAU132)
         if jac:
             return Report(law + " (co-Jacobi)", count, (x, jac))

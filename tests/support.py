@@ -371,7 +371,7 @@ def oracle_reconstruct(basis, degree, rho, max_degree: int) -> dict:
             t = total(v)
             r = Tensor(3, (
                 ((m1, m2, m3), c)
-                for (m1, m2, m3), c in (t.slot_expand(1, cop, 2) - t.slot_expand(0, cop, 2)).items()
+                for (m1, m2, m3), c in (t.slot_expand(1, cop) - t.slot_expand(0, cop)).items()
                 if len(m1) >= 1 and len(m2) >= 1 and len(m3) == 1 and len(m1) + len(m2) == n + 1
             ))
             if not r:
@@ -380,7 +380,7 @@ def oracle_reconstruct(basis, degree, rho, max_degree: int) -> dict:
                 2, (((m1 * m2, m3), c) for (m1, m2, m3), c in r.items() if len(m1) == 1)
             )
             layer = Tensor(2, ((key, _divide(c, n + 1)) for key, c in split.items()))
-            assert not (layer.slot_expand(0, delta0_prime, 2) - r), (v, n + 1)
+            assert not (layer.slot_expand(0, delta0_prime) - r), (v, n + 1)
             nxt[v] = layer
         if nxt:
             layers[n + 1] = nxt

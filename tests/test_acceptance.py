@@ -289,11 +289,10 @@ def test_criterion_5_theorem_1():
 def test_criterion_6_bridge():
     failures = []
     for q in (Q1, LOOP):
-        paths, direct = instance(q, "paths", 8)
-        basis = paths.basis
+        basis, degree, pre_lie, direct = instance(q, "paths", 8)
         if basis != tuple(all_paths(q, 6)) or direct is not path_coproduct:
             failures.append("the paths instance is not all paths of length <= 6")
-        layers = paths.reconstruct()
+        layers = reconstruct_coproduct(basis, degree, pre_lie)
         rep = compare_coproducts(layers, path_coproduct, basis)
         if not rep.ok:
             failures.append(rep.line())
@@ -306,14 +305,13 @@ def test_criterion_6_bridge():
             if monomialize(delta_p_rt(x)) != monomialize(extract_prelie(layers.total, x)):
                 failures.append("extracted pre-Lie differs from delta_p_rt at %s" % x.text())
                 break
-    trees, direct = instance(Q1, "trees", 6)
-    tree_basis = trees.basis
+    tree_basis, degree, pre_lie, direct = instance(Q1, "trees", 6)
     label = Q1.trivial("1")
     if tree_basis != tuple(all_rooted_trees(5, (label,), flags=(False,))) or (
         direct is not tree_coproduct
     ):
         failures.append("the trees instance is not the 1-labelled trees with <= 5 edges")
-    tree_layers = trees.reconstruct()
+    tree_layers = reconstruct_coproduct(tree_basis, degree, pre_lie)
     rep = compare_coproducts(tree_layers, tree_coproduct, tree_basis)
     if not rep.ok:
         failures.append(rep.line())

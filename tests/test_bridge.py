@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 from quiverhopf import bridge
 from quiverhopf.bridge import (
     CoproductLayers,
-    GradedPreLieCoalgebra,
     compare_coproducts,
     delta0_prime,
     extract_prelie,
@@ -21,7 +21,7 @@ from quiverhopf.linear import BasisElement, Monomial, SYM_UNIT, Tensor, tensor
 from quiverhopf.quiver import Path, all_paths
 from quiverhopf.symalg import cop_free
 from quiverhopf.trees import all_rooted_trees, rho, tree_coproduct
-from quiverhopf.verify import FAMILY
+from quiverhopf.verify import FAMILY, verify_prelie_coalgebra
 from support import layer, oracle_reconstruct, point
 
 
@@ -134,7 +134,9 @@ def test_reconstruct_rejects_degree_breaking_map(q1):
             return tensor(q1.trivial("1"), q1.trivial("1"))
         return Tensor(2)
 
-    with pytest.raises(ValueError):
+    # The map satisfies the coaxiom; the walk's grading check rejects it.
+    assert verify_prelie_coalgebra(bad, basis).ok
+    with pytest.raises(ValueError, match="does not preserve degree"):
         reconstruct_coproduct(basis, path_degree, bad)
 
 
@@ -215,36 +217,42 @@ def test_term_counts_reported(q1):
     assert max_layer(layers) >= 2
 
 
-def test_graded_prelie_bundle(q1):
-    inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 4)), path_degree, delta_p_rt)
-    assert inst.check().ok
-    layers = inst.reconstruct()
-    assert compare_coproducts(layers, path_coproduct, inst.basis).ok
+def prelie_mutants(f):
+    """Five perturbations of a pre-Lie map f, each applied on every element:
+    slots swapped; least term negated, dropped or doubled; greatest dropped."""
 
-    def bad(x):
-        return tensor(q1.trivial("1"), q1.trivial("1")) if x.letters else Tensor(2)
+    def swapped(x):
+        return Tensor(2, (((b, a), c) for (a, b), c in f(x).items()))
 
-    # check() sweeps the coaxiom alone, which this map satisfies; the grading
-    # is checked by the reconstruction's walk.
-    bad_inst = GradedPreLieCoalgebra(tuple(all_paths(q1, 2)), path_degree, bad)
-    assert bad_inst.check().ok
-    with pytest.raises(ValueError, match="does not preserve degree"):
-        bad_inst.reconstruct()
+    def scaled(index, scale):
+        def g(x):
+            terms = f(x).terms()
+            if terms:
+                key, c = terms[index]
+                terms[index] = (key, scale * c)
+            return Tensor(2, terms)
+
+        return g
+
+    return [swapped, scaled(0, -1), scaled(0, 0), scaled(0, 2), scaled(-1, 0)]
 
 
-def test_graded_prelie_check_expands_each_element_once(two_loops):
-    """The pre-check's coaxiom sweep expands rho through one memo."""
-    calls = Counter()
-
-    def counting_rho(t):
-        calls[t] += 1
-        return rho(t)
-
-    inst, _ = bridge.instance(two_loops, "trees", 5)
-    report = GradedPreLieCoalgebra(inst.basis, tree_degree, counting_rho).check()
-    assert report == inst.check() and report.ok
-    # The basis is closed under rho's components, so rho sees each tree once.
-    assert calls == Counter(inst.basis)
+def test_layer_2_defect_is_the_prelie_coaxiom():
+    # Layer 2's check is (tau12 - 1)/2 applied to (1 (x) rho - rho (x) 1)rho(v),
+    # so the reconstruction rejects a map exactly when the coaxiom sweep does.
+    verdicts = Counter()
+    for name in sorted(FAMILY):
+        for kind, max_degree in (("paths", 6), ("trees", 5)):
+            basis, degree, pre_lie, _ = bridge.instance(FAMILY[name], kind, max_degree)
+            for mutant in map(functools.cache, prelie_mutants(pre_lie)):
+                holds = verify_prelie_coalgebra(mutant, basis).ok
+                verdicts[holds] += 1
+                if holds:
+                    reconstruct_coproduct(basis, degree, mutant)
+                else:
+                    with pytest.raises(ValueError, match="layer 2 defect"):
+                        reconstruct_coproduct(basis, degree, mutant)
+    assert verdicts[True] and verdicts[False]
 
 
 def test_reconstruct_memos_are_call_scoped(q1, monkeypatch):
@@ -285,8 +293,7 @@ def typed_layers(layers: dict) -> dict:
 def test_reconstruct_matches_step_major_oracle(name):
     # Degree-ordered pass against the step-major recursion, layer by layer.
     for kind, max_degree in (("paths", 6), ("trees", 5)):
-        inst, _ = bridge.instance(FAMILY[name], kind, max_degree)
-        args = (inst.basis, inst.degree, inst.rho)
+        args = bridge.instance(FAMILY[name], kind, max_degree)[:3]
         layers = reconstruct_coproduct(*args).layers
         assert typed_layers(layers) == typed_layers(oracle_reconstruct(*args, max_degree))
         assert len(layers) >= 2
@@ -317,15 +324,14 @@ def test_non_integral_layer_is_reported(q1):
 
 
 def test_instance_builder(q1, two_loops):
-    paths, direct = bridge.instance(q1, "paths", 5)
-    assert paths.basis == tuple(all_paths(q1, 3)) and direct is path_coproduct
-    assert (paths.degree, paths.rho) == (path_degree, delta_p_rt)
-    trees, direct = bridge.instance(two_loops, "trees", 4)
+    paths = bridge.instance(q1, "paths", 5)
+    assert paths == (tuple(all_paths(q1, 3)), path_degree, delta_p_rt, path_coproduct)
+    trees = bridge.instance(two_loops, "trees", 4)
     label = two_loops.trivial("v")
-    assert trees.basis == tuple(all_rooted_trees(3, (label,), flags=(False,)))
-    assert (trees.degree, trees.rho, direct) == (tree_degree, rho, tree_coproduct)
-    assert len(bridge.instance(q1, "paths", 2)[0].basis) == 2
-    assert bridge.instance(q1, "trees", 1)[0].basis == (point(q1.trivial("1")),)
+    basis = tuple(all_rooted_trees(3, (label,), flags=(False,)))
+    assert trees == (basis, tree_degree, rho, tree_coproduct)
+    assert len(bridge.instance(q1, "paths", 2)[0]) == 2
+    assert bridge.instance(q1, "trees", 1)[0] == (point(q1.trivial("1")),)
     for kind, least in (("paths", 2), ("trees", 1)):
         with pytest.raises(ValueError, match="below %d, the least degree" % least):
             bridge.instance(q1, kind, least - 1)
@@ -338,7 +344,7 @@ def test_instance_table_least_degrees(name):
     # Each row's least degree is the least degree of its own basis, and an
     # instance capped at it is not empty.
     for kind, (least, *_) in bridge.instance_table().items():
-        inst, _ = bridge.instance(FAMILY[name], kind, least + 2)
-        assert min(map(inst.degree, inst.basis)) == least
-        at_least = bridge.instance(FAMILY[name], kind, least)[0].basis
-        assert at_least and {inst.degree(x) for x in at_least} == {least}
+        basis, degree, _, _ = bridge.instance(FAMILY[name], kind, least + 2)
+        assert min(map(degree, basis)) == least
+        at_least = bridge.instance(FAMILY[name], kind, least)[0]
+        assert at_least and {degree(x) for x in at_least} == {least}

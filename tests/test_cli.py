@@ -7,11 +7,13 @@ import shlex
 
 import pytest
 
-from quiverhopf import cuts, hopf, symalg
+from quiverhopf import bridge, cuts, hopf, symalg
 from quiverhopf.bridge import instance_table
 from quiverhopf.cli import build_parser, main
-from quiverhopf.linear import Monomial
-from quiverhopf.verify import LAWS, Report
+from quiverhopf.cobrackets import delta_p_rt
+from quiverhopf.linear import Monomial, Tensor
+from quiverhopf.verify import FAMILY, LAWS, Report
+from support import quiver_to_dict
 
 
 def run(argv):
@@ -154,6 +156,23 @@ def test_bridge_below_least_degree_rejected_trees(capsys):
     rc, out = run(["bridge", "--instance", "trees", "--max-degree", "0", "--compare"])
     assert (rc, out) == (2, "")
     assert "below 1, the least degree of the trees instance" in capsys.readouterr().err
+
+
+def test_bridge_rejects_a_coaxiom_breaking_map(tmp_path, monkeypatch, capsys):
+    # The reconstruction is the bridge's only coaxiom check: a pre-Lie map
+    # that breaks the coaxiom has no layer 2, and the run is an error.
+    def negated(x):
+        terms = delta_p_rt(x).terms()
+        if terms:
+            terms[0] = (terms[0][0], -terms[0][1])
+        return Tensor(2, terms)
+
+    monkeypatch.setattr(bridge, "delta_p_rt", negated)
+    qfile = tmp_path / "loop_edge.json"
+    qfile.write_text(json.dumps(quiver_to_dict(FAMILY["loop_edge"])))
+    argv = ["bridge", "--quiver", str(qfile), "--instance", "paths", "--max-degree", "6"]
+    assert run(argv + ["--compare"]) == (2, "")
+    assert "at v a a* e e*: layer 2 defect" in capsys.readouterr().err
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -27,7 +27,7 @@ def oriented_trees():
 
 
 def trees_instance():
-    return [bridge.instance(Q, "trees", 4)[0]]
+    return [bridge.instance(Q, "trees", 4)[:3]]
 
 
 def rooted_trees(max_edges):
@@ -49,7 +49,7 @@ OPS = {
     "d_or": (lambda: necklace_diagrams(Q, 4), d_or),
     "chord_coproduct": (lambda: path_diagrams(Q, 4), chord_coproduct),
     "all_rooted_trees": (lambda: [3], rooted_trees),
-    "reconstruct_coproduct": (trees_instance, lambda inst: inst.reconstruct()),
+    "reconstruct_coproduct": (trees_instance, lambda inst: bridge.reconstruct_coproduct(*inst)),
     "run_laws": (lambda: [3], lambda n: list(run_laws(LAWS, Q, n))),
 }
 

@@ -194,7 +194,9 @@ def test_keys_are_type_tagged():
 def test_slot_map_and_expand():
     t = tensor(A, B)
     dup = lambda x: tensor(x, x)
-    assert t.slot_expand(1, dup, 2) == tensor(A, B, B)
+    assert t.slot_expand(1, dup) == tensor(A, B, B)
+    with pytest.raises(ValueError, match="expected arity 2, got 3"):
+        t.slot_expand(0, lambda x: tensor(x, x, x))
 
 
 def test_tensor_is_a_lincomb_over_tuple_keys():

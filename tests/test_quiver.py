@@ -195,6 +195,13 @@ def test_necklace_roundtrip_through_every_written_form(name):
     assert seen == set(all_necklaces(q, 3))
 
 
+@pytest.mark.parametrize("v", [1, "zzz", 2.5, "v"])
+def test_trivial_rejects_a_vertex_outside_the_quiver(q1, v):
+    assert q1.trivial("1") == Path("1")
+    with pytest.raises(ValueError, match="unknown vertex"):
+        q1.trivial(v)
+
+
 def test_quiver_validation():
     with pytest.raises(ValueError):
         Quiver(("1",), (("e", "1", "9"),))

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.quiver import Necklace, Quiver
+from quiverhopf.quiver import Necklace, Path, Quiver
 from quiverhopf.symalg import antipode_defect, coassoc_defect
 from quiverhopf.trees import (
     OrientedTree,
@@ -256,6 +256,26 @@ def test_oriented_tree_iso_invariance(q1):
     assert a != c  # opposite orientation with distinct labels
 
 
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_rooted_tree_rejects_non_bool_flags(q1, flag):
+    x, y = labels2(q1)
+    with pytest.raises(TypeError, match=r"must be \(bool, RootedTree\) pairs"):
+        RootedTree(x, ((flag, point(y)),))
+
+
+@pytest.mark.parametrize("edge", [(0.0, 1.9), ("0", "1"), (False, True), (0, 2), (-1, 0)])
+def test_oriented_tree_rejects_endpoints_outside_the_vertices(q1, edge):
+    n1, n2 = necklace_labels(q1)
+    with pytest.raises(ValueError, match="must join two vertices of 0..1"):
+        OrientedTree((n1, n2), (edge,), ((0,), (0,)))
+
+
+def test_oriented_tree_rejects_a_loop(q1):
+    n1, n2 = necklace_labels(q1)
+    with pytest.raises(ValueError, match="must join two vertices"):
+        OrientedTree((n1, n2), ((1, 1),), ((), (0, 0)))
+
+
 def test_oriented_from_rooted_forgets_root(q1):
     x, y = labels2(q1)
     up = oriented_from_rooted(RootedTree(x, ((True, point(y)),)), Necklace)
@@ -425,7 +445,7 @@ def test_oriented_canonical_key_prefix_heads(long_id):
     # the longer head holds the minimum ('A' sorts before '^' and 'v').
     q = Quiver(("v", long_id), ())
     labels = (q.trivial("v"), q.trivial(long_id))
-    long_root = Necklace(q.trivial("v:A"))
+    long_root = Necklace(Path("v:A"))
     rng = random.Random(11)
     mixed = long_wins = 0
     for edges in (1, 2, 3, 4, 6, 8, 10, 12):
