@@ -13,6 +13,7 @@ one place that divides). Both print the same text.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -258,12 +259,13 @@ class Tensor(LinComb):
         n = self.arity
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError("not a permutation of 1..%d: %r" % (n, images))
+        if n == 1:
+            return self
         inv = [0] * n
         for i, s in enumerate(images):
             inv[s - 1] = i
-        return _tensor(
-            n, {tuple(key[inv[k]] for k in range(n)): c for key, c in self._terms.items()}
-        )
+        pick = operator.itemgetter(*inv)
+        return _tensor(n, {pick(key): c for key, c in self._terms.items()})
 
     def slot_expand(self, slot: int, f) -> "Tensor":
         """Expand one slot through f: elem -> Tensor(2); arity grows by 1."""
@@ -322,7 +324,8 @@ TAU132 = (3, 1, 2)  # cycle (132): 1 -> 3 -> 2 -> 1
 class _Product(BasisElement):
     """The body Monomial and Word share: a product of factors, multiplied by
     concatenation, the empty product being the unit. Each subclass builds its
-    own key and sets _bracket; different monoids never multiply."""
+    own key and sets _bracket; different monoids never multiply, and a product
+    with the unit is the other factor itself."""
 
     __slots__ = ("factors",)
 
@@ -330,6 +333,10 @@ class _Product(BasisElement):
         kind = type(self)
         if type(other) is not kind:
             raise TypeError("cannot multiply %s by %s" % (kind.__name__, type(other).__name__))
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
         return kind(self.factors + other.factors)
 
     def is_unit(self) -> bool:

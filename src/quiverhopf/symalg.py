@@ -13,6 +13,7 @@ its own product and unit, and lift_generator reads the monoid off a coproduct.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from typing import Callable
 
@@ -42,15 +43,33 @@ def graft_coproduct(x, splits, kind=Monomial) -> Tensor:
     return Tensor(2, terms)
 
 
+def _check_monoid(kind, elements) -> None:
+    """Raise the monoid product's TypeError unless every element is of the
+    monoid kind: the check a fold from the unit makes on its first factor."""
+    for a in elements:
+        if type(a) is not kind:
+            raise TypeError("cannot multiply %s by %s" % (kind.__name__, type(a).__name__))
+
+
 def cop_free(gen_cop: Callable, m) -> Tensor:
     """Multiplicative extension of a generator coproduct to a monomial/word.
 
     gen_cop must return the full coproduct of a generator (including the
     x (x) 1 and 1 (x) x terms) with slots already of the same monoid type as m.
+    The fold starts from the first factor's coproduct, so a one-factor m gets
+    its generator's own tensor; later factors meet it through the monoid
+    product, which checks their slots.
     """
-    unit = type(m)(())
-    out = Tensor.single((unit, unit))
-    for x in m.factors:
+    if not m.factors:
+        return Tensor.single((m, m))
+    first, *rest = m.factors
+    out = gen_cop(first)
+    if type(out) is not Tensor:
+        raise TypeError("a generator coproduct must be a Tensor, got %r" % (out,))
+    if out.arity != 2:
+        raise ValueError("a generator coproduct must have arity 2, got %d" % out.arity)
+    _check_monoid(type(m), itertools.chain.from_iterable(key for key, _ in out.items()))
+    for x in rest:
         add = gen_cop(x).items()
         out = Tensor(
             2,
@@ -118,12 +137,17 @@ def mul_lincomb(a: LinComb, b: LinComb) -> LinComb:
 def multiplicative(f: Callable, m) -> LinComb:
     """Multiplicative extension of a generator map to a monomial/word.
 
-    The product of f(x) over the factors x of m, in order, starting from the
-    unit of m's monoid; f sends a generator to a combination of monomials or
-    words of that monoid.
+    The product of f(x) over the factors x of m, in order; f sends a generator
+    to a combination of monomials or words of m's monoid. The unit goes to 1,
+    and a one-factor m to its generator's own image, once every key of that
+    image is known to be of m's monoid.
     """
-    out = LinComb.single(type(m)(()))
-    for x in m.factors:
+    if not m.factors:
+        return LinComb.single(m)
+    first, *rest = m.factors
+    out = f(first)
+    _check_monoid(type(m), (y for y, _ in out.items()))
+    for x in rest:
         out = mul_lincomb(out, f(x))
     return out
 

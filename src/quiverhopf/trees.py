@@ -31,6 +31,8 @@ class RootedTree(BasisElement):
     __slots__ = ("label", "children")
 
     def __init__(self, label: Path, children=()):
+        if not isinstance(label, Path):
+            raise TypeError("rooted tree labels must be paths: %r" % (label,))
         children = tuple((up, child) for up, child in children)
         for up, child in children:
             if type(up) is not bool or not isinstance(child, RootedTree):

@@ -348,6 +348,42 @@ def oracle_extension(f):
     )
 
 
+# The multiplicative extensions folded from the unit, 1 (x) 1 for a coproduct
+# and 1 for a generator map, and the slot permutation with one tuple built per
+# key by a generator: the oracles for `symalg.cop_free`,
+# `symalg.multiplicative` and `Tensor.permute`.
+
+
+def oracle_cop_free(gen_cop, m) -> Tensor:
+    """The product of m's generator coproducts, in order, from 1 (x) 1."""
+    unit = type(m)(())
+    out = Tensor.single((unit, unit))
+    for x in m.factors:
+        add = gen_cop(x).items()
+        out = Tensor(
+            2,
+            (((a * a2, b * b2), c * c2) for (a, b), c in out.items() for (a2, b2), c2 in add),
+        )
+    return out
+
+
+def oracle_multiplicative(f, m) -> LinComb:
+    """The product of the images f(x) of m's factors, in order, from 1."""
+    out = LinComb.single(type(m)(()))
+    for x in m.factors:
+        out = LinComb((m1 * m2, c1 * c2) for m1, c1 in out.items() for m2, c2 in f(x).items())
+    return out
+
+
+def oracle_permute(t: Tensor, images) -> Tensor:
+    """Output slot k holds input slot sigma^(-1)(k), images[i-1] = sigma(i)."""
+    n = t.arity
+    inv = [0] * n
+    for i, s in enumerate(images):
+        inv[s - 1] = i
+    return Tensor(n, ((tuple(key[inv[k]] for k in range(n)), c) for key, c in t.items()))
+
+
 # The step-major layer recursion: at step n every generator's coproduct,
 # truncated above layer n, is expanded in full on both sides of
 # coassociativity and only the terms of layer n + 1 are kept. The oracle for

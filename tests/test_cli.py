@@ -11,7 +11,7 @@ from quiverhopf import bridge, cuts, hopf, symalg
 from quiverhopf.bridge import instance_table
 from quiverhopf.cli import build_parser, main
 from quiverhopf.cobrackets import delta_p_rt
-from quiverhopf.linear import Monomial, Tensor
+from quiverhopf.linear import Monomial, Tensor, Word
 from quiverhopf.verify import FAMILY, LAWS, Report
 from support import quiver_to_dict
 
@@ -187,6 +187,28 @@ def test_bridge_golden_output(instance):
     quiver = os.path.join(ROOT, "quivers", "two_loops.json")
     argv = ["bridge", "--quiver", quiver, "--instance", instance, "--max-degree", "6", "--compare"]
     assert run(argv) == (0, golden)
+
+
+# Monomial and Word constructions in one verify run on two_loops at
+# --max-len 3: 2,747 (antipode) and 1,813 (coassoc). A product with the unit
+# and the coproduct or image of a one-factor monomial build no new monomial.
+# Rebuilding unit products makes 3,493 and 1,813; folding cop_free from
+# 1 (x) 1 makes 3,501 and 2,289; both, 8,572 and 3,689.
+CONSTRUCTION_BOUNDS = {"antipode": 3000, "coassoc": 2000}
+
+
+@pytest.mark.parametrize("theorem", sorted(CONSTRUCTION_BOUNDS))
+def test_verify_builds_few_monomials(monkeypatch, theorem):
+    built = [0]
+    for kind in (Monomial, Word):
+        def counting(self, factors=(), _init=kind.__init__):
+            built[0] += 1
+            _init(self, factors)
+
+        monkeypatch.setattr(kind, "__init__", counting)
+    rc, out = run(["verify", "--quiver", TWO_LOOPS, "--max-len", "3", "--theorem", theorem])
+    assert rc == 0 and "PASS" in out
+    assert 0 < built[0] <= CONSTRUCTION_BOUNDS[theorem]
 
 
 # A nested two_loops word: (1,4) encloses (2,3), and (5,6) sits beside it.

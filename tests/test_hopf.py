@@ -1,3 +1,4 @@
+import functools
 import itertools
 from collections import Counter
 
@@ -57,7 +58,9 @@ from support import (
     antipode_monomial,
     coassoc_formula_terms,
     counit_defect,
+    oracle_cop_free,
     oracle_cut_coproduct,
+    oracle_multiplicative,
     point,
 )
 
@@ -143,6 +146,82 @@ def test_bialgebra_compatibility_regression(q1):
             for (b1, b2), c2 in b.terms():
                 prod = prod + c1 * c2 * Tensor.single((a1 * b1, a2 * b2))
         assert lhs == prod
+
+
+# The multiplicative extensions start from the first factor's image; the folds
+# from the unit in `support` are their oracles.
+
+
+def _spread(xs):
+    """Three elements spread over xs, from the last."""
+    return xs[:: -max(1, len(xs) // 3)][:3]
+
+
+def _products(kind, gens):
+    """Every monomial or word of 0 to 3 factors over gens."""
+    return [kind(fs) for r in range(4) for fs in itertools.product(gens, repeat=r)]
+
+
+EXTENDED = {
+    "path_coproduct": (path_coproduct, Monomial, lambda q: all_paths(q, 3)),
+    "nc_coproduct": (nc_coproduct, Word, lambda q: all_paths(q, 3)),
+    "chord_coproduct": (chord_coproduct, Monomial, lambda q: path_diagrams(q, 3)),
+    "tree_coproduct": (tree_coproduct, Monomial, lambda q: tree_sample(q, 2)),
+}
+
+
+@pytest.mark.parametrize("qname", sorted(FAMILY))
+@pytest.mark.parametrize("cop", sorted(EXTENDED))
+def test_cop_free_matches_the_fold_from_the_unit(cop, qname):
+    gen_cop, kind, sample = EXTENDED[cop]
+    for m in _products(kind, _spread(sample(FAMILY[qname]))):
+        assert cop_free(gen_cop, m) == oracle_cop_free(gen_cop, m)
+
+
+def test_cop_free_of_one_factor_is_the_generator_coproduct(two_loops):
+    gen = functools.cache(path_coproduct)
+    for x in all_paths(two_loops, 2):
+        assert cop_free(gen, M(x)) is gen(x)
+
+
+@pytest.mark.parametrize("qname", sorted(FAMILY))
+@pytest.mark.parametrize(
+    "f, sample", [(eta_rt, all_paths), (s_rt, all_paths), (d_rt, path_diagrams)]
+)
+def test_multiplicative_matches_the_fold_from_one(f, sample, qname):
+    gens = _spread(sample(FAMILY[qname], 3))
+    for kind in (Monomial, Word):
+        image = functools.cache(lambda x: LinComb((kind((y,)), c) for y, c in f(x).items()))
+        for m in _products(kind, gens):
+            assert multiplicative(image, m) == oracle_multiplicative(image, m)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extensions_refuse_a_map_into_the_other_monoid(two_loops, n):
+    # One factor is returned without a product, so its images are scanned.
+    x = all_paths(two_loops, 2)[-1]
+    words = lambda y: LinComb.single(Word((y,)))
+    for extend, fold, gen, m in (
+        (cop_free, oracle_cop_free, nc_coproduct, M(*[x] * n)),
+        (cop_free, oracle_cop_free, path_coproduct, Word((x,) * n)),
+        (multiplicative, oracle_multiplicative, words, M(*[x] * n)),
+    ):
+        for g in (extend, fold):
+            with pytest.raises(TypeError, match="cannot multiply"):
+                g(gen, m)
+
+
+def test_extensions_refuse_images_of_the_wrong_shape(two_loops):
+    x = all_paths(two_loops, 2)[-1]
+    three = lambda y: Tensor.single((M(y), SYM_UNIT, SYM_UNIT))
+    for g in (cop_free, oracle_cop_free):
+        with pytest.raises(ValueError):
+            g(three, M(x))
+        with pytest.raises(TypeError):
+            g(lambda y: LinComb.single(M(y)), M(x))
+    for g in (multiplicative, oracle_multiplicative):
+        with pytest.raises(TypeError):
+            g(lambda y: Tensor.single((M(y), SYM_UNIT)), M(x))
 
 
 def test_path_antipode_values(q1):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quiverhopf.linear import (
     SYM_UNIT,
+    WORD_UNIT,
     BasisElement,
     LinComb,
     Monomial,
@@ -17,6 +18,8 @@ from quiverhopf.linear import (
     skew,
     tensor,
 )
+
+from support import oracle_permute
 
 
 def b(name):
@@ -110,6 +113,17 @@ def test_tensor_permute_identity():
     assert t.permute((1, 2, 3)) == t
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_permute_matches_the_tuple_generator_body(n):
+    # Distinct coefficients, so a slot sent to the wrong place shows.
+    keys = itertools.product((A, B, C), repeat=n)
+    t = Tensor(n, ((key, i + 1) for i, key in enumerate(keys)))
+    for images in all_permutations(n):
+        out = t.permute(images)
+        assert out.arity == n
+        assert out == oracle_permute(t, images)
+
+
 def test_tensor_permute_arity_mismatch():
     with pytest.raises(ValueError):
         tensor(A, B).permute((2, 3, 1))
@@ -178,11 +192,24 @@ def test_word_order_matters():
     assert Word((A,)) * Word((B,)) == Word((A, B))
 
 
+@pytest.mark.parametrize("kind, unit", [(Monomial, SYM_UNIT), (Word, WORD_UNIT)])
+def test_product_with_the_unit_is_the_other_factor(kind, unit):
+    m = kind((B, A))
+    assert m * unit is m
+    assert unit * m is m
+    assert unit * kind(()) is unit
+
+
 def test_monomials_and_words_never_multiply_each_other():
-    with pytest.raises(TypeError):
-        Monomial(()) * Word((A,))
-    with pytest.raises(TypeError):
-        Word(()) * Monomial((A,))
+    # The unit of either monoid is no exception.
+    for left, right in (
+        (Monomial(()), Word((A,))),
+        (Word(()), Monomial((A,))),
+        (Word((A,)), Monomial(())),
+        (Monomial((A,)), Word(())),
+    ):
+        with pytest.raises(TypeError, match="cannot multiply"):
+            left * right
 
 
 def test_keys_are_type_tagged():

@@ -263,6 +263,12 @@ def test_rooted_tree_rejects_non_bool_flags(q1, flag):
         RootedTree(x, ((flag, point(y)),))
 
 
+@pytest.mark.parametrize("make", [lambda q: Necklace(q.trivial("1")), lambda q: "x"])
+def test_rooted_tree_rejects_labels_that_are_not_paths(q1, make):
+    with pytest.raises(TypeError, match="rooted tree labels must be paths"):
+        RootedTree(make(q1))
+
+
 @pytest.mark.parametrize("edge", [(0.0, 1.9), ("0", "1"), (False, True), (0, 2), (-1, 0)])
 def test_oriented_tree_rejects_endpoints_outside_the_vertices(q1, edge):
     n1, n2 = necklace_labels(q1)
