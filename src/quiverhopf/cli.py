@@ -16,7 +16,7 @@ import sys
 
 from .bridge import compare_coproducts, instance, instance_table, reconstruct_coproduct
 from .cobrackets import delta_or, delta_p_rt, delta_rt
-from .cuts import Cut, PathDiagram, cut_order, enumerate_cuts, epsilon, remove_chords
+from .cuts import Cut, PathDiagram, cut_order, enumerate_cuts, epsilon, faces, nesting_children
 from .dual import dual_rooted_tree
 from .hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
 from .linear import format_scalar
@@ -89,15 +89,15 @@ def cmd_chords(args, out) -> int:
     q = _quiver(args)
     p = q.parse_path(args.path)
     for h in enumerate_cuts(p, simple_only=args.simple):
-        d = PathDiagram(p, h)
-        outer, inners = remove_chords(d, d.cut)
+        pieces = faces(p, nesting_children(h))
         fields = [h.text()]
         if args.with_signs:
-            fields.append("eps=%s" % format_scalar(epsilon(d), args.format == "structured"))
+            eps = epsilon(PathDiagram(p, h))
+            fields.append("eps=%s" % format_scalar(eps, args.format == "structured"))
         fields.append("ord=%d" % cut_order(h))
-        fields.append("outer=%s" % outer.path.text())
+        fields.append("outer=%s" % pieces[None].text())
         for c in h.pairs:
-            fields.append("(%d,%d)->%s" % (c[0], c[1], inners[c].path.text()))
+            fields.append("(%d,%d)->%s" % (c[0], c[1], pieces[c].text()))
         print("  ".join(fields), file=out)
     return 0
 

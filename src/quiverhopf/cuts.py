@@ -1,15 +1,14 @@
 """Cuts of paths and necklaces, chord diagrams, and their (co)algebras.
 
 A cut pairs positions of a word whose letters are mutual reverses, with the
-chords drawn as non-crossing arcs above the word. Cutting out any subset of
-the chords (`remove_chords`) splits the word into pieces, all read by one
-slicing rule (`_outside`): a removed chord (i, j) owns the letters i+1..j-1
-that lie outside the removed chords nested in it, read as a closed path from
-the target of letter i, and the letters outside every removed chord form the
-outer piece, which keeps the basepoint. The chords left in place fall inside
-one piece each. The chord algebras live on (word, cut) pairs and carry the
-comultiplications induced by removing one chord at a time, plus a coproduct
-obtained by cutting out simple subcuts.
+chords drawn as non-crossing arcs above the word. Its faces (`faces`) split
+the word into pieces, all read by one slicing rule (`_outside`): a chord
+(i, j) owns the letters i+1..j-1 outside the chords nested in it, read as a
+closed path from the target of letter i, and the letters outside every chord
+form the outer piece, which keeps the basepoint. Cutting out a subset of the
+chords (`remove_chords`) leaves each other chord inside one piece. The chord
+algebras live on (word, cut) pairs, with the comultiplications that remove
+one chord at a time and a coproduct that cuts out simple subcuts.
 """
 
 from __future__ import annotations
@@ -281,38 +280,37 @@ def necklace_diagrams(q, max_len: int):
     )
 
 
+def faces(p: Path, kids) -> dict:
+    """The faces of a cut of p, {None: outer piece, chord: its piece}, as paths,
+    read off its nesting forest kids; the caller has checked the cut against p."""
+    letters = p.letters
+    out = {c: _piece(letters, *c, holes) for c, holes in kids.items() if c is not None}
+    out[None] = Path(p.start, _outside(letters, 1, len(letters), kids[None]))
+    return out
+
+
 def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):
     """Cut out any subset of the cut: the outer diagram plus one diagram per removed chord.
 
-    d is a path or necklace diagram; the pieces are path diagrams. A removed
-    chord's piece holds its letters outside the removed chords nested directly
-    in it, and the outer piece the letters outside every removed chord. Chords
-    of the remaining cut fall entirely inside one piece and are relabeled by
-    the induced position map. Checks that sub is a subset of d.cut.
+    d is a path or necklace diagram; the pieces are path diagrams on the faces
+    of sub (`faces`). Chords of the remaining cut fall entirely inside one
+    piece and are relabeled by the induced position map. Checks that sub is a
+    subset of d.cut.
     """
-    pairs = set(d.cut.pairs)
     for c in sub.pairs:
-        if c not in pairs:
+        if c not in d.cut.pairs:
             raise ValueError("chord %r is not part of the cut %s" % (c, d.cut.text()))
     kids = nesting_children(sub)  # keyed by None and the removed chords
     rest = [c for c in d.cut.pairs if c not in kids]
-    letters = d.path.letters
-    n = len(letters)
+    n = len(d.path.letters)
     positions = tuple(range(1, n + 1))
-
-    def renumbered(path: Path, lo: int, hi: int, holes) -> PathDiagram:
-        """The diagram on path, the piece at positions lo..hi outside holes,
-        with the remaining chords of d that lie in it renumbered by place."""
-        kept = _outside(positions, lo, hi, holes)
-        return PathDiagram(
-            path, Cut((kept.index(i) + 1, kept.index(j) + 1) for i, j in rest if i in kept)
-        )
-
-    outer = Path(d.path.start, _outside(letters, 1, n, kids[None]))
-    return renumbered(outer, 1, n, kids[None]), {
-        (i, j): renumbered(_piece(letters, i, j, kids[i, j]), i + 1, j - 1, kids[i, j])
-        for i, j in sub.pairs
-    }
+    pieces = {}
+    for c, path in faces(d.path, kids).items():
+        lo, hi = (1, n) if c is None else (c[0] + 1, c[1] - 1)
+        kept = _outside(positions, lo, hi, kids[c])
+        cut = Cut((kept.index(i) + 1, kept.index(j) + 1) for i, j in rest if i in kept)
+        pieces[c] = PathDiagram(path, cut)
+    return pieces.pop(None), pieces
 
 
 def chord_delta_p_rt(d: PathDiagram | NecklaceDiagram) -> Tensor:

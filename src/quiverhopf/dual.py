@@ -1,8 +1,8 @@
 """Dual trees of chord diagrams.
 
 The faces of a chord diagram (one per chord, plus the unbounded face) become
-tree vertices; edges cross chords. Vertex labels are the cut components
-(`cuts.remove_chords`), a face's children are the faces of the chords
+tree vertices; edges cross chords. Vertex labels are the face paths
+(`cuts.faces`), a face's children are the faces of the chords
 immediately nested in its chord (`cuts.nesting_children`), ordered by left
 endpoint, and the edge dual to a chord (i, j) is oriented away from the root
 exactly when letter i is unstarred -- the combinatorial shadow of drawing the
@@ -14,7 +14,7 @@ morphism on quivers with loops.
 
 from __future__ import annotations
 
-from .cuts import NecklaceDiagram, PathDiagram, epsilon, nesting_children, remove_chords
+from .cuts import NecklaceDiagram, PathDiagram, epsilon, faces, nesting_children
 from .linear import LinComb
 from .quiver import Necklace
 from .trees import OrientedTree, RootedTree, oriented_from_rooted
@@ -23,20 +23,20 @@ from .trees import OrientedTree, RootedTree, oriented_from_rooted
 def dual_rooted_tree(d: PathDiagram | NecklaceDiagram) -> RootedTree:
     """Dual decorated rooted tree of a chord diagram (path or necklace).
 
-    The root is the unbounded face labeled by the outer component; each chord
-    face is labeled by its cut component. The edge dual to chord (i, j)
-    points away from the root iff letter i is unstarred.
+    The root is the unbounded face labeled by the outer piece; each chord
+    face is labeled by its piece. The edge dual to chord (i, j) points away
+    from the root iff letter i is unstarred.
     """
-    outer, inners = remove_chords(d, d.cut)
-    return _dual_subtree({None: outer, **inners}, nesting_children(d.cut), d.path.letters, None)
+    kids = nesting_children(d.cut)
+    return _dual_subtree(faces(d.path, kids), kids, d.path.letters, None)
 
 
-def _dual_subtree(faces, kids, letters, c) -> RootedTree:
+def _dual_subtree(labels, kids, letters, c) -> RootedTree:
     """The dual tree below chord c's face (the unbounded face when c is None)."""
     children = tuple(
-        (letters[k[0] - 1].starred, _dual_subtree(faces, kids, letters, k)) for k in kids[c]
+        (letters[k[0] - 1].starred, _dual_subtree(labels, kids, letters, k)) for k in kids[c]
     )
-    return RootedTree(faces[c].path, children)
+    return RootedTree(labels[c], children)
 
 
 def dual_oriented_tree(x: NecklaceDiagram) -> OrientedTree:

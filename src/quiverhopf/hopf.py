@@ -28,9 +28,9 @@ from .cuts import (
     _simple_cuts,
     cut_order,
     enumerate_cuts,
-    epsilon,
+    faces,
+    nesting_children,
     precedes,
-    remove_chords,
 )
 from .dual import d_or
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
@@ -178,9 +178,8 @@ def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
     for h in enumerate_cuts(x):
         if cut_order(h) > 2:
             continue
-        d = PathDiagram(x, h)
-        outer, inners = remove_chords(d, d.cut)
-        sign = epsilon(d)
+        pieces = faces(x, nesting_children(h))
+        sign = _sign(x.letters, h.pairs)
         pairs = h.pairs
         for r in range(len(pairs) + 1):
             for first in itertools.combinations(pairs, r):
@@ -190,9 +189,9 @@ def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
                     continue
                 if not precedes(h1, h2):
                     continue
-                left = Monomial(tuple(inners[c].path for c in h1.pairs))
-                mid = Monomial(tuple(inners[c].path for c in h2.pairs))
-                terms.append(((left, mid, Monomial((outer.path,))), sign))
+                left = Monomial(tuple(pieces[c] for c in h1.pairs))
+                mid = Monomial(tuple(pieces[c] for c in h2.pairs))
+                terms.append(((left, mid, Monomial((pieces[None],))), sign))
     return Tensor(3, terms)
 
 

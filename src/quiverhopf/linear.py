@@ -268,7 +268,9 @@ class Tensor(LinComb):
         return _tensor(n, {pick(key): c for key, c in self._terms.items()})
 
     def slot_expand(self, slot: int, f) -> "Tensor":
-        """Expand one slot through f: elem -> Tensor(2); arity grows by 1."""
+        """Expand slot 0..arity-1 through f: elem -> Tensor(2); arity grows by 1."""
+        if not 0 <= slot < self.arity:
+            raise ValueError("slot_expand: slot %d is not in 0..%d" % (slot, self.arity - 1))
         acc: dict = {}
         for key, c in self._terms.items():
             sub = f(key[slot])

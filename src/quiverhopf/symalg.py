@@ -38,8 +38,9 @@ def graft_coproduct(x, splits, kind=Monomial) -> Tensor:
     x (x) 1 plus sign * kind(severed) (x) kind((trunk,)) for every
     (severed, trunk, sign) in splits; the empty split supplies 1 (x) x.
     """
-    terms = [((kind((x,)), kind(())), 1)]
-    terms.extend(((kind(severed), kind((trunk,))), sign) for severed, trunk, sign in splits)
+    unit = kind(())
+    terms = [((kind((x,)), unit), 1)]
+    terms.extend(((kind(s) if s else unit, kind((t,))), c) for s, t, c in splits)
     return Tensor(2, terms)
 
 

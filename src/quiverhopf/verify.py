@@ -162,7 +162,7 @@ def verify_antipode(gen_cop: Callable, sample, law: str) -> Report:
     xs, lift = _lifted(gen_cop, sample)
     gen_antipode = functools.cache(lambda x: symalg.antipode_free(gen_cop, lift(x)))
     antipode = functools.cache(
-        lambda m: symalg.multiplicative(gen_antipode, type(m)(m.factors[::-1]))
+        lambda m: symalg.multiplicative(gen_antipode, type(m)(m.factors[::-1]) if len(m) > 1 else m)
     )
     return verify_defect(lambda x: symalg.antipode_defect(gen_cop, lift(x), antipode), xs, law)
 

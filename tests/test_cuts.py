@@ -21,6 +21,7 @@ from quiverhopf.cuts import (
     cut_order,
     enumerate_cuts,
     epsilon,
+    faces,
     necklace_diagrams,
     nesting_children,
     path_diagrams,
@@ -30,7 +31,8 @@ from quiverhopf.cuts import (
     validate_cut,
 )
 from quiverhopf.linear import LinComb, Monomial, SYM_UNIT, Tensor, tensor
-from quiverhopf.hopf import eta_or, eta_rt
+from quiverhopf.dual import dual_rooted_tree
+from quiverhopf.hopf import coassoc_formula_defect, eta_or, eta_rt
 from quiverhopf.quiver import Path, all_closed_paths, all_necklaces, all_paths, rotate
 from quiverhopf.symalg import antipode_free
 from quiverhopf.verify import FAMILY, verify_lie_coalgebra, verify_prelie_coalgebra
@@ -453,7 +455,8 @@ def test_remove_chords_matches_sliced_surgery(two_loops, loop_edge):
 
 def test_remove_chords_full_cut_matches_sliced_surgery(two_loops, loop_edge):
     """Cutting out the whole cut, one letter longer than the subset sweep:
-    every chord's piece and the bare outer path, against the slicing oracle."""
+    every chord's piece and the bare outer path, against the slicing oracle,
+    and the faces read off the nesting forest, which are those pieces' paths."""
     checked = rotated = 0
     for q in (two_loops, loop_edge):
         for p in all_paths(q, 6):
@@ -463,10 +466,36 @@ def test_remove_chords_full_cut_matches_sliced_surgery(two_loops, loop_edge):
                     outer, inners = remove_chords(d, d.cut)
                     assert outer == PathDiagram(pieces[None][0])
                     assert inners == {c: PathDiagram(pieces[c][0]) for c in d.cut.pairs}
+                    face_paths = {c: path for c, (path, _) in pieces.items()}
+                    assert faces(d.path, nesting_children(d.cut)) == face_paths
                     rotated += d.path != p
                 checked += any(not oracle_simple([c, e]) for c in h.pairs for e in h.pairs)
     assert checked  # nested cuts were among those compared
     assert rotated  # so were necklace diagrams read at another rotation
+
+
+def test_whole_cut_readers_build_no_diagram(monkeypatch):
+    """The dual tree, the coassociativity expansion and the `chords` command
+    read a cut's faces off its nesting forest and build no chord diagram;
+    `chords --with-signs` builds one per cut, for its sign."""
+    p = QUIVER_2L.parse_path("v a b b* a* a a*")
+    d = PathDiagram(p, Cut(((1, 4), (2, 3), (5, 6))))
+    built = [0]
+
+    def counting(self, path, cut=cuts.EMPTY_CUT, _init=PathDiagram.__init__):
+        built[0] += 1
+        _init(self, path, cut)
+
+    monkeypatch.setattr(PathDiagram, "__init__", counting)
+    dual_rooted_tree(d)
+    assert built[0] == 0
+    assert coassoc_formula_defect(p) == 0
+    assert built[0] == 0
+    argv = ["chords", "--path", "v a b b* a* a a*", "--quiver", TWO_LOOPS_FILE]
+    assert main(argv, out=io.StringIO()) == 0
+    assert built[0] == 0
+    assert main(argv + ["--with-signs"], out=io.StringIO()) == 0
+    assert built[0] == len(enumerate_cuts(p)) > 1
 
 
 def closed_form_antipode(d, signed=True, subcuts=all_subcuts) -> LinComb:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quiverhopf.cobrackets import delta_p_rt
 from quiverhopf.linear import (
     SYM_UNIT,
     WORD_UNIT,
@@ -224,6 +225,19 @@ def test_slot_map_and_expand():
     assert t.slot_expand(1, dup) == tensor(A, B, B)
     with pytest.raises(ValueError, match="expected arity 2, got 3"):
         t.slot_expand(0, lambda x: tensor(x, x, x))
+
+
+def test_slot_expand_rejects_a_slot_outside_the_tensor(two_loops):
+    # A negative slot once read a slot from the end and gave 5-slot keys in
+    # an arity-3 tensor; slot == arity raised a bare IndexError, and only on
+    # a tensor with a term.
+    t = delta_p_rt(two_loops.parse_path("v a a a* a*"))
+    assert t.arity == 2 and t
+    assert t.slot_expand(1, delta_p_rt).arity == 3
+    for tens in (t, Tensor(2)):
+        for slot in (-1, tens.arity):
+            with pytest.raises(ValueError, match="slot %d is not in 0..1" % slot):
+                tens.slot_expand(slot, delta_p_rt)
 
 
 def test_tensor_is_a_lincomb_over_tuple_keys():
