@@ -33,7 +33,6 @@ from .cuts import (
     cut_order,
     enumerate_cuts,
     epsilon,
-    precedes,
     remove_chords,
 )
 from .trees import (

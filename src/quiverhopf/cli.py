@@ -141,9 +141,11 @@ def cmd_bridge(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    q = _quiver(args)
     groups = {args.law, args.theorem}
     laws = [law for law in LAWS if not groups.isdisjoint(law.groups)]
+    if not laws:
+        raise ValueError("nothing to verify: pass --law or --theorem")
+    q = _quiver(args)
     reports = []
     stats = (lambda line: print(line, file=sys.stderr)) if args.stats else None
     for law, rep in run_laws(laws, q, args.max_len, args.sign_convention, stats):
@@ -151,9 +153,6 @@ def cmd_verify(args, out) -> int:
             print("note: %s" % rep.line(), file=out)
         else:
             reports.append(rep)
-    if not reports:
-        print("nothing to verify: pass --law or --theorem", file=out)
-        return 2
     return _print_reports(reports, out)
 
 

@@ -26,8 +26,8 @@ class Cut:
     Integer endpoints, distinctness, order and non-crossing are checked here,
     the last by one left-to-right scan that also records in `parents` the
     innermost chord enclosing each chord of `pairs` (None at the top level).
-    The diagram constructors check the cut against a word. Simplicity means
-    no chord nests inside another.
+    The diagram constructors check the cut against a word. A cut is simple
+    when its chords all sit at the top level (`cut_order` at most 1).
     """
 
     __slots__ = ("pairs", "parents")
@@ -54,9 +54,6 @@ class Cut:
             open_chords.append((i, j))
         self.pairs = tuple(ps)
         self.parents = tuple(parents)
-
-    def is_simple(self) -> bool:
-        return all(parent is None for parent in self.parents)
 
     def __eq__(self, other):
         return isinstance(other, Cut) and self.pairs == other.pairs
@@ -181,20 +178,6 @@ def cut_order(h: Cut) -> int:
     for c, parent in zip(h.pairs, h.parents):
         depth[c] = depth[parent] + 1
     return max(depth.values())
-
-
-def precedes(h1: Cut, h2: Cut) -> bool:
-    """True iff no chord of h2 is nested inside a chord of h1.
-
-    The two cuts must be disjoint and jointly non-crossing; both relations
-    against the empty cut hold.
-    """
-    Cut(h1.pairs + h2.pairs)  # raises on overlap or crossing
-    for i1, j1 in h1.pairs:
-        for i2, j2 in h2.pairs:
-            if i1 < i2 < j2 < j1:
-                return False
-    return True
 
 
 def simple_subcuts(h: Cut):

@@ -20,7 +20,6 @@ import itertools
 import math
 
 from .cuts import (
-    Cut,
     NecklaceDiagram,
     PathDiagram,
     _piece,
@@ -30,7 +29,6 @@ from .cuts import (
     enumerate_cuts,
     faces,
     nesting_children,
-    precedes,
 )
 from .dual import d_or
 from .linear import SYM_UNIT, LinComb, Monomial, Tensor, Word
@@ -166,40 +164,38 @@ def point_projection(lc: LinComb) -> LinComb:
 
 
 def _formula_terms(x: Path, cop_x: Tensor) -> Tensor:
-    """Triple-coproduct expansion organized by cut order and precedence, given
-    the coproduct cop_x of x.
+    """Triple-coproduct expansion organized by cut order, given the coproduct
+    cop_x of x.
 
-    cop(x) (x) 1 plus, for every cut of order at most 2 and every ordered
-    split into two simple pieces with the first not enclosing the second, the
-    grouped surgery components: first-piece components (x) second-piece
-    components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
+    cop(x) (x) 1 plus, for every cut of order at most 2 and every split into a
+    first and a second simple cut with no chord of the second nested in one of
+    the first, the grouped surgery components: first (x) second (x) outer. On
+    the nesting forest, nested chords go first, the chords enclosing them
+    second, and childless chords either way. The empty cut gives 1 (x) 1 (x) x.
     """
     terms = [((a, b, SYM_UNIT), c) for (a, b), c in cop_x.items()]
     for h in enumerate_cuts(x):
         if cut_order(h) > 2:
             continue
-        pieces = faces(x, nesting_children(h))
+        kids = nesting_children(h)
+        pieces = faces(x, kids)
+        outer = Monomial((pieces[None],))
         sign = _sign(x.letters, h.pairs)
-        pairs = h.pairs
-        for r in range(len(pairs) + 1):
-            for first in itertools.combinations(pairs, r):
-                h1 = Cut(first)
-                h2 = Cut(tuple(c for c in pairs if c not in set(first)))
-                if not (h1.is_simple() and h2.is_simple()):
-                    continue
-                if not precedes(h1, h2):
-                    continue
-                left = Monomial(tuple(pieces[c] for c in h1.pairs))
-                mid = Monomial(tuple(pieces[c] for c in h2.pairs))
-                terms.append(((left, mid, Monomial((pieces[None],))), sign))
+        nested = [c for c, parent in zip(h.pairs, h.parents) if parent is not None]
+        free = [c for c in kids[None] if not kids[c]]
+        for r in range(len(free) + 1):
+            for moved in itertools.combinations(free, r):
+                left = Monomial(tuple(pieces[c] for c in nested + list(moved)))
+                mid = Monomial(tuple(pieces[c] for c in kids[None] if c not in moved))
+                terms.append(((left, mid, outer), sign))
     return Tensor(3, terms)
 
 
 def coassoc_formula_defect(x: Path) -> Tensor:
-    """Compare (cop (x) 1)cop, (1 (x) cop)cop, and the order/precedence
-    expansion on one path: (cop (x) 1)cop minus the expansion, or, if that
-    vanishes, minus (1 (x) cop)cop. All three share one call-scoped memo of
-    the path coproducts, so each path is expanded once per call."""
+    """Compare (cop (x) 1)cop, (1 (x) cop)cop, and the cut-order expansion on
+    one path: (cop (x) 1)cop minus the expansion, or, if that vanishes, minus
+    (1 (x) cop)cop. All three share one call-scoped memo of the path
+    coproducts, so each path is expanded once per call."""
     gen = functools.cache(path_coproduct)
     cop = functools.cache(lambda m: cop_free(gen, m))
     t = gen(x)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 from quiverhopf.bridge import CoproductLayers, _divide, delta0_prime, monomialize
 from quiverhopf.cobrackets import delta_p_rt
@@ -39,7 +40,7 @@ def layer(layers, n: int, x) -> Tensor:
 
 # Brute-force pair loops over the chords of a cut, independent of the stack
 # scan in `Cut.__init__`: oracles for `Cut.parents`, `cut_order`,
-# `Cut.is_simple`, `nesting_children` and the crossing check.
+# `nesting_children` and the crossing check.
 
 
 def oracle_valid(pairs) -> bool:
@@ -87,7 +88,7 @@ def oracle_simple_subcuts(h: Cut):
     """Every subset of a cut's chords that is nesting-free, in canonical order:
     all 2^n subsets are built and filtered. An oracle for `cuts.simple_subcuts`."""
     subsets = (Cut(c) for r in range(len(h) + 1) for c in itertools.combinations(h.pairs, r))
-    return sorted(sub for sub in subsets if sub.is_simple())
+    return sorted(sub for sub in subsets if oracle_simple(sub.pairs))
 
 
 # Chord surgery by slicing a list of (position, letter) entries one chord at a
@@ -257,19 +258,43 @@ def oracle_oriented_from_rooted(t, to_label) -> OrientedTree:
     return OrientedTree(tuple(labels), tuple(edges), tuple(tuple(es) for es in adj))
 
 
-# The triple-coproduct expansion on its own, for tests that read its terms;
-# the library uses it only inside `hopf.coassoc_formula_defect`.
+# The triple-coproduct expansion on its own, for tests that read its terms
+# (the library uses it only inside `hopf.coassoc_formula_defect`), and the
+# subset filter it replaced, kept as its oracle.
 
 
 def coassoc_formula_terms(x: Path) -> Tensor:
-    """Triple-coproduct expansion organized by cut order and precedence.
-
-    cop(x) (x) 1 plus, for every cut of order at most 2 and every ordered
-    split into two simple pieces with the first not enclosing the second, the
-    grouped surgery components: first-piece components (x) second-piece
-    components (x) outer. The empty cut contributes 1 (x) 1 (x) x.
-    """
+    """Triple-coproduct expansion organized by cut order: cop(x) (x) 1 plus,
+    for every cut of order at most 2 and every split of it read off its
+    nesting forest into a first and a second simple cut, first-cut components
+    (x) second-cut components (x) outer, times the cut sign."""
     return _formula_terms(x, path_coproduct(x))
+
+
+def oracle_formula_terms(x: Path) -> Tensor:
+    """The same expansion by filtering subsets: for every cut of order at most
+    2, each of the 2^n ordered splits (first, second) of its chords is kept
+    when both halves are simple and no chord of second is nested in a chord of
+    first. Pair loops and word slicing only, sharing no nesting, split or face
+    code with the library: an oracle for `hopf._formula_terms`."""
+    letters = x.letters
+    terms = [((a, b, Monomial(())), c) for (a, b), c in path_coproduct(x).items()]
+    for h in enumerate_cuts(x):
+        if oracle_order(h.pairs) > 2:
+            continue
+        pieces = {c: path for c, (path, _) in sliced_surgery(x, h.pairs, h.pairs).items()}
+        sign = math.prod(-omega(letters[i - 1], letters[j - 1]) for i, j in h.pairs)
+        for r in range(len(h) + 1):
+            for first in itertools.combinations(h.pairs, r):
+                second = tuple(c for c in h.pairs if c not in first)
+                if not (oracle_simple(first) and oracle_simple(second)):
+                    continue
+                if any(i1 < i2 < j2 < j1 for i1, j1 in first for i2, j2 in second):
+                    continue
+                left = Monomial(tuple(pieces[c] for c in first))
+                mid = Monomial(tuple(pieces[c] for c in second))
+                terms.append(((left, mid, Monomial((pieces[None],))), sign))
+    return Tensor(3, terms)
 
 
 # The simple-cut coproduct through the chord-diagram machinery, sharing only

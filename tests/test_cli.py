@@ -296,6 +296,11 @@ def test_empty_quiver_rejected(argv, tmp_path, capsys):
     assert err == "error: a quiver needs at least one vertex\n"
 
 
+def test_verify_with_no_law_selected_is_a_usage_error(capsys):
+    assert run(["verify", "--max-len", "2"]) == (2, "")
+    assert capsys.readouterr().err == "error: nothing to verify: pass --law or --theorem\n"
+
+
 def test_verify_laws_pass():
     for law in ("prelie", "lie"):
         rc, out = run(["verify", "--law", law, "--max-len", "4"])

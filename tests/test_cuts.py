@@ -25,7 +25,6 @@ from quiverhopf.cuts import (
     necklace_diagrams,
     nesting_children,
     path_diagrams,
-    precedes,
     remove_chords,
     simple_subcuts,
     validate_cut,
@@ -235,7 +234,7 @@ def test_remove_chords_accepts_a_nested_subset(q1):
     e = q1.letter("e")
     x = Path("1", (e, e.star()) * 3)
     sub = Cut(((1, 4), (2, 3)))
-    assert not sub.is_simple()
+    assert not oracle_simple(sub.pairs)
     outer, inners = remove_chords(PathDiagram(x, Cut(((1, 4), (2, 3), (5, 6)))), sub)
     assert outer == PathDiagram(Path("1", (e, e.star())), Cut(((1, 2),)))
     assert inners == {
@@ -293,25 +292,13 @@ def test_cut_order(q1):
     assert cut_order(Cut(())) == 0
     for h in enumerate_cuts(x):
         if h.pairs:
-            assert h.is_simple() == (cut_order(h) == 1)
-
-
-def test_simplicity_iff_order_one(q1, loop, two_loops):
-    for q in (q1, loop, two_loops):
-        for p in all_paths(q, 6):
-            for h in enumerate_cuts(p):
-                order = cut_order(h)
-                if h.pairs:
-                    assert h.is_simple() == (order == 1)
-                    assert (order >= 2) == (not h.is_simple())
-                else:
-                    assert order == 0
+            assert oracle_simple(h.pairs) == (cut_order(h) == 1)
 
 
 def check_nesting_against_oracles(h):
     assert h.parents == tuple(oracle_parent(h.pairs, c) for c in h.pairs)
     assert cut_order(h) == oracle_order(h.pairs)
-    assert h.is_simple() == oracle_simple(h.pairs)
+    assert (cut_order(h) <= 1) == oracle_simple(h.pairs)
     assert nesting_children(h) == oracle_children(h.pairs)
 
 
@@ -388,7 +375,7 @@ def test_simple_subcuts_equal_the_subset_filter():
         for p in all_paths(q, 5):
             for h in enumerate_cuts(p):
                 assert simple_subcuts(h) == oracle_simple_subcuts(h)
-                nested += not h.is_simple()
+                nested += not oracle_simple(h.pairs)
     assert nested  # cuts with nested chords were among those compared
 
 
@@ -409,15 +396,6 @@ def test_simple_subcuts_build_only_the_simple_ones(monkeypatch):
     del built[:]
     assert subs == oracle_simple_subcuts(h) and len(subs) == 13
     assert len(built) == 4096
-
-
-def test_precedes(q1):
-    assert precedes(Cut(((2, 3),)), Cut(((1, 4),)))
-    assert not precedes(Cut(((1, 4),)), Cut(((2, 3),)))
-    h = Cut(((1, 2),))
-    assert precedes(Cut(()), h) and precedes(h, Cut(()))
-    with pytest.raises(ValueError):
-        precedes(Cut(((1, 2),)), Cut(((2, 3),)))  # overlapping endpoints
 
 
 def diagrams_of(p, h):
@@ -446,7 +424,7 @@ def test_remove_chords_matches_sliced_surgery(two_loops, loop_edge):
                         for c in sub.pairs:
                             assert inners[c] == PathDiagram(pieces[c][0], Cut(pieces[c][1]))
                         renumbered += len(pieces[None][1]) > 0
-                        nested += not sub.is_simple()
+                        nested += not oracle_simple(sub.pairs)
                         rotated += d.path != p
     assert renumbered  # residual chords were renumbered in some outer pieces
     assert nested  # subsets with nested chords were cut out

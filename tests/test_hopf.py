@@ -14,7 +14,11 @@ from quiverhopf.cuts import (
     chord_coproduct,
     chord_delta_or,
     chord_delta_p_rt,
+    cut_order,
     enumerate_cuts,
+    epsilon,
+    faces,
+    nesting_children,
     path_diagrams,
 )
 from quiverhopf.dual import d_or, d_rt
@@ -60,6 +64,7 @@ from support import (
     counit_defect,
     oracle_cop_free,
     oracle_cut_coproduct,
+    oracle_formula_terms,
     oracle_multiplicative,
     point,
 )
@@ -506,6 +511,111 @@ def test_coassoc_formula_examples(q1):
 def test_coassoc_formula_sweep(q1, loop, two_loops):
     for q in (q1, loop, two_loops):
         assert verify_defect(coassoc_formula_defect, all_paths(q, 5), COASSOC).ok
+
+
+def test_formula_splits_equal_the_subset_filter():
+    """The splits read off the nesting forest are those the 2^n subset filter
+    keeps, on every FAMILY path of length <= 6 on the one-edge quivers and
+    <= 5 on the others."""
+    checked = 0
+    for q in FAMILY.values():
+        for x in all_paths(q, 6 if len(q.edges) == 1 else 5):
+            assert coassoc_formula_terms(x) == oracle_formula_terms(x), x.text()
+            checked += 1
+    assert checked == 1982
+
+
+def test_formula_terms_build_no_cut_beyond_the_enumeration(two_loops, monkeypatch):
+    """The coassociativity defect builds only the cuts enumerate_cuts yields:
+    the splits come off each cut's nesting forest, not from cuts of subsets."""
+    paths = all_paths(two_loops, 4)
+    enumerated = sum(len(enumerate_cuts(x)) for x in paths)
+    built = []
+    init = Cut.__init__
+
+    def counting_init(self, pairs=()):
+        built.append(pairs)
+        init(self, pairs)
+
+    monkeypatch.setattr(Cut, "__init__", counting_init)
+    for x in paths:
+        coassoc_formula_defect(x)
+    assert len(built) == enumerated == 809
+
+
+def _nested(h):
+    """The chords of h with a parent in its nesting forest."""
+    return [c for c, parent in zip(h.pairs, h.parents) if parent is not None]
+
+
+def _childless(kids):
+    """The top-level chords with nothing nested in them."""
+    return [c for c in kids[None] if not kids[c]]
+
+
+def _free_moves(kids):
+    """Every subset of the childless top-level chords."""
+    free = _childless(kids)
+    return [list(m) for r in range(len(free) + 1) for m in itertools.combinations(free, r)]
+
+
+def _forest_splits(h, kids):
+    return [(_nested(h) + m, [c for c in kids[None] if c not in m]) for m in _free_moves(kids)]
+
+
+def _childless_only_second(h, kids):
+    return [(_nested(h), kids[None])]
+
+
+def _childless_only_first(h, kids):
+    return [(_nested(h) + _childless(kids), [c for c in kids[None] if kids[c]])]
+
+
+def _nested_second(h, kids):
+    return [(m, _nested(h) + [c for c in kids[None] if c not in m]) for m in _free_moves(kids)]
+
+
+def formula_with_splits(splits, max_order=2):
+    """hopf._formula_terms with its split rule replaced: splits(h, kids) lists
+    the (first, second) chords of each cut h of order at most max_order."""
+
+    def terms(x, cop_x):
+        out = [((a, b, SYM_UNIT), c) for (a, b), c in cop_x.items()]
+        for h in enumerate_cuts(x):
+            if cut_order(h) <= max_order:
+                kids = nesting_children(h)
+                pieces = faces(x, kids)
+                sign = epsilon(PathDiagram(x, h))
+                for first, second in splits(h, kids):
+                    slots = (first, second, [None])
+                    out.append((tuple(Monomial(tuple(pieces[c] for c in s)) for s in slots), sign))
+        return Tensor(3, out)
+
+    return terms
+
+
+@pytest.mark.parametrize(
+    "mutant, witness, defect",
+    [
+        (formula_with_splits(_childless_only_second), "1 e e*", "-1 * {2} (x) 1 (x) {1}"),
+        (formula_with_splits(_childless_only_first), "1 e e*", "-1 * 1 (x) {2} (x) {1}"),
+        (formula_with_splits(_nested_second), "1 e e* e e*",
+         "1 * 1 (x) {1}{2} (x) {1}; -1 * {1} (x) {2} (x) {1}"),
+        (formula_with_splits(_forest_splits, max_order=1), "1 e e* e e*",
+         "-1 * {1} (x) {2} (x) {1}"),
+    ],
+    ids=["childless chords only second", "childless chords only first",
+         "depth-2 chords sent second", "order <= 1 cuts only"],
+)
+def test_coassoc_law_catches_a_mutated_split_rule(q1, monkeypatch, mutant, witness, defect):
+    """Each mutant fails the law on the one-edge quiver, while the same
+    expansion with the forest rule passes it."""
+    sample = all_paths(q1, 4)
+    monkeypatch.setattr(hopf, "_formula_terms", formula_with_splits(_forest_splits))
+    assert verify_defect(coassoc_formula_defect, sample, COASSOC).ok
+    monkeypatch.setattr(hopf, "_formula_terms", mutant)
+    line = verify_defect(coassoc_formula_defect, sample, COASSOC).line()
+    assert line == "FAIL %s: witness %s, defect %s" % (COASSOC, witness, defect)
 
 
 def test_nc_coproduct_values(q1):
