@@ -10,7 +10,6 @@ report carries the canonically smallest witness.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -105,8 +104,9 @@ def cmd_chords(args, out) -> int:
 def cmd_dualtree(args, out) -> int:
     q = _quiver(args)
     d = PathDiagram(q.parse_path(args.path), _parse_cut(args.cut))
+    tree_text = json_text(dual_rooted_tree(d))
     print("eps=%s" % format_scalar(epsilon(d), args.format == "structured"), file=out)
-    print(json_text(dual_rooted_tree(d)), file=out)
+    print(tree_text, file=out)
     return 0
 
 
@@ -231,7 +231,7 @@ def main(argv=None, out=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

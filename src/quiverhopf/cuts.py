@@ -97,21 +97,19 @@ def _matchings(letters, lo: int, hi: int, simple_only: bool = False):
     """The cuts of positions lo..hi (1-based, inclusive) of a word, as tuples of
     pairs ordered by left endpoint, the empty one included.
 
-    Non-crossing matchings are generated segment-recursively: the first free
-    position is either unmatched or matched to a compatible later position,
-    which seals off the enclosed segment. For simple cuts the sealed segment
-    stays unmatched, so only nesting-free cuts are generated.
+    Non-crossing matchings are generated segment-recursively: after the empty
+    one, each first matched position s (hi down to lo) takes each compatible
+    later partner, sealing off the enclosed segment, so the recursion is as
+    deep as one cut has chords. Simple cuts leave the sealed segment empty.
     """
-    if lo > hi:
-        yield ()
-        return
-    yield from _matchings(letters, lo + 1, hi, simple_only)
-    want = letters[lo - 1].star()
-    for q in range(lo + 1, hi + 1):
-        if letters[q - 1] == want:
-            for left in ((),) if simple_only else _matchings(letters, lo + 1, q - 1):
-                for right in _matchings(letters, q + 1, hi, simple_only):
-                    yield ((lo, q),) + left + right
+    yield ()
+    for s in range(hi, lo - 1, -1):
+        want = letters[s - 1].star()
+        for q in range(s + 1, hi + 1):
+            if letters[q - 1] == want:
+                for left in ((),) if simple_only else _matchings(letters, s + 1, q - 1):
+                    for right in _matchings(letters, q + 1, hi, simple_only):
+                        yield ((s, q),) + left + right
 
 
 def _outside(seq, lo: int, hi: int, holes=()) -> tuple:

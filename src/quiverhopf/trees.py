@@ -149,54 +149,55 @@ def _walk_tree(root, expand) -> "OrientedTree":
     """The OrientedTree of a planar tree, numbered in preorder from root.
 
     expand(node) gives (label, [(up, child), ...]) in planar order; up=True
-    means the edge points from the child toward node. Each vertex's cyclic
-    order starts at the edge back toward the root, which is how RootedTree
-    lifts it.
+    means the edge points from the child toward node. Edge e is the edge to
+    vertex e + 1, so each vertex's cyclic order starts at the edge back toward
+    the root, which is how RootedTree lifts it.
     """
-    labels, edge_list, adj = [], [], []
-    _visit(root, None, expand, labels, edge_list, adj)
-    return OrientedTree(labels, edge_list, adj)
+    labels, edge_list = [], []
+    _visit(root, expand, labels, edge_list)
+    return OrientedTree(labels, edge_list)
 
 
-def _visit(node, parent_edge, expand, labels, edge_list, adj):
+def _visit(node, expand, labels, edge_list):
     """Append node and the subtree below it to _walk_tree's numbering."""
     v = len(labels)
     label, kids = expand(node)
     labels.append(label)
-    es = [] if parent_edge is None else [parent_edge]
-    adj.append(es)
     for up, child in kids:
-        w, e = len(labels), len(edge_list)
+        w = len(labels)
         edge_list.append((w, v) if up else (v, w))
-        es.append(e)
-        _visit(child, e, expand, labels, edge_list, adj)
+        _visit(child, expand, labels, edge_list)
 
 
 class OrientedTree(BasisElement):
     """Unrooted tree with cyclic edge orders, oriented edges, necklace labels.
 
-    Stored as an explicit graph; the canonical key minimizes the planar
-    serialization over every choice of root vertex and rotation of the root's
-    cyclic order, so equality is isomorphism of decorated oriented trees.
+    Given by its edge list in walk order, edge e joining vertex e + 1 to one
+    of 0..e, so every accepted input is a tree; the cyclic order at v, adj[v],
+    is the edges at v in increasing index. The canonical key minimizes the
+    planar serialization over every root vertex and rotation of its cyclic
+    order, so equality is isomorphism of decorated oriented trees.
     """
 
     __slots__ = ("labels", "edge_list", "adj", "canon_root", "canon_rot")
 
-    def __init__(self, labels, edge_list, adj):
+    def __init__(self, labels, edge_list):
         labels = tuple(labels)
         edge_list = tuple(map(tuple, edge_list))
-        adj = tuple(map(tuple, adj))
         for lab in labels:
             if not isinstance(lab, Necklace):
                 raise TypeError("oriented tree labels must be necklaces")
-        n = len(labels)
-        if len(adj) != n:
-            raise ValueError("adjacency size differs from label count")
-        if len(edge_list) != n - 1:
+        if len(edge_list) != len(labels) - 1:
             raise ValueError("an oriented tree on n vertices needs n - 1 edges")
-        for u, v in edge_list:
-            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
-                raise ValueError("edge %r must join two vertices of 0..%d" % ((u, v), n - 1))
+        adj = [[]]
+        for e, (u, v) in enumerate(edge_list):
+            p = v if u == e + 1 else u  # edge e hangs vertex e + 1 from p
+            if not (type(u) is type(v) is int and e + 1 in (u, v) and 0 <= p <= e):
+                msg = "edge %d, %r, must join vertex %d to one of 0..%d"
+                raise ValueError(msg % (e, (u, v), e + 1, e))
+            adj[p].append(e)
+            adj.append([e])
+        adj = tuple(map(tuple, adj))
         best = None
         below: dict = {}
         # A serialization from root r starts with heads[r], so a root whose

@@ -202,8 +202,9 @@ def oracle_rho_ss_oriented(t: OrientedTree) -> Tensor:
 
 
 def oracle_delete_edge(t: OrientedTree, eidx: int):
-    """(tail side, head side) of edge eidx, each side's vertices kept in their
-    old relative order and each cyclic order with eidx left out."""
+    """(tail side, head side) of edge eidx, each side's vertices and edges
+    kept in their old relative order, so each edge still follows the vertex
+    it hangs from."""
 
     def component(seed):
         seen = {seed}
@@ -220,42 +221,35 @@ def oracle_delete_edge(t: OrientedTree, eidx: int):
                     stack.append(b)
         verts = sorted(seen)
         vmap = {old: k for k, old in enumerate(verts)}
-        emap = {}
-        edges = []
-        for k, (x, y) in enumerate(t.edge_list):
-            if k != eidx and x in seen and y in seen:
-                emap[k] = len(edges)
-                edges.append((vmap[x], vmap[y]))
-        adj = [tuple(emap[e2] for e2 in t.adj[old] if e2 != eidx) for old in verts]
-        return OrientedTree(tuple(t.labels[old] for old in verts), edges, adj)
+        edges = [
+            (vmap[x], vmap[y])
+            for k, (x, y) in enumerate(t.edge_list)
+            if k != eidx and x in seen and y in seen
+        ]
+        return OrientedTree(tuple(t.labels[old] for old in verts), edges)
 
     u, v = t.edge_list[eidx]
     return component(u), component(v)
 
 
 def oracle_oriented_from_rooted(t, to_label) -> OrientedTree:
-    """Each former non-root vertex's cyclic order starts at its parent edge."""
+    """Each vertex is numbered, and its edge from its parent added, before
+    the vertices below it, as OrientedTree's edge list asks."""
     labels = []
     edges = []
-    adj = []
 
     def add_vertex(label):
         labels.append(to_label(label))
-        adj.append([])
         return len(labels) - 1
 
-    def walk(node, vidx: int, parent_edge):
-        if parent_edge is not None:
-            adj[vidx].append(parent_edge)
+    def walk(node, vidx: int):
         for up, child in node.children:
             widx = add_vertex(child.label)
-            eidx = len(edges)
             edges.append((widx, vidx) if up else (vidx, widx))
-            adj[vidx].append(eidx)
-            walk(child, widx, eidx)
+            walk(child, widx)
 
-    walk(t, add_vertex(t.label), None)
-    return OrientedTree(tuple(labels), tuple(edges), tuple(tuple(es) for es in adj))
+    walk(t, add_vertex(t.label))
+    return OrientedTree(tuple(labels), tuple(edges))
 
 
 # The triple-coproduct expansion on its own, for tests that read its terms

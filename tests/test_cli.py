@@ -393,6 +393,49 @@ def test_dualtree_rejects_crossing_cut(capsys):
     assert err.startswith("error: ") and "cross" in err
 
 
+LOOP = os.path.join(ROOT, "quivers", "loop.json")
+LONG = " ".join(["a"] * 1200)
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["coproduct", "--input", "v " + LONG], "1 * 1 (x) {v %s}\n1 * {v %s} (x) 1\n" % (LONG, LONG)),
+        (["antipode", "--input", "v " + LONG], "-1 * {v %s}\n" % LONG),
+        (["eta", "--input", "v " + LONG], '1 * {"children":[],"label":"v %s"}\n' % LONG),
+        (["eta", "--input", "[%s]" % LONG], '1 * {"children":[],"label":"[%s]"}\n' % LONG),
+        (["chords", "--path", "v " + LONG], "()  ord=0  outer=v %s\n" % LONG),
+    ],
+    ids=["coproduct", "antipode", "eta-path", "eta-necklace", "chords"],
+)
+def test_a_long_word_without_chords_is_not_walked_letter_by_letter(argv, expect):
+    # 1,200 letters and only the empty cut: the cut walk recurses once per
+    # chord of a cut, not once per letter, so the recursion limit is no bound.
+    assert run(argv + ["--quiver", LOOP]) == (0, expect)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100000 + b"]" * 100000, b"{", b"\xff\xfe{"],
+    ids=["nested-past-the-recursion-limit", "unclosed-object", "invalid-utf-8"],
+)
+def test_unreadable_quiver_file_rejected(content, tmp_path, capsys):
+    qfile = tmp_path / "bad.json"
+    qfile.write_bytes(content)
+    assert run(["coproduct", "--quiver", str(qfile), "--input", "1"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dualtree_nested_past_the_recursion_limit_rejected(capsys):
+    # 400 nested chords: the dual tree is a 400-edge path, deeper than the
+    # tree printer can recurse; nothing reaches stdout, not even eps.
+    word = " ".join(["v"] + ["a"] * 400 + ["a*"] * 400)
+    cut = ",".join("(%d,%d)" % (i, 801 - i) for i in range(1, 401))
+    assert run(["dualtree", "--quiver", LOOP, "--path", word, "--cut", cut]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recursion" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -100,10 +100,10 @@ def test_dual_oriented_tree_values(q1):
     d = NecklaceDiagram(Path("1", (e, e.star())), Cut(((1, 2),)))
     # Edge oriented away from the former root: from the [1]-vertex into the
     # chord face labeled [2].
-    expect = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
+    expect = OrientedTree((n1, n2), ((0, 1),))
     assert dual_oriented_tree(d) == expect
     triv = NecklaceDiagram(q1.trivial("1"))
-    assert dual_oriented_tree(triv) == OrientedTree((n1,), (), ((),))
+    assert dual_oriented_tree(triv) == OrientedTree((n1,), ())
 
 
 def test_dual_oriented_rotation_invariance(q1, loop, loop_edge):
@@ -133,7 +133,7 @@ def test_d_or_default_unsigned(q1):
     e = q1.letter("e")
     d = NecklaceDiagram(Path("1", (e, e.star())), Cut(((1, 2),)))
     n1, n2 = Necklace(q1.trivial("1")), Necklace(q1.trivial("2"))
-    tree = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
+    tree = OrientedTree((n1, n2), ((0, 1),))
     assert d_or(d) == LinComb.single(tree, 1)
     assert d_or(d, signed=True) == LinComb.single(tree, -1)
 

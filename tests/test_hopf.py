@@ -291,8 +291,8 @@ def test_eta_or_values(q1):
     e = q1.letter("e")
     n = Necklace(Path("1", (e, e.star())))
     n1, n2 = Necklace(q1.trivial("1")), Necklace(q1.trivial("2"))
-    edge = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
-    pt = OrientedTree((n,), (), ((),))
+    edge = OrientedTree((n1, n2), ((0, 1),))
+    pt = OrientedTree((n,), ())
     # Unsigned default: both summands positive.
     assert eta_or(n) == LinComb.single(pt) + LinComb.single(edge)
     assert eta_or(n, signed=True) == LinComb.single(pt) - LinComb.single(edge)

@@ -35,7 +35,7 @@ from support import (
 
 
 def oriented_point(label: Necklace) -> OrientedTree:
-    return OrientedTree((label,), (), ((),))
+    return OrientedTree((label,), ())
 
 
 def labels2(q1):
@@ -249,10 +249,10 @@ def necklace_labels(q1):
 def test_oriented_tree_iso_invariance(q1):
     n1, n2 = necklace_labels(q1)
     # The same one-edge oriented tree described from both vertices.
-    a = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
-    b = OrientedTree((n2, n1), ((1, 0),), ((0,), (0,)))
+    a = OrientedTree((n1, n2), ((0, 1),))
+    b = OrientedTree((n2, n1), ((1, 0),))
     assert a == b
-    c = OrientedTree((n1, n2), ((1, 0),), ((0,), (0,)))
+    c = OrientedTree((n1, n2), ((1, 0),))
     assert a != c  # opposite orientation with distinct labels
 
 
@@ -272,14 +272,39 @@ def test_rooted_tree_rejects_labels_that_are_not_paths(q1, make):
 @pytest.mark.parametrize("edge", [(0.0, 1.9), ("0", "1"), (False, True), (0, 2), (-1, 0)])
 def test_oriented_tree_rejects_endpoints_outside_the_vertices(q1, edge):
     n1, n2 = necklace_labels(q1)
-    with pytest.raises(ValueError, match="must join two vertices of 0..1"):
-        OrientedTree((n1, n2), (edge,), ((0,), (0,)))
+    with pytest.raises(ValueError, match="must join vertex 1 to one of 0..0"):
+        OrientedTree((n1, n2), (edge,))
 
 
 def test_oriented_tree_rejects_a_loop(q1):
     n1, n2 = necklace_labels(q1)
-    with pytest.raises(ValueError, match="must join two vertices"):
-        OrientedTree((n1, n2), ((1, 1),), ((), (0, 0)))
+    with pytest.raises(ValueError, match="must join vertex 1 to one of 0..0"):
+        OrientedTree((n1, n2), ((1, 1),))
+
+
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        (((0, 1), (0, 1)), "edge 1, \\(0, 1\\), must join vertex 2 to one of 0..1"),
+        (((1, 2), (0, 1)), "edge 0, \\(1, 2\\), must join vertex 1 to one of 0..0"),
+        (((0, 1), (1, 3)), "edge 1, \\(1, 3\\), must join vertex 2 to one of 0..1"),
+    ],
+    ids=["repeated-edge", "out-of-walk-order", "edge-to-a-later-vertex"],
+)
+def test_oriented_tree_takes_only_an_edge_list_in_walk_order(q1, edges, bad):
+    # Edge e must join vertex e + 1 to an earlier vertex, so a repeated edge
+    # (which left vertex 2 unreached), a valid tree listed out of walk order
+    # and an edge that skips a vertex are each refused.
+    n1, n2 = necklace_labels(q1)
+    with pytest.raises(ValueError, match=bad):
+        OrientedTree((n1, n2, n1), edges)
+
+
+def test_oriented_tree_derives_each_cyclic_order_from_the_edges(q1):
+    n1, n2 = necklace_labels(q1)
+    # A star at 0 whose middle branch has a child: 0 -> 1, 0 -> 2 -> 3, 0 <- 4.
+    t = OrientedTree((n1, n2, n2, n1, n2), ((0, 1), (0, 2), (2, 3), (4, 0)))
+    assert t.adj == ((0, 1, 3), (0,), (1, 2), (2,), (3,))
 
 
 def test_oriented_from_rooted_forgets_root(q1):
@@ -292,7 +317,7 @@ def test_oriented_from_rooted_forgets_root(q1):
 
 def test_oriented_delete_edge(q1):
     n1, n2 = necklace_labels(q1)
-    t = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
+    t = OrientedTree((n1, n2), ((0, 1),))
     away, toward = t.delete_edge(0)
     assert away == oriented_point(n1)
     assert toward == oriented_point(n2)
@@ -301,7 +326,7 @@ def test_oriented_delete_edge(q1):
 def test_rho_ss_oriented_values(q1):
     n1, n2 = necklace_labels(q1)
     assert rho_ss_oriented(oriented_point(n1)) == 0
-    t = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
+    t = OrientedTree((n1, n2), ((0, 1),))
     p1, p2 = oriented_point(n1), oriented_point(n2)
     assert rho_ss_oriented(t) == tensor(p1, p2) - tensor(p2, p1)
 
@@ -309,11 +334,11 @@ def test_rho_ss_oriented_values(q1):
 def test_rho_ss_oriented_two_edges_toward_middle(q1):
     # u -> v <- w with three distinct-ish labels; both edges point to v.
     n1, n2 = necklace_labels(q1)
-    t = OrientedTree((n1, n2, n1), ((0, 1), (2, 1)), ((0,), (0, 1), (1,)))
+    t = OrientedTree((n1, n2, n1), ((0, 1), (2, 1)))
     edge_terms = rho_ss_oriented(t)
     # Two edges, each contributing a skew pair: 4 terms before cancellation.
     p1 = oriented_point(n1)
-    sub = OrientedTree((n1, n2), ((0, 1),), ((0,), (0,)))
+    sub = OrientedTree((n1, n2), ((0, 1),))
     assert edge_terms == 2 * (tensor(p1, sub) - tensor(sub, p1))
 
 
