@@ -10,6 +10,7 @@ report carries the canonically smallest witness.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -156,6 +157,7 @@ def cmd_verify(args, out) -> int:
     return _print_reports(reports, out)
 
 
+@functools.cache  # parse_args leaves it unchanged; each build leaves argparse cycles
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiver", help="quiver JSON file (default: built-in e: 1 -> 2)")
@@ -224,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
     except ParseError as exc:

@@ -321,6 +321,8 @@ TAU12_2 = (2, 1)
 TAU12_3 = (2, 1, 3)
 TAU123 = (2, 3, 1)  # cycle (123): 1 -> 2 -> 3 -> 1
 TAU132 = (3, 1, 2)  # cycle (132): 1 -> 3 -> 2 -> 1
+# A product sorts and joins its factors by skey, with no Python-level __lt__.
+_SKEY = operator.attrgetter("skey")
 
 
 class _Product(BasisElement):
@@ -363,8 +365,8 @@ class Monomial(_Product):
     _bracket = "{%s}"
 
     def __init__(self, factors=()):
-        fs = tuple(sorted(factors))
-        BasisElement.__init__(self, "M|" + "".join("{%s}" % f.skey for f in fs))
+        fs = tuple(sorted(factors, key=_SKEY))
+        BasisElement.__init__(self, "M|{%s}" % "}{".join(map(_SKEY, fs)) if fs else "M|")
         self.factors = fs
 
 
@@ -383,7 +385,7 @@ class Word(_Product):
 
     def __init__(self, factors=()):
         fs = tuple(factors)
-        BasisElement.__init__(self, "W|" + "".join("(%s)" % f.skey for f in fs))
+        BasisElement.__init__(self, "W|(%s)" % ")(".join(map(_SKEY, fs)) if fs else "W|")
         self.factors = fs
 
 

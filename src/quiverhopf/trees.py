@@ -12,7 +12,6 @@ rotation choices.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Callable, Tuple
 
@@ -33,16 +32,16 @@ class RootedTree(BasisElement):
     def __init__(self, label: Path, children=()):
         if not isinstance(label, Path):
             raise TypeError("rooted tree labels must be paths: %r" % (label,))
-        children = tuple((up, child) for up, child in children)
-        for up, child in children:
+        kids, parts = [], []
+        for pair in children:
+            up, child = pair = pair if type(pair) is tuple else tuple(pair)
             if type(up) is not bool or not isinstance(child, RootedTree):
-                raise TypeError("children must be (bool, RootedTree) pairs: %r" % ((up, child),))
-        parts = "".join(
-            ("^" if up else "v") + child.skey[3:] for up, child in children
-        )
-        BasisElement.__init__(self, "RT|{%s:%s}" % (label.skey, parts))
+                raise TypeError("children must be (bool, RootedTree) pairs: %r" % (pair,))
+            kids.append(pair)
+            parts.append(("^" if up else "v") + child.skey[3:])
+        BasisElement.__init__(self, "RT|{%s:%s}" % (label.skey, "".join(parts)))
         self.label = label
-        self.children = children
+        self.children = tuple(kids)
 
     def edge_count(self) -> int:
         return sum(1 + child.edge_count() for _, child in self.children)
@@ -105,18 +104,14 @@ def admissible_cuts(t: RootedTree):
     (in planar order) and the remaining tree at the root. The empty cut is
     included as ((), t).
     """
-    per_child = []
+    # (severed components, kept children) over the children seen so far: each
+    # child is severed whole or keeps the trunk of one of its own cuts.
+    cuts = [((), ())]
     for flag, child in t.children:
-        options = [((child,), None)]
-        for comps, trunk in admissible_cuts(child):
-            options.append((comps, (flag, trunk)))
-        per_child.append(options)
-    out = []
-    for combo in itertools.product(*per_child):
-        comps = tuple(itertools.chain.from_iterable(c for c, _ in combo))
-        kids = tuple(k for _, k in combo if k is not None)
-        out.append((comps, RootedTree(t.label, kids)))
-    return out
+        options = [((child,), ())]
+        options += [(sub, ((flag, trunk),)) for sub, trunk in admissible_cuts(child)]
+        cuts = [(comps + c, kids + k) for comps, kids in cuts for c, k in options]
+    return [(comps, RootedTree(t.label, kids)) for comps, kids in cuts]
 
 
 def tree_coproduct(t: RootedTree) -> Tensor:

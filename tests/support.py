@@ -252,6 +252,60 @@ def oracle_oriented_from_rooted(t, to_label) -> OrientedTree:
     return OrientedTree(tuple(labels), tuple(edges))
 
 
+# Admissible cuts as edge subsets, sharing no code with the child-by-child
+# growth in `trees.admissible_cuts`: an oracle for it and for
+# `tree_coproduct`. An edge is named by its lower end in preorder, and a subset
+# is admissible when no root-to-vertex path holds two of its edges.
+
+
+def _preorder(t: RootedTree):
+    """(subtree, parent index, flag of the edge to the parent) per vertex of
+    t in preorder; the root's parent and flag are None."""
+    out = []
+    stack = [(t, None, None)]
+    while stack:
+        node, parent, flag = stack.pop()
+        v = len(out)
+        out.append((node, parent, flag))
+        stack.extend((child, v, fl) for fl, child in reversed(node.children))
+    return out
+
+
+def oracle_admissible_cuts(t: RootedTree):
+    """(severed subtrees in preorder, trunk) for every admissible edge subset
+    of t, the empty subset included: all 2^edges subsets are built and
+    filtered, and each trunk is rebuilt bottom-up from the kept vertices."""
+    verts = _preorder(t)
+    out = []
+    for r in range(len(verts)):
+        for cut in itertools.combinations(range(1, len(verts)), r):
+            removed = set()
+            for v, (_, parent, _) in enumerate(verts):
+                if parent in removed or v in cut:
+                    removed.add(v)
+            if any(verts[v][1] in removed for v in cut):
+                continue
+            kids = [[] for _ in verts]
+            for v in reversed(range(len(verts))):
+                if v in removed:
+                    continue
+                node, parent, flag = verts[v]
+                built = RootedTree(node.label, tuple(reversed(kids[v])))
+                if parent is not None:
+                    kids[parent].append((flag, built))
+            out.append((tuple(verts[v][0] for v in cut), built))
+    return out
+
+
+def oracle_tree_coproduct(t: RootedTree) -> Tensor:
+    """T (x) 1 plus severed subtrees (x) trunk for every admissible edge
+    subset; the empty subset supplies 1 (x) T."""
+    terms = [((Monomial((t,)), Monomial(())), 1)]
+    for comps, trunk in oracle_admissible_cuts(t):
+        terms.append(((Monomial(comps), Monomial((trunk,))), 1))
+    return Tensor(2, terms)
+
+
 # The triple-coproduct expansion on its own, for tests that read its terms
 # (the library uses it only inside `hopf.coassoc_formula_defect`), and the
 # subset filter it replaced, kept as its oracle.

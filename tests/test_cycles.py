@@ -3,15 +3,18 @@
 A call that leaves its lists and memos in a cycle keeps them alive until the
 cyclic collector runs, and the collections then cost time in every later
 call. Each op below runs with the collector switched off, and a collection
-right after it must find nothing. The CLI is left out: argparse leaves
-cycles in every parser it builds.
+right after it must find nothing. argparse leaves cycles in every parser it
+builds, so the CLI op runs after a first call has built the one parser that
+`cli.main` reuses.
 """
 
 import gc
+import io
+import os
 
 import pytest
 
-from quiverhopf import bridge
+from quiverhopf import bridge, cli
 from quiverhopf.cuts import chord_coproduct, necklace_diagrams, path_diagrams
 from quiverhopf.dual import d_or, d_rt
 from quiverhopf.hopf import eta_or, eta_rt, nc_coproduct, path_antipode, path_coproduct
@@ -34,6 +37,19 @@ def rooted_trees(max_edges):
     return all_rooted_trees(max_edges, (Q.trivial("v"),), (False, True))
 
 
+def cli_runs():
+    """Argument lists for a verify, a bridge and two failing commands, after
+    one call has built the parser."""
+    cli.build_parser()
+    quiver = os.path.join(os.path.dirname(os.path.dirname(__file__)), "quivers", "two_loops.json")
+    return [
+        ["verify", "--quiver", quiver, "--theorem", "1", "--max-len", "2"],
+        ["bridge", "--quiver", quiver, "--instance", "trees", "--max-degree", "3", "--compare"],
+        ["coproduct", "--quiver", quiver, "--input", "v q"],
+        ["verify", "--quiver", quiver],
+    ]
+
+
 # op: (inputs, the call made on each input), inputs built before the check.
 OPS = {
     "eta_rt": (lambda: all_paths(Q, 4), eta_rt),
@@ -51,6 +67,7 @@ OPS = {
     "all_rooted_trees": (lambda: [3], rooted_trees),
     "reconstruct_coproduct": (trees_instance, lambda inst: bridge.reconstruct_coproduct(*inst)),
     "run_laws": (lambda: [3], lambda n: list(run_laws(LAWS, Q, n))),
+    "cli.main": (cli_runs, lambda argv: cli.main(argv, out=io.StringIO())),
 }
 
 

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quiverhopf.cobrackets import delta_p_rt
@@ -20,6 +20,9 @@ from quiverhopf.linear import (
     tensor,
 )
 
+from quiverhopf.quiver import all_paths
+from quiverhopf.trees import all_rooted_trees
+from quiverhopf.verify import FAMILY
 from support import oracle_permute
 
 
@@ -217,6 +220,26 @@ def test_keys_are_type_tagged():
     # Same payload in different basis types must never collide.
     assert Monomial((A,)) != Word((A,))
     assert len({Monomial((A,)).skey, Word((A,)).skey, A.skey}) == 3
+
+
+# Paths and rooted trees of two_loops: factors of both kinds, whose keys the
+# monoid keys hold side by side.
+_PATHS = all_paths(FAMILY["two_loops"], 2)
+MIXED = _PATHS + all_rooted_trees(1, _PATHS[:2], (False, True))
+
+
+@given(st.lists(st.sampled_from(MIXED), max_size=5))
+@example([])
+@example([MIXED[-1], MIXED[0], MIXED[-1], MIXED[0]])
+def test_product_keys_are_the_bracketed_factor_keys(fs):
+    # The oracle sorts through BasisElement.__lt__ and brackets one factor at
+    # a time.
+    m = Monomial(fs)
+    assert m.factors == tuple(sorted(fs))
+    assert m.skey == "M|" + "".join("{%s}" % f.skey for f in sorted(fs))
+    w = Word(fs)
+    assert w.factors == tuple(fs)
+    assert w.skey == "W|" + "".join("(%s)" % f.skey for f in fs)
 
 
 def test_slot_map_and_expand():

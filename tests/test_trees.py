@@ -25,10 +25,12 @@ from quiverhopf.verify import FAMILY, tree_sample, verify_lie_coalgebra, verify_
 from support import (
     antipode_monomial,
     counit_defect,
+    oracle_admissible_cuts,
     oracle_delete_edge,
     oracle_oriented_from_rooted,
     oracle_rho_ss,
     oracle_rho_ss_oriented,
+    oracle_tree_coproduct,
     point,
     tree_from_json,
 )
@@ -88,6 +90,19 @@ def test_admissible_cuts_three_chain(q1):
     assert keyed[()] == t
     assert keyed[(chain([a, b]).skey,)] == point(r)
     assert keyed[(point(b).skey,)] == chain([r, a])
+
+
+def cut_keys(cuts):
+    """Each (components, trunk) by keys, the components in the order given."""
+    return sorted((tuple(c.skey for c in comps), trunk.skey) for comps, trunk in cuts)
+
+
+def test_tree_coproduct_matches_the_edge_subset_oracle(q1):
+    # The oracle lists each cut's severed subtrees in preorder, so equal keys
+    # also say that admissible_cuts returns them in planar order.
+    for t in all_rooted_trees(4, labels2(q1), flags=(False, True)):
+        assert cut_keys(admissible_cuts(t)) == cut_keys(oracle_admissible_cuts(t))
+        assert tree_coproduct(t) == oracle_tree_coproduct(t)
 
 
 def test_tree_coproduct_point(q1):
@@ -261,6 +276,28 @@ def test_rooted_tree_rejects_non_bool_flags(q1, flag):
     x, y = labels2(q1)
     with pytest.raises(TypeError, match=r"must be \(bool, RootedTree\) pairs"):
         RootedTree(x, ((flag, point(y)),))
+
+
+def test_rooted_tree_takes_list_pairs_as_tuples(q1):
+    x, y = labels2(q1)
+    t = RootedTree(x, [[False, point(y)], (True, point(x))])
+    assert t == RootedTree(x, ((False, point(y)), (True, point(x))))
+    assert type(t.children) is tuple
+    assert all(type(pair) is tuple for pair in t.children)
+
+
+@pytest.mark.parametrize("make", [lambda q: q.trivial("2"), lambda q: "x", lambda q: None])
+def test_rooted_tree_rejects_children_that_are_not_trees(q1, make):
+    x, _ = labels2(q1)
+    with pytest.raises(TypeError, match=r"must be \(bool, RootedTree\) pairs"):
+        RootedTree(x, ((False, make(q1)),))
+
+
+def test_rooted_tree_rejects_pairs_of_other_lengths(q1):
+    x, y = labels2(q1)
+    for pair in ((False, point(y), point(y)), [True, point(y), False], (False,)):
+        with pytest.raises(ValueError):
+            RootedTree(x, (pair,))
 
 
 @pytest.mark.parametrize("make", [lambda q: Necklace(q.trivial("1")), lambda q: "x"])
