@@ -38,14 +38,14 @@ def main() -> int:
     parser.add_argument("--max-degree", type=int, default=8)
     parser.add_argument("--quiver", help="quiver JSON file (default: e: 1 -> 2)")
     args = parser.parse_args()
-    q = Quiver.load(args.quiver) if args.quiver else ONE_EDGE_QUIVER
     # Plane-tree counts grow Catalan-fast; keep the tree demo at the desk
     # scale (5 edges) unless a smaller cap was requested.
     tdeg = min(args.max_degree, 6)
     try:
+        q = Quiver.load(args.quiver) if args.quiver else ONE_EDGE_QUIVER
         ok = show("paths", *instance(q, "paths", args.max_degree))
         ok &= show("trees", *instance(q, "trees", tdeg))
-    except ValueError as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0 if ok else 1

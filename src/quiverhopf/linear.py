@@ -291,6 +291,8 @@ def as_lincomb(x) -> LinComb:
 
 def tensor(*factors) -> Tensor:
     """Tensor product of linear combinations (or bare basis elements)."""
+    if not factors:
+        raise ValueError("tensor arity must be >= 1")
     lcs = [as_lincomb(f) for f in factors]
     acc: dict = {}
     for combo in itertools.product(*(lc._terms.items() for lc in lcs)):

@@ -64,7 +64,7 @@ def tree_to_json(t: RootedTree) -> dict:
 
 
 def _json_at(node, expand) -> dict:
-    """tree_to_json below node, for any expand of _walk_tree's protocol."""
+    """tree_to_json below node, expand(node) giving (label, [(up, child), ...])."""
     label, kids = expand(node)
     return {
         "label": label.text(),
@@ -126,7 +126,7 @@ def tree_coproduct(t: RootedTree) -> Tensor:
 def _planar_children(edge_list, adj, v, parent_edge, rot: int):
     """The edges below v in planar order, as (points at v, (far end, edge)):
     after the edge toward the root (parent_edge), or from position rot at the
-    root. The pairs (far end, edge) are the nodes of OrientedTree._expand."""
+    root. The pairs (far end, edge) are the nodes of OrientedTree.to_json."""
     es = adj[v]
     if parent_edge is None:
         order = es[rot:] + es[:rot]
@@ -140,38 +140,15 @@ def _planar_children(edge_list, adj, v, parent_edge, rot: int):
     return out
 
 
-def _walk_tree(root, expand) -> "OrientedTree":
-    """The OrientedTree of a planar tree, numbered in preorder from root.
-
-    expand(node) gives (label, [(up, child), ...]) in planar order; up=True
-    means the edge points from the child toward node. Edge e is the edge to
-    vertex e + 1, so each vertex's cyclic order starts at the edge back toward
-    the root, which is how RootedTree lifts it.
-    """
-    labels, edge_list = [], []
-    _visit(root, expand, labels, edge_list)
-    return OrientedTree(labels, edge_list)
-
-
-def _visit(node, expand, labels, edge_list):
-    """Append node and the subtree below it to _walk_tree's numbering."""
-    v = len(labels)
-    label, kids = expand(node)
-    labels.append(label)
-    for up, child in kids:
-        w = len(labels)
-        edge_list.append((w, v) if up else (v, w))
-        _visit(child, expand, labels, edge_list)
-
-
 class OrientedTree(BasisElement):
     """Unrooted tree with cyclic edge orders, oriented edges, necklace labels.
 
-    Given by its edge list in walk order, edge e joining vertex e + 1 to one
-    of 0..e, so every accepted input is a tree; the cyclic order at v, adj[v],
-    is the edges at v in increasing index. The canonical key minimizes the
-    planar serialization over every root vertex and rotation of its cyclic
-    order, so equality is isomorphism of decorated oriented trees.
+    Given by its edge list in preorder, edge e joining vertex e + 1 to vertex
+    e or a vertex above it, so every accepted input is a tree and the
+    vertices below any edge form one contiguous block; the cyclic order at v,
+    adj[v], is the edges at v in increasing index. The canonical key
+    minimizes the planar serialization over every root vertex and rotation of
+    its cyclic order, so equality is isomorphism of decorated oriented trees.
     """
 
     __slots__ = ("labels", "edge_list", "adj", "canon_root", "canon_rot")
@@ -184,12 +161,13 @@ class OrientedTree(BasisElement):
                 raise TypeError("oriented tree labels must be necklaces")
         if len(edge_list) != len(labels) - 1:
             raise ValueError("an oriented tree on n vertices needs n - 1 edges")
-        adj = [[]]
+        adj, path = [[]], [0]  # path: the vertices from 0 down to vertex e
         for e, (u, v) in enumerate(edge_list):
             p = v if u == e + 1 else u  # edge e hangs vertex e + 1 from p
-            if not (type(u) is type(v) is int and e + 1 in (u, v) and 0 <= p <= e):
-                msg = "edge %d, %r, must join vertex %d to one of 0..%d"
-                raise ValueError(msg % (e, (u, v), e + 1, e))
+            if not (type(u) is type(v) is int and e + 1 in (u, v) and p in path):
+                msg = "edge %d, %r, must join vertex %d to one of %s, the path from 0 to %d"
+                raise ValueError(msg % (e, (u, v), e + 1, ", ".join(map(str, path)), e))
+            path[path.index(p) + 1 :] = [e + 1]
             adj[p].append(e)
             adj.append([e])
         adj = tuple(map(tuple, adj))
@@ -230,21 +208,29 @@ class OrientedTree(BasisElement):
     def edge_count(self) -> int:
         return len(self.edge_list)
 
-    def _expand(self, node):
-        """_walk_tree's expand on (vertex, edge toward the root or None)."""
-        v, parent_edge = node
-        return self.labels[v], _planar_children(
-            self.edge_list, self.adj, v, parent_edge, self.canon_rot
-        )
-
     def delete_edge(self, eidx: int):
         """Split at one edge; returns (away_part, toward_part) following the
         edge orientation: the second component is the one the edge points to.
-        Each side is walked from its end of the edge."""
-        return tuple(_walk_tree((end, eidx), self._expand) for end in self.edge_list[eidx])
+        Each side is a slice of the preorder, so every vertex keeps its
+        cyclic order minus the deleted edge."""
+        labels, edges, n = self.labels, self.edge_list, len(self.edge_list)
+        if not 0 <= eidx < n:
+            raise IndexError("edge index %r is out of range: the tree has %d edges" % (eidx, n))
+        # Vertices lo..end lie below the edge: edge end is the first later one
+        # hung from a vertex before lo. Edges before eidx end before lo.
+        lo = end = eidx + 1
+        while end < n and min(edges[end]) >= lo:
+            end += 1
+        below = OrientedTree(labels[lo : end + 1], [(a - lo, b - lo) for a, b in edges[lo:end]])
+        d = end - eidx
+        tail = [(a - d if a > end else a, b - d if b > end else b) for a, b in edges[end:]]
+        rest = OrientedTree(labels[:lo] + labels[end + 1 :], edges[:eidx] + tuple(tail))
+        return (below, rest) if edges[eidx][0] == lo else (rest, below)
 
     def to_json(self) -> dict:
-        return _json_at((self.canon_root, None), self._expand)
+        labels, edges, adj, rot = self.labels, self.edge_list, self.adj, self.canon_rot
+        expand = lambda node: (labels[node[0]], _planar_children(edges, adj, *node, rot))
+        return _json_at((self.canon_root, None), expand)
 
     def text(self) -> str:
         return json_text(self)
@@ -276,7 +262,19 @@ def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) ->
     The cyclic order at a former non-root vertex starts with the edge back
     toward the root, matching the planar lifting used by RootedTree.
     """
-    return _walk_tree(t, lambda node: (to_label(node.label), node.children))
+    labels, edge_list = [], []
+    _visit(t, to_label, labels, edge_list)
+    return OrientedTree(labels, edge_list)
+
+
+def _visit(node, to_label, labels, edge_list):
+    """Number node and the subtree below it in preorder, edge e ending at e + 1."""
+    v = len(labels)
+    labels.append(to_label(node.label))
+    for up, child in node.children:
+        w = len(labels)
+        edge_list.append((w, v) if up else (v, w))
+        _visit(child, to_label, labels, edge_list)
 
 
 def rho_ss_oriented(t: OrientedTree) -> Tensor:

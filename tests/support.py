@@ -194,11 +194,12 @@ def oracle_rho_ss_oriented(t: OrientedTree) -> Tensor:
     return oracle_term_pairs((oracle_delete_edge(t, e), 1) for e in range(t.edge_count()))
 
 
-# Two walks that build oriented trees without `trees._walk_tree`, oracles
-# for `OrientedTree.delete_edge` and `oriented_from_rooted`: a search plus
+# Two walks that build oriented trees without `trees`' own code, oracles for
+# `OrientedTree.delete_edge` and `oriented_from_rooted`: a search plus
 # reindexing for one side of a deleted edge, and a recursive walk of a rooted
-# tree. They number vertices and edges differently from the planar walk, so
-# compare their results by `skey` and `text()`.
+# tree. The search keeps each side's vertices and edges in their old relative
+# order, as `delete_edge` does, so its sides compare down to `labels` and
+# `edge_list`; the recursive walk's result compares by `skey` and `text()`.
 
 
 def oracle_delete_edge(t: OrientedTree, eidx: int):

@@ -273,6 +273,12 @@ def test_tensor_is_a_lincomb_over_tuple_keys():
     assert -t == (-1) * t == t * (-1)
 
 
+def test_tensor_needs_a_factor():
+    for make in (tensor, lambda: Tensor(0)):
+        with pytest.raises(ValueError, match="tensor arity must be >= 1"):
+            make()
+
+
 def test_zeros_of_different_shapes_differ():
     assert Tensor(2) != Tensor(3)
     assert LinComb() != Tensor(2) and Tensor(2) != LinComb()

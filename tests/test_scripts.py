@@ -47,3 +47,13 @@ def test_bridge_layers_script_rejects_degree_below_paths():
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert proc.stdout == ""
     assert "below 2, the least degree of the paths instance" in proc.stderr
+
+
+def test_bridge_layers_script_rejects_a_bad_quiver_file(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (bad, tmp_path / "missing.json"):
+        proc = run_script("bridge_layers.py", "--max-degree", "3", "--quiver", str(path))
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: "), proc.stderr

@@ -309,32 +309,35 @@ def test_rooted_tree_rejects_labels_that_are_not_paths(q1, make):
 @pytest.mark.parametrize("edge", [(0.0, 1.9), ("0", "1"), (False, True), (0, 2), (-1, 0)])
 def test_oriented_tree_rejects_endpoints_outside_the_vertices(q1, edge):
     n1, n2 = necklace_labels(q1)
-    with pytest.raises(ValueError, match="must join vertex 1 to one of 0..0"):
+    with pytest.raises(ValueError, match="must join vertex 1 to one of 0, the path from 0 to 0"):
         OrientedTree((n1, n2), (edge,))
 
 
 def test_oriented_tree_rejects_a_loop(q1):
     n1, n2 = necklace_labels(q1)
-    with pytest.raises(ValueError, match="must join vertex 1 to one of 0..0"):
+    with pytest.raises(ValueError, match="must join vertex 1 to one of 0, the path from 0 to 0"):
         OrientedTree((n1, n2), ((1, 1),))
 
 
 @pytest.mark.parametrize(
     "edges, bad",
     [
-        (((0, 1), (0, 1)), "edge 1, \\(0, 1\\), must join vertex 2 to one of 0..1"),
-        (((1, 2), (0, 1)), "edge 0, \\(1, 2\\), must join vertex 1 to one of 0..0"),
-        (((0, 1), (1, 3)), "edge 1, \\(1, 3\\), must join vertex 2 to one of 0..1"),
+        (((0, 1), (0, 1)), "edge 1, \\(0, 1\\), must join vertex 2 to one of 0, 1, the path "),
+        (((1, 2), (0, 1)), "edge 0, \\(1, 2\\), must join vertex 1 to one of 0, the path "),
+        (((0, 1), (1, 3)), "edge 1, \\(1, 3\\), must join vertex 2 to one of 0, 1, the path "),
+        (((0, 1), (0, 2), (1, 3)), "edge 2, \\(1, 3\\), must join vertex 3 to one of 0, 2, the"),
     ],
-    ids=["repeated-edge", "out-of-walk-order", "edge-to-a-later-vertex"],
+    ids=["repeated-edge", "out-of-walk-order", "edge-to-a-later-vertex", "out-of-preorder"],
 )
 def test_oriented_tree_takes_only_an_edge_list_in_walk_order(q1, edges, bad):
-    # Edge e must join vertex e + 1 to an earlier vertex, so a repeated edge
-    # (which left vertex 2 unreached), a valid tree listed out of walk order
-    # and an edge that skips a vertex are each refused.
+    # Edge e must join vertex e + 1 to vertex e or a vertex above it, so a
+    # repeated edge (which left vertex 2 unreached), a valid tree listed out
+    # of walk order, an edge that skips a vertex and a tree whose edges each
+    # hang a vertex from an earlier one, but not in preorder (vertex 3 hangs
+    # from 1 after 1's subtree was left for 2), are each refused.
     n1, n2 = necklace_labels(q1)
     with pytest.raises(ValueError, match=bad):
-        OrientedTree((n1, n2, n1), edges)
+        OrientedTree((n1, n2, n1, n2)[: len(edges) + 1], edges)
 
 
 def test_oriented_tree_derives_each_cyclic_order_from_the_edges(q1):
@@ -358,6 +361,15 @@ def test_oriented_delete_edge(q1):
     away, toward = t.delete_edge(0)
     assert away == oriented_point(n1)
     assert toward == oriented_point(n2)
+
+
+def test_delete_edge_rejects_an_edge_outside_the_tree(q1):
+    n1, n2 = necklace_labels(q1)
+    for t in (oriented_point(n1), OrientedTree((n1, n2, n1), ((0, 1), (2, 0)))):
+        for eidx in (-1, t.edge_count()):
+            msg = "edge index %d is out of range: the tree has %d edges" % (eidx, t.edge_count())
+            with pytest.raises(IndexError, match=msg):
+                t.delete_edge(eidx)
 
 
 def test_rho_ss_oriented_values(q1):
@@ -537,9 +549,11 @@ def test_rho_ss_oriented_matches_term_pair_oracle(q1):
         assert rho_ss_oriented(t) == oracle_rho_ss_oriented(t), t.text()
 
 
-# The planar walk against a search and a recursive walk that share no code
-# with it. Vertex numbers may differ, so only the canonical key and the text
-# count.
+# Edge deletion and the planar walk against a search and a recursive walk
+# that share no code with them. Edge deletion keeps each side's vertices and
+# edges in their old relative order, as the search does, so the sides agree
+# down to the edge list. For the recursive walk only the canonical key and
+# the text count.
 
 
 def shape(t: OrientedTree):
@@ -548,8 +562,9 @@ def shape(t: OrientedTree):
 
 def assert_delete_edge_matches(t: OrientedTree):
     for eidx in range(t.edge_count()):
-        got = [shape(part) for part in t.delete_edge(eidx)]
-        assert got == [shape(part) for part in oracle_delete_edge(t, eidx)], (t.text(), eidx)
+        got = [(shape(p), p.labels, p.edge_list) for p in t.delete_edge(eidx)]
+        want = [(shape(p), p.labels, p.edge_list) for p in oracle_delete_edge(t, eidx)]
+        assert got == want, (t.text(), eidx)
 
 
 def assert_from_rooted_matches(t: RootedTree) -> OrientedTree:
@@ -563,6 +578,25 @@ def test_delete_edge_matches_search_oracle(q1):
     assert len(trees) > 100
     for t in trees:
         assert_delete_edge_matches(t)
+
+
+def test_every_accepted_edge_list_splits_like_the_search_oracle(q1):
+    # Every edge list hanging vertex e + 1 from one of 0..e, on up to five
+    # vertices: the constructor accepts exactly the preorder ones (Catalan
+    # many, one per plane tree), and delete_edge splits each of them as the
+    # search does, so no accepted input reaches delete_edge out of preorder.
+    n1, n2 = necklace_labels(q1)
+    for n, catalan in ((1, 1), (2, 1), (3, 2), (4, 5), (5, 14)):
+        accepted = 0
+        for parents in itertools.product(*(range(e + 1) for e in range(n - 1))):
+            edges = [(p, e + 1) for e, p in enumerate(parents)]
+            try:
+                t = OrientedTree((n1, n2, n2, n1, n2)[:n], edges)
+            except ValueError:
+                continue
+            accepted += 1
+            assert_delete_edge_matches(t)
+        assert accepted == catalan
 
 
 def test_oriented_from_rooted_matches_recursive_oracle(q1):
