@@ -90,6 +90,8 @@ def _combine(a: "LinComb", b: "LinComb", sign: int) -> "LinComb":
     """a + sign * b: the one body of + and - for every free-module value."""
     if type(b) is not type(a):
         raise TypeError("cannot combine %s with %s" % (type(a).__name__, type(b).__name__))
+    if sign < 0 and a._terms == b._terms:  # zeros are pruned: one C-level comparison
+        return a._like({})
     acc = dict(a._terms)
     for key, c in b._terms.items():
         _accumulate(acc, key, sign * c)
@@ -250,22 +252,35 @@ class Tensor(LinComb):
         self._check(other)
         return _combine(self, other, -1)
 
+    def _pick(self, images):
+        """permute's key map once images is checked: a 1-tuple is its own image."""
+        n = self.arity
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError("not a permutation of 1..%d: %r" % (n, images))
+        return operator.itemgetter(*sorted(range(n), key=images.__getitem__)) if n > 1 else tuple
+
     def permute(self, images) -> "Tensor":
         """Permute tensor slots: output slot k holds input slot sigma^(-1)(k).
 
         ``images`` is the permutation in one-line notation, images[i-1] =
         sigma(i); so ``t.permute((2, 1))`` swaps the two slots of a 2-tensor.
         """
-        n = self.arity
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError("not a permutation of 1..%d: %r" % (n, images))
-        if n == 1:
-            return self
-        inv = [0] * n
-        for i, s in enumerate(images):
-            inv[s - 1] = i
-        pick = operator.itemgetter(*inv)
-        return _tensor(n, {pick(key): c for key, c in self._terms.items()})
+        pick = self._pick(images)
+        return _tensor(self.arity, {pick(key): c for key, c in self._terms.items()})
+
+    def permuted_sum_is_zero(self, *terms) -> bool:
+        """Whether self + sum(sign * self.permute(images)) over (sign, images)
+        pairs is zero, read at self's keys with no tensor built. Exact for one
+        pair, or for pairs that with (1, identity) form a group whose signs
+        multiply as it composes: the sum is then invariant under that group."""
+        get = self._terms.get
+        picks = [(sign, self._pick(images)) for sign, images in terms]
+        for key, c in self._terms.items():
+            for sign, pick in picks:
+                c += sign * get(pick(key), 0)
+            if c:
+                return False
+        return True
 
     def slot_expand(self, slot: int, f) -> "Tensor":
         """Expand slot 0..arity-1 through f: elem -> Tensor(2); arity grows by 1."""

@@ -2,7 +2,8 @@
 
 Each checker sweeps a finite sample of basis elements in canonical order and
 returns a Report: either success with the number of elements checked, or the
-first (hence canonically smallest) witness together with the defect.
+first (hence canonically smallest) witness together with the defect. A law
+compares its two sides, and a defect is built only for a witness.
 
 LAWS lists every law the `verify` subcommand, the sweep script and the
 acceptance suite check, with its printed label, its `verify` groups, its
@@ -68,7 +69,7 @@ def verify_prelie_coalgebra(delta0: Callable, sample, law: str = "pre-Lie coaxio
     def defect(x):
         d = delta0(x)
         t = d.slot_expand(0, delta0) - d.slot_expand(1, delta0)
-        return t - t.permute(TAU12_3)
+        return None if t.permuted_sum_is_zero((-1, TAU12_3)) else t - t.permute(TAU12_3)
 
     return verify_defect(defect, sample, law)
 
@@ -79,12 +80,11 @@ def verify_lie_coalgebra(delta: Callable, sample, law: str = "Lie coalgebra axio
     for x in sorted(sample):
         count += 1
         d = delta(x)
-        anti = d + d.permute(TAU12_2)
-        if anti:
-            return Report(law + " (co-antisymmetry)", count, (x, anti))
+        if not d.permuted_sum_is_zero((1, TAU12_2)):
+            return Report(law + " (co-antisymmetry)", count, (x, d + d.permute(TAU12_2)))
         u = d.slot_expand(0, delta)
-        jac = u + u.permute(TAU123) + u.permute(TAU132)
-        if jac:
+        if not u.permuted_sum_is_zero((1, TAU123), (1, TAU132)):
+            jac = u + u.permute(TAU123) + u.permute(TAU132)
             return Report(law + " (co-Jacobi)", count, (x, jac))
     return Report(law, count)
 

@@ -16,7 +16,7 @@ from quiverhopf.cuts import (
     remove_chords,
 )
 from quiverhopf.hopf import _formula_terms, path_coproduct
-from quiverhopf.linear import LinComb, Monomial, Tensor, Word
+from quiverhopf.linear import TAU12_2, TAU12_3, TAU123, TAU132, LinComb, Monomial, Tensor, Word
 from quiverhopf.quiver import Necklace, Path, Quiver, omega
 from quiverhopf.symalg import antipode_defect, antipode_free, cop_free, multiplicative
 from quiverhopf.trees import OrientedTree, RootedTree, rho
@@ -387,6 +387,39 @@ def oracle_word_antipode(gen_cop, sample, law: str) -> Report:
     one series per distinct word."""
     antipode = functools.cache(functools.partial(antipode_free, gen_cop))
     return verify_defect(lambda x: antipode_defect(gen_cop, Word((x,)), antipode), sample, law)
+
+
+# The Lie and pre-Lie checkers as they were before they read their sums off
+# the terms: each builds the permuted tensors and the whole defect of every
+# element. The oracles for `verify_prelie_coalgebra` and
+# `verify_lie_coalgebra`, whose reports must match them line for line.
+
+
+def oracle_prelie_coalgebra(delta0, sample, law: str) -> Report:
+    """(Id - tau12)(delta0 (x) 1 - 1 (x) delta0) delta0 = 0, subtracted in full."""
+
+    def defect(x):
+        d = delta0(x)
+        t = d.slot_expand(0, delta0) - d.slot_expand(1, delta0)
+        return t - t.permute(TAU12_3)
+
+    return verify_defect(defect, sample, law)
+
+
+def oracle_lie_coalgebra(delta, sample, law: str) -> Report:
+    """Co-antisymmetry, then the cyclic co-Jacobi identity, each summed in full."""
+    count = 0
+    for x in sorted(sample):
+        count += 1
+        d = delta(x)
+        anti = d + d.permute(TAU12_2)
+        if anti:
+            return Report(law + " (co-antisymmetry)", count, (x, anti))
+        u = d.slot_expand(0, delta)
+        jac = u + u.permute(TAU123) + u.permute(TAU132)
+        if jac:
+            return Report(law + " (co-Jacobi)", count, (x, jac))
+    return Report(law, count)
 
 
 # The morphism defect as two one-slot passes over the source coproduct, the

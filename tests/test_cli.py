@@ -213,6 +213,25 @@ def test_verify_builds_few_monomials(monkeypatch, theorem):
     assert 0 < built[0] <= CONSTRUCTION_BOUNDS[theorem]
 
 
+# Tensor.permute calls in one passing verify run on two_loops at --max-len 3.
+# Each Lie and pre-Lie law reads its permuted sums off the terms and builds
+# them only for a witness; building them for every element made 696 (lie)
+# and 273 (prelie).
+@pytest.mark.parametrize("law", ["lie", "prelie"])
+def test_passing_lie_laws_build_no_permuted_tensor(monkeypatch, law):
+    calls = [0]
+    original = Tensor.permute
+
+    def counting(self, images):
+        calls[0] += 1
+        return original(self, images)
+
+    monkeypatch.setattr(Tensor, "permute", counting)
+    rc, out = run(["verify", "--quiver", TWO_LOOPS, "--max-len", "3", "--law", law])
+    assert rc == 0 and out.count("PASS") == (4 if law == "lie" else 3)
+    assert calls[0] == 0
+
+
 # A nested two_loops word: (1,4) encloses (2,3), and (5,6) sits beside it.
 NESTED_WORD = "v a b b* a* a a*"
 

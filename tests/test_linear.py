@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quiverhopf.cobrackets import delta_p_rt
@@ -47,8 +47,18 @@ lincombs = st.lists(st.tuples(elems, small_scalars), max_size=4).map(LinComb)
 tensors2 = st.lists(st.tuples(st.tuples(elems, elems), small_scalars), max_size=4).map(
     lambda terms: Tensor(2, terms)
 )
-# Three values of one kind: linear combinations, or arity-2 tensors.
-triples = st.one_of(*(st.tuples(s, s, s) for s in (lincombs, tensors2)))
+
+
+def tensors(n):
+    """Arity-n tensors over two elements, so permuted keys often collide."""
+    keys = st.tuples(*[st.sampled_from([A, B])] * n)
+    return st.lists(st.tuples(keys, st.integers(-2, 2)), max_size=5).map(
+        lambda terms: Tensor(n, terms)
+    )
+
+
+# Three values of one kind: linear combinations, or tensors of arity 2 or 3.
+triples = st.one_of(*(st.tuples(s, s, s) for s in (lincombs, tensors2, tensors(3))))
 
 
 def zero_like(x):
@@ -287,14 +297,88 @@ def test_zeros_of_different_shapes_differ():
 
 
 def test_mixed_operands_raise():
-    a, t = LinComb.single(A), tensor(A, B)
-    for op in (lambda u, v: u + v, lambda u, v: u - v):
-        with pytest.raises(TypeError):
-            op(a, t)
-        with pytest.raises(TypeError):
-            op(t, a)
-        with pytest.raises(ValueError):
-            op(t, tensor(A, B, C))
+    # Zeros too: their equal (empty) term dicts do not skip the type and arity checks.
+    for a, t, t3 in ((LinComb.single(A), tensor(A, B), tensor(A, B, C)),
+                     (LinComb(), Tensor(2), Tensor(3))):
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(TypeError):
+                op(a, t)
+            with pytest.raises(TypeError):
+                op(t, a)
+            with pytest.raises(ValueError):
+                op(t, t3)
     with pytest.raises(TypeError):
         tensor(t, A)
+
+
+def sign_of(images) -> int:
+    return (-1) ** sum(a > b for a, b in itertools.combinations(images, 2))
+
+
+def permutation_order(images) -> int:
+    identity, power, k = tuple(range(1, len(images) + 1)), tuple(images), 1
+    while power != identity:
+        power, k = perm_compose(images, power), k + 1
+    return k
+
+
+# The (sign, images) pair lists permuted_sum_is_zero is exact for: one
+# permutation with either sign, and the pairs that with (1, identity) form a
+# group whose signs multiply as it composes (the three-cycles with sign 1,
+# and the whole symmetric group with sign 1 or the permutation's sign).
+SINGLE_PAIRS = [((s, p),) for n in (2, 3) for p in all_permutations(n) for s in (1, -1)]
+GROUP_PAIRS = [((1, (2, 3, 1)), (1, (3, 1, 2)))] + [
+    tuple((character(p), p) for p in all_permutations(3)[1:])
+    for character in (lambda p: 1, sign_of)
+]
+
+
+def permuted_sum(t, pairs):
+    return sum((s * t.permute(p) for s, p in pairs), t)
+
+
+def cancelling(u, pairs):
+    """A tensor whose permuted sum over pairs is zero by construction, or
+    None. For a group G with signs chi, S = sum chi(g) g has S^2 = |G| S, so
+    S kills |G| u - S u. For one pair (s, p) with p of order m,
+    (1 + s p) kills sum (-s)^k p^k u over k < m whenever (-s)^m = 1."""
+    if pairs in GROUP_PAIRS:
+        return (len(pairs) + 1) * u - permuted_sum(u, pairs)
+    ((s, p),) = pairs
+    m = permutation_order(p)
+    if (-s) ** m != 1:
+        return None
+    out, power = u, u
+    for k in range(1, m):
+        power = power.permute(p)
+        out = out + (-s) ** k * power
+    return out
+
+
+@pytest.mark.parametrize("pairs", SINGLE_PAIRS + GROUP_PAIRS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_permuted_sum_is_zero_reads_the_built_sum(pairs, data):
+    u = data.draw(tensors(len(pairs[0][1])))
+    assert u.permuted_sum_is_zero(*pairs) == (not permuted_sum(u, pairs))
+    z = cancelling(u, pairs)
+    if z is not None:
+        assert not permuted_sum(z, pairs) and z.permuted_sum_is_zero(*pairs)
+
+
+def test_permuted_sum_is_zero_checks_its_permutations():
+    t = tensor(A, B) + tensor(B, A)
+    assert t.permuted_sum_is_zero((-1, (2, 1))) and not t.permuted_sum_is_zero((1, (2, 1)))
+    one = Tensor.single((A,), 3)
+    assert one.permuted_sum_is_zero((-1, (1,))) and not one.permuted_sum_is_zero((1, (1,)))
+    for images in ((1, 1), (2, 3, 1), (0, 1)):
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            t.permuted_sum_is_zero((1, images))
+
+
+def test_equal_coefficients_of_different_types_subtract_to_zero():
+    a, b = LinComb.single(A, Fraction(2, 1)), LinComb.single(A, 2)
+    assert a - b == LinComb() and b - a == LinComb()
+    s, t = Tensor.single((A, B), Fraction(2, 1)), Tensor.single((A, B), 2)
+    assert s - t == Tensor(2) and t - s == Tensor(2)
 

@@ -1,7 +1,9 @@
 """Run-scoped map memos of `verify.run_laws`: oracle, counting and lifetime.
 Also the one Hopf-law path of both monoids: the checkers read the monoid
-(Monomial or Word) off the coproduct they are given, once per sweep. And the
-one morphism body of both levels, against two one-slot passes."""
+(Monomial or Word) off the coproduct they are given, once per sweep. The one
+morphism body of both levels, against two one-slot passes. And the Lie and
+pre-Lie checkers, which read their sums off the terms, against the bodies
+that build every permuted tensor."""
 
 import functools
 import gc
@@ -11,12 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverhopf import cobrackets, hopf, symalg, trees, verify
-from quiverhopf.linear import LinComb, Monomial, Tensor, Word
-from quiverhopf.quiver import Quiver, all_paths
+from quiverhopf import cobrackets, cuts, hopf, symalg, trees, verify
+from quiverhopf.linear import TAU12_2, LinComb, Monomial, Tensor, Word, tensor
+from quiverhopf.quiver import Necklace, Quiver, all_necklaces, all_paths
 from quiverhopf.verify import FAMILY, LAWS, SELECTED, run_laws
 
-from support import oracle_extension, oracle_morphism_defect, oracle_word_antipode
+from support import (
+    oracle_extension,
+    oracle_lie_coalgebra,
+    oracle_morphism_defect,
+    oracle_prelie_coalgebra,
+    oracle_word_antipode,
+)
 
 SIGNS = ("unsigned", "signed")
 
@@ -69,7 +77,16 @@ def small_quivers(draw):
 @settings(max_examples=4, deadline=None)
 @given(small_quivers(), st.sampled_from(SIGNS))
 def test_run_laws_matches_unmemoized_laws_on_random_quivers(q, sign):
+    """Every law also gets its expected verdict on a nonempty sample: each
+    quiver has an edge, so each sample at length 3 has an element. The one
+    exception is a law that follows the run's convention in a signed run:
+    its verdict is stated for the unsigned default, and the signed
+    eta_or is no morphism on two_loops (TWO_LOOPS_WITNESSES)."""
     assert_matches_unmemoized(q, 3, sign)
+    for law, rep in run_laws(LAWS, q, 3, sign):
+        assert rep.checked > 0, law.label
+        if law.sign != SELECTED or sign == "unsigned":
+            assert rep.ok == law.holds, rep.line()
 
 
 def test_sign_conventions_never_share_a_memo():
@@ -322,3 +339,104 @@ def test_morphism_body_matches_two_slot_passes_on_a_mutant(checker, src, tgt, de
     want = oracle_report(checker, eta_rt_missing_a_term, src, tgt, sample, "mutant")
     assert (got, got.line()) == (want, want.line())
     assert got.line() == "FAIL mutant: witness 1 e e* e e*, defect " + defect
+
+
+def oriented_sample(q, n):
+    """The oriented trees labelled by the first two vertices of q, as necklaces."""
+    return trees.all_oriented_trees(n, tuple(Necklace(q.trivial(v)) for v in q.vertices[:2]))
+
+
+# Each checker's maps, with the sampler of the laws that sweep them; no
+# registry law sweeps rho_ss_oriented, which runs on oriented_sample.
+PRELIE_SWEEPS = (
+    (cobrackets.delta_p_rt, all_paths),
+    (cuts.chord_delta_p_rt, cuts.path_diagrams),
+    (trees.rho, verify.tree_sample),
+)
+LIE_SWEEPS = (
+    (cobrackets.delta_or, all_necklaces),
+    (cobrackets.delta_rt, all_paths),
+    (cuts.chord_delta_or, cuts.necklace_diagrams),
+    (trees.rho_ss, verify.tree_sample),
+    (trees.rho_ss_oriented, oriented_sample),
+)
+
+
+def drop_first(f):
+    return lambda x: Tensor(2, f(x).terms()[1:])
+
+
+def negate_first(f):
+    def mutant(x):
+        terms = f(x).terms()
+        return Tensor(2, [(k, -c) for k, c in terms[:1]] + terms[1:])
+
+    return mutant
+
+
+def swap_slots(f):
+    return lambda x: f(x).permute(TAU12_2)
+
+
+def drop_first_and_its_swap(f):
+    """f without its first term a (x) b and the term b (x) a: a skew map stays
+    skew, so this mutant can pass co-antisymmetry and fail co-Jacobi."""
+
+    def mutant(x):
+        t = f(x)
+        if not t:
+            return t
+        (a, b), c = t.terms()[0]
+        return t - c * (tensor(a, b) - tensor(b, a))
+
+    return mutant
+
+
+MUTANTS = {
+    "none": lambda f: f,
+    "drop": drop_first,
+    "negate": negate_first,
+    "swap": swap_slots,
+    "drop_pair": drop_first_and_its_swap,
+}
+
+
+def checker_reports(q, n, mutate):
+    """(got, want) for each sweep: the checker's report and the oracle's on
+    the mutated map, memoized once for both."""
+    for checker, oracle, sweeps in (
+        (verify.verify_prelie_coalgebra, oracle_prelie_coalgebra, PRELIE_SWEEPS),
+        (verify.verify_lie_coalgebra, oracle_lie_coalgebra, LIE_SWEEPS),
+    ):
+        for f, sampler in sweeps:
+            m = functools.cache(mutate(f))
+            sample = sampler(q, n)
+            yield checker(m, sample, f.__name__), oracle(m, sample, f.__name__)
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@pytest.mark.parametrize(
+    "name, n", [(name, 3) for name in sorted(FAMILY)] + [("two_loops", 5)]
+)
+def test_lie_and_prelie_checkers_match_the_built_sums(name, n, mutant):
+    failed = []
+    for got, want in checker_reports(FAMILY[name], n, MUTANTS[mutant]):
+        assert (got, got.line()) == (want, want.line())
+        if got.witness:
+            failed.append(got.law)
+    if mutant == "none":
+        assert failed == []
+
+
+def test_checker_mutants_fail_each_lie_axiom():
+    """On triangle at length 3 a dropped term breaks co-antisymmetry first,
+    and dropping it with its swap keeps co-antisymmetry but breaks co-Jacobi."""
+    laws = {
+        mutant: [got.law for got, _ in checker_reports(FAMILY["triangle"], 3, MUTANTS[mutant])]
+        for mutant in ("drop", "drop_pair")
+    }
+    assert laws["drop"][3:] == ["%s (co-antisymmetry)" % f.__name__ for f, _ in LIE_SWEEPS]
+    assert laws["drop_pair"][3:] == [
+        "delta_or", "delta_rt", "chord_delta_or", "rho_ss (co-Jacobi)",
+        "rho_ss_oriented (co-Jacobi)",
+    ]
