@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .linear import BasisElement, Tensor, skew
-from .quiver import Necklace, Path, all_closed_paths, all_paths, omega, rotate
+from .quiver import Necklace, Path, all_necklaces, all_paths, omega, rotate
 from .symalg import graft_coproduct
 
 
@@ -182,15 +182,13 @@ def simple_subcuts(h: Cut):
     """All simple (nesting-free) subsets of a cut, the empty one included, in
     canonical order. Over the nesting forest, each sibling chord is either
     taken or replaced by a simple subset of its children, so only the simple
-    subsets are built."""
+    subsets are built: below[c] holds those below chord c, filled backwards."""
     kids = nesting_children(h)
-    return sorted(Cut(sub) for sub in _simple_subsets(kids, kids[None]))
-
-
-def _simple_subsets(kids, chords):
-    """The simple subsets of the chords below chords in the nesting forest kids."""
-    options = [[(c,)] + _simple_subsets(kids, kids[c]) for c in chords]
-    return [sum(combo, ()) for combo in itertools.product(*options)]
+    below = {}
+    for c in h.pairs[::-1] + (None,):
+        options = [[(k,)] + below[k] for k in kids[c]]
+        below[c] = [sum(combo, ()) for combo in itertools.product(*options)]
+    return sorted(Cut(sub) for sub in below[None])
 
 
 class PathDiagram(BasisElement):
@@ -255,10 +253,10 @@ def path_diagrams(q, max_len: int):
 
 def necklace_diagrams(q, max_len: int):
     """Every chord diagram on a necklace of length <= max_len, deduplicated, in
-    canonical order."""
-    return sorted(
-        {NecklaceDiagram(p, h) for p in all_closed_paths(q, max_len) for h in enumerate_cuts(p)}
-    )
+    canonical order. Every diagram has a rotation on its necklace's least word,
+    so only the cuts of each necklace's representative are canonicalized."""
+    reps = [x.rep for x in all_necklaces(q, max_len)]
+    return sorted({NecklaceDiagram(p, h) for p in reps for h in enumerate_cuts(p)})
 
 
 def faces(p: Path, kids) -> dict:

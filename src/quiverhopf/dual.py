@@ -28,15 +28,12 @@ def dual_rooted_tree(d: PathDiagram | NecklaceDiagram) -> RootedTree:
     from the root iff letter i is unstarred.
     """
     kids = nesting_children(d.cut)
-    return _dual_subtree(faces(d.path, kids), kids, d.path.letters, None)
-
-
-def _dual_subtree(labels, kids, letters, c) -> RootedTree:
-    """The dual tree below chord c's face (the unbounded face when c is None)."""
-    children = tuple(
-        (letters[k[0] - 1].starred, _dual_subtree(labels, kids, letters, k)) for k in kids[c]
-    )
-    return RootedTree(labels[c], children)
+    labels, letters = faces(d.path, kids), d.path.letters
+    # Chords follow their parents in the cut, so backwards each face comes after its children.
+    tree = {}
+    for c in d.cut.pairs[::-1] + (None,):
+        tree[c] = RootedTree(labels[c], [(letters[k[0] - 1].starred, tree[k]) for k in kids[c]])
+    return tree[None]
 
 
 def dual_oriented_tree(x: NecklaceDiagram) -> OrientedTree:

@@ -145,6 +145,16 @@ def test_bridge_instance_choices_are_the_table():
     assert tuple(option.choices) == tuple(instance_table())
 
 
+def test_verify_choices_are_the_law_groups():
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {a.dest: a.choices for a in commands.choices["verify"]._actions}
+    law, theorem = set(options["law"]), set(options["theorem"])
+    assert law.isdisjoint(theorem)
+    assert law | theorem == {g for entry in LAWS for g in entry.groups}
+    for choice in law | theorem:
+        assert any(choice in entry.groups for entry in LAWS), choice
+
+
 def test_bridge_below_least_degree_rejected_paths(capsys):
     # Paths have degree >= 2: degree 1 has no basis element to reconstruct.
     rc, out = run(["bridge", "--instance", "paths", "--max-degree", "1", "--compare"])

@@ -4,19 +4,24 @@ The counts come from the quiver's adjacency matrix and from generating
 series, and share no code with the enumerators or their canonical keys, so
 they check that every class is reached once, whatever key canonicalizes it.
 All arithmetic is exact: integers, and `Fraction` where a series divides.
+The chord-diagram counts take their cuts from a matching recursion of their
+own and their rotation classes from orbits, not from `cuts` or its keys.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
-from quiverhopf.quiver import Necklace, all_necklaces, all_paths
+from quiverhopf.cuts import necklace_diagrams, path_diagrams
+from quiverhopf.quiver import Necklace, all_closed_paths, all_necklaces, all_paths
 from quiverhopf.trees import all_oriented_trees, all_rooted_trees
 from quiverhopf.verify import FAMILY
 
 MAX_LEN = 6
+DIAGRAM_LEN = 5
 
 
 def doubled_adjacency(q):
@@ -101,6 +106,44 @@ def oriented_counts(k: int, n: int):
     return [whole(t_v[i] + t_e[i] - t_ve[i]) for i in range(n + 1)]
 
 
+def matchings(word, lo: int, hi: int):
+    """The cuts of positions lo..hi-1 of a word (0-based), as tuples of chords:
+    position lo is left out, or joined to a later position q holding its
+    reverse letter, and the positions inside and after that chord are cut apart."""
+    if lo >= hi:
+        return [()]
+    out = matchings(word, lo + 1, hi)
+    for q in range(lo + 1, hi):
+        if word[q] == word[lo].star():
+            inside, after = matchings(word, lo + 1, q), matchings(word, q + 1, hi)
+            out += [((lo, q),) + a + b for a in inside for b in after]
+    return out
+
+
+def path_diagram_counts(q, n: int):
+    """Path chord diagrams of each length 0..n: each path's number of cuts."""
+    counts = [0] * (n + 1)
+    for p in all_paths(q, n):
+        counts[len(p)] += len(matchings(p.letters, 0, len(p)))
+    return counts
+
+
+def necklace_diagram_counts(q, n: int):
+    """Necklace chord diagrams of each length 0..n: the rotation orbits of
+    (closed word, cut) pairs, each keyed by the set of all its rotations (a
+    trivial path has none, and is keyed by its vertex)."""
+    orbits = set()
+    for p in all_closed_paths(q, n):
+        word, m = p.letters, len(p)
+        for cut in matchings(word, 0, m):
+            rotations = frozenset(
+                (word[k:] + word[:k], frozenset(frozenset((i - k) % m for i in c) for c in cut))
+                for k in range(m)
+            )
+            orbits.add((m, rotations or p.start))
+    return by_size(orbits, lambda orbit: orbit[0], n)
+
+
 def by_size(items, size, n: int):
     """How many items have each size 0..n."""
     counts = Counter(size(x) for x in items)
@@ -113,6 +156,9 @@ def test_closed_forms_give_the_known_counts():
     assert rooted_counts(2, 4) == [2, 8, 64, 640, 7168]
     assert oriented_counts(1, 5) == [1, 1, 3, 8, 32, 136]
     assert oriented_counts(2, 4) == [2, 4, 20, 112, 924]
+    two_loops = FAMILY["two_loops"]
+    assert list(accumulate(path_diagram_counts(two_loops, 5))) == [1, 5, 25, 137, 809, 5033]
+    assert list(accumulate(necklace_diagram_counts(two_loops, 5))) == [1, 5, 17, 57, 233, 1081]
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY))
@@ -120,6 +166,17 @@ def test_paths_and_necklaces_match_the_adjacency_counts(name):
     q = FAMILY[name]
     assert by_size(all_paths(q, MAX_LEN), len, MAX_LEN) == path_counts(q, MAX_LEN)
     assert by_size(all_necklaces(q, MAX_LEN), len, MAX_LEN) == necklace_counts(q, MAX_LEN)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY))
+def test_chord_diagrams_match_the_matching_and_orbit_counts(name):
+    q = FAMILY[name]
+    paths = path_diagrams(q, DIAGRAM_LEN)
+    necklaces = necklace_diagrams(q, DIAGRAM_LEN)
+    assert by_size(paths, lambda d: len(d.path), DIAGRAM_LEN) == path_diagram_counts(q, DIAGRAM_LEN)
+    assert by_size(necklaces, lambda d: len(d.path), DIAGRAM_LEN) == necklace_diagram_counts(
+        q, DIAGRAM_LEN
+    )
 
 
 LABELS = [FAMILY["two_loops"].parse_path(w) for w in ("v", "v a")]

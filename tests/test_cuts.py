@@ -398,6 +398,18 @@ def test_simple_subcuts_build_only_the_simple_ones(monkeypatch):
     assert len(built) == 4096
 
 
+def test_simple_subcuts_of_a_deep_nest(loop):
+    """1,500 fully nested chords, far deeper than Python's recursion limit:
+    the simple subcuts are the empty cut and each chord alone."""
+    n = 1500
+    a = loop.letter("a")
+    word = Path("v", (a,) * n + (a.star(),) * n)
+    d = PathDiagram(word, Cut((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+    alone = [Cut(((i, 2 * n + 1 - i),)) for i in range(1, n + 1)]
+    subs = simple_subcuts(d.cut)
+    assert len(subs) == 1501 and subs == sorted([Cut(())] + alone)
+
+
 def diagrams_of(p, h):
     """The path diagram of (p, h), and its necklace diagram when p is closed."""
     return [PathDiagram(p, h)] + ([NecklaceDiagram(p, h)] if p.is_closed() else [])

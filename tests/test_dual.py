@@ -6,6 +6,7 @@ from quiverhopf.cuts import (
     chord_delta_p_rt,
     cut_order,
     enumerate_cuts,
+    epsilon,
     necklace_diagrams,
     nesting_children,
     path_diagrams,
@@ -91,6 +92,21 @@ def test_d_rt_signs(q1):
     assert d_rt(chain) == LinComb.single(
         RootedTree(q1.trivial("1"), ((False, inner),)), -1
     )
+
+
+def test_dual_tree_of_a_deep_nest(loop):
+    # 1,500 fully nested chords, far deeper than Python's recursion limit: the
+    # dual tree is a chain of empty faces at v, each edge pointing away from
+    # the root since every left letter is a.
+    n = 1500
+    a = loop.letter("a")
+    word = Path("v", (a,) * n + (a.star(),) * n)
+    d = PathDiagram(word, Cut((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+    chain = point(loop.trivial("v"))
+    for _ in range(n):
+        chain = RootedTree(loop.trivial("v"), ((False, chain),))
+    assert dual_rooted_tree(d) == chain
+    assert d_rt(d) == LinComb.single(chain, epsilon(d))
 
 
 def test_dual_oriented_tree_values(q1):
