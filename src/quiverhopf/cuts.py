@@ -276,8 +276,9 @@ def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):
     piece and are relabeled by the induced position map. Checks that sub is a
     subset of d.cut.
     """
+    chords = set(d.cut.pairs)
     for c in sub.pairs:
-        if c not in d.cut.pairs:
+        if c not in chords:
             raise ValueError("chord %r is not part of the cut %s" % (c, d.cut.text()))
     kids = nesting_children(sub)  # keyed by None and the removed chords
     rest = [c for c in d.cut.pairs if c not in kids]
@@ -286,8 +287,8 @@ def remove_chords(d: PathDiagram | NecklaceDiagram, sub: Cut):
     pieces = {}
     for c, path in faces(d.path, kids).items():
         lo, hi = (1, n) if c is None else (c[0] + 1, c[1] - 1)
-        kept = _outside(positions, lo, hi, kids[c])
-        cut = Cut((kept.index(i) + 1, kept.index(j) + 1) for i, j in rest if i in kept)
+        index = {k: i for i, k in enumerate(_outside(positions, lo, hi, kids[c]), 1)}
+        cut = Cut((index[i], index[j]) for i, j in rest if i in index)
         pieces[c] = PathDiagram(path, cut)
     return pieces.pop(None), pieces
 

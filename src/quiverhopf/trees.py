@@ -13,6 +13,7 @@ rotation choices.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Callable, Tuple
 
 from .linear import BasisElement, Tensor, skew
@@ -44,35 +45,51 @@ class RootedTree(BasisElement):
         self.children = tuple(kids)
 
     def edge_count(self) -> int:
-        return sum(1 + child.edge_count() for _, child in self.children)
+        return self.skey.count("{") - 1
 
     def vertex_count(self) -> int:
-        return 1 + sum(child.vertex_count() for _, child in self.children)
+        return self.skey.count("{")
 
     def text(self) -> str:
-        if not self.children:
-            return "<%s>" % self.label.text()
-        inner = " ".join(
-            ("^" if up else "v") + child.text() for up, child in self.children
-        )
-        return "<%s: %s>" % (self.label.text(), inner)
+        return _fill(_preorder(self), lambda node, below, kids: "<%s%s>" % (
+            node.label.text(),
+            ":" + "".join([" %s%s" % ("^" if up else "v", s) for (up, _), s in zip(below, kids)])
+            if kids else ""))
 
 
-def tree_to_json(t: RootedTree) -> dict:
-    """Structured-text form: {"label": ..., "children": [{"orient", "node"}]}."""
-    return _json_at(t, lambda node: (node.label, node.children))
+def _preorder(root, kids=attrgetter("children")) -> list:
+    """(up, node, below = kids(node), parent index) per vertex in preorder from root, by an explicit
+    stack; the root's up is False, its parent None. By default nodes are rooted trees."""
+    order, stack = [], [(False, root, None)]
+    while stack:
+        up, node, parent = stack.pop()
+        below = kids(node)
+        if below:
+            stack += [(flag, child, len(order)) for flag, child in reversed(below)]
+        order.append((up, node, below, parent))
+    return order
 
 
-def _json_at(node, expand) -> dict:
-    """tree_to_json below node, expand(node) giving (label, [(up, child), ...])."""
-    label, kids = expand(node)
-    return {
-        "label": label.text(),
-        "children": [
-            {"orient": "in" if up else "out", "node": _json_at(child, expand)}
-            for up, child in kids
-        ],
-    }
+def _fill(order, build):
+    """build(node, below, values) at the root of a preorder, called from the last
+    vertex back, values being build's results at the vertex's children in order."""
+    vals = []
+    for _, node, below, _ in reversed(order):
+        kids = ()
+        if below:  # the children's values are the last len(below), last child first
+            k = len(vals) - len(below)
+            kids, vals[k:] = vals[k:][::-1], ()
+        vals.append(build(node, below, kids))
+    return vals[0]
+
+
+def _rho_at(node, ch, kids) -> list:
+    label, pairs = node.label, []
+    for idx, ((flag, child), below) in enumerate(zip(ch, kids)):
+        pairs.append(((child, RootedTree(label, ch[:idx] + ch[idx + 1 :])), 1))
+        for (t1, t2), _ in below:
+            pairs.append(((t1, RootedTree(label, ch[:idx] + ((flag, t2),) + ch[idx + 1 :])), 1))
+    return pairs
 
 
 def rho(t: RootedTree) -> Tensor:
@@ -82,14 +99,7 @@ def rho(t: RootedTree) -> Tensor:
     the cut-off subtree is rooted at its vertex formerly incident to the
     deleted edge, and all decorations restrict.
     """
-    terms = []
-    for idx, (flag, child) in enumerate(t.children):
-        rest = t.children[:idx] + t.children[idx + 1 :]
-        terms.append(((child, RootedTree(t.label, rest)), 1))
-        for (t1, t2), c in rho(child).items():
-            replaced = t.children[:idx] + ((flag, t2),) + t.children[idx + 1 :]
-            terms.append(((t1, RootedTree(t.label, replaced)), c))
-    return Tensor(2, terms)
+    return Tensor(2, _fill(_preorder(t), _rho_at) if t.children else ())
 
 
 def rho_ss(t: RootedTree) -> Tensor:
@@ -104,14 +114,17 @@ def admissible_cuts(t: RootedTree):
     (in planar order) and the remaining tree at the root. The empty cut is
     included as ((), t).
     """
+    return _fill(_preorder(t), _cuts_at) if t.children else [((), t)]
+
+
+def _cuts_at(node, ch, kids) -> list:
     # (severed components, kept children) over the children seen so far: each
     # child is severed whole or keeps the trunk of one of its own cuts.
     cuts = [((), ())]
-    for flag, child in t.children:
-        options = [((child,), ())]
-        options += [(sub, ((flag, trunk),)) for sub, trunk in admissible_cuts(child)]
-        cuts = [(comps + c, kids + k) for comps, kids in cuts for c, k in options]
-    return [(comps, RootedTree(t.label, kids)) for comps, kids in cuts]
+    for (flag, child), below in zip(ch, kids):
+        options = [((child,), ())] + [(sub, ((flag, trunk),)) for sub, trunk in below]
+        cuts = [(comps + c, kept + k) for comps, kept in cuts for c, k in options]
+    return [(comps, RootedTree(node.label, kept) if kids else node) for comps, kept in cuts]
 
 
 def tree_coproduct(t: RootedTree) -> Tensor:
@@ -126,7 +139,7 @@ def tree_coproduct(t: RootedTree) -> Tensor:
 def _planar_children(edge_list, adj, v, parent_edge, rot: int):
     """The edges below v in planar order, as (points at v, (far end, edge)):
     after the edge toward the root (parent_edge), or from position rot at the
-    root. The pairs (far end, edge) are the nodes of OrientedTree.to_json."""
+    root. The pairs (far end, edge) are the nodes that `json_text` walks."""
     es = adj[v]
     if parent_edge is None:
         order = es[rot:] + es[:rot]
@@ -143,19 +156,19 @@ def _planar_children(edge_list, adj, v, parent_edge, rot: int):
 class OrientedTree(BasisElement):
     """Unrooted tree with cyclic edge orders, oriented edges, necklace labels.
 
-    Given by its edge list in preorder, edge e joining vertex e + 1 to vertex
-    e or a vertex above it, so every accepted input is a tree and the
-    vertices below any edge form one contiguous block; the cyclic order at v,
-    adj[v], is the edges at v in increasing index. The canonical key
-    minimizes the planar serialization over every root vertex and rotation of
-    its cyclic order, so equality is isomorphism of decorated oriented trees.
+    Given by its edge list in preorder, edge e joining vertex e + 1 to vertex e or a
+    vertex above it, so every accepted input is a tree and the vertices below any edge
+    form one contiguous block; the cyclic order at v, adj[v], is the edges at v in
+    increasing index. The canonical key minimizes the planar serialization over every
+    root vertex and rotation of its cyclic order, so equality is isomorphism of decorated
+    oriented trees. That serialization recurses once per level, so a tree nested deeper
+    than about the interpreter's recursion limit raises ValueError.
     """
 
     __slots__ = ("labels", "edge_list", "adj", "canon_root", "canon_rot")
 
     def __init__(self, labels, edge_list):
-        labels = tuple(labels)
-        edge_list = tuple(map(tuple, edge_list))
+        labels, edge_list = tuple(labels), tuple(map(tuple, edge_list))
         for lab in labels:
             if not isinstance(lab, Necklace):
                 raise TypeError("oriented tree labels must be necklaces")
@@ -171,35 +184,31 @@ class OrientedTree(BasisElement):
             adj[p].append(e)
             adj.append([e])
         adj = tuple(map(tuple, adj))
-        best = None
-        below: dict = {}
+        best, below = None, {}
         # A serialization from root r starts with heads[r], so a root whose
         # head does not start with the least head cannot hold the minimum.
         # (One head can be a proper prefix of another: ':' is an id character.)
         heads = ["{%s:" % lab.skey for lab in labels]
         least = min(heads)
-        for r in range(len(labels)):
-            if not heads[r].startswith(least):
-                continue
-            for s in range(max(len(adj[r]), 1)):
-                key = self._serialize(labels, edge_list, adj, r, s, below)
-                if best is None or key < best[0]:
-                    best = (key, r, s)
+        try:
+            for r in range(len(labels)):
+                if not heads[r].startswith(least):
+                    continue
+                for s in range(max(len(adj[r]), 1)):
+                    key = self._serialize(labels, edge_list, adj, r, s, below)
+                    if best is None or key < best[0]:
+                        best = (key, r, s)
+        except RecursionError:
+            raise ValueError("oriented trees nested deeper than about the interpreter's "
+                             "recursion limit cannot be canonicalized") from None
         BasisElement.__init__(self, "OT|" + best[0])
-        self.labels = labels
-        self.edge_list = edge_list
-        self.adj = adj
-        self.canon_root = best[1]
-        self.canon_rot = best[2]
+        self.labels, self.edge_list, self.adj = labels, edge_list, adj
+        self.canon_root, self.canon_rot = best[1:]
 
     @staticmethod
     def _serialize(labels, edge_list, adj, root: int, rot: int, below: dict) -> str:
-        """Planar serialization from root, its cyclic order started at rot.
-
-        The serialization of a non-root vertex depends only on the edge toward
-        the root, not on root or rot; below memoizes it per (vertex, edge) so
-        the candidates of one tree share it.
-        """
+        """Planar serialization from root, its cyclic order started at rot; below memoizes
+        a non-root vertex's, which depends only on its edge toward the root, per (vertex, edge)."""
         return _serialize_at(labels, edge_list, adj, rot, below, root, None)
 
     def vertex_count(self) -> int:
@@ -227,19 +236,23 @@ class OrientedTree(BasisElement):
         rest = OrientedTree(labels[:lo] + labels[end + 1 :], edges[:eidx] + tuple(tail))
         return (below, rest) if edges[eidx][0] == lo else (rest, below)
 
-    def to_json(self) -> dict:
-        labels, edges, adj, rot = self.labels, self.edge_list, self.adj, self.canon_rot
-        expand = lambda node: (labels[node[0]], _planar_children(edges, adj, *node, rot))
-        return _json_at((self.canon_root, None), expand)
-
     def text(self) -> str:
         return json_text(self)
 
 
 def json_text(t) -> str:
-    """The printed structured-text form of a rooted or oriented tree."""
-    obj = t.to_json() if isinstance(t, OrientedTree) else tree_to_json(t)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The printed structured-text form of a rooted or oriented tree: sorted-key
+    JSON {"children": [{"node": ..., "orient": "in" or "out"}], "label": ...}."""
+    if isinstance(t, OrientedTree):  # nodes (vertex, edge toward the root), as in _serialize
+        labels, edges, adj, rot = t.labels, t.edge_list, t.adj, t.canon_rot
+        kids = lambda node: _planar_children(edges, adj, *node, rot)
+        order, label = _preorder((t.canon_root, None), kids), lambda node: labels[node[0]]
+    else:
+        order, label = _preorder(t), attrgetter("label")
+    return _fill(order, lambda node, below, kids: '{"children":[%s],"label":%s}' % (
+        ",".join('{"node":%s,"orient":"%s"}' % (s, "in" if up else "out")
+                 for (up, _), s in zip(below, kids)),
+        json.dumps(label(node).text())))
 
 
 def _serialize_at(labels, edge_list, adj, rot: int, below: dict, v, parent_edge) -> str:
@@ -262,19 +275,9 @@ def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) ->
     The cyclic order at a former non-root vertex starts with the edge back
     toward the root, matching the planar lifting used by RootedTree.
     """
-    labels, edge_list = [], []
-    _visit(t, to_label, labels, edge_list)
-    return OrientedTree(labels, edge_list)
-
-
-def _visit(node, to_label, labels, edge_list):
-    """Number node and the subtree below it in preorder, edge e ending at e + 1."""
-    v = len(labels)
-    labels.append(to_label(node.label))
-    for up, child in node.children:
-        w = len(labels)
-        edge_list.append((w, v) if up else (v, w))
-        _visit(child, to_label, labels, edge_list)
+    order = _preorder(t)
+    edge_list = [(v, p) if up else (p, v) for v, (up, _, _, p) in enumerate(order) if v]
+    return OrientedTree([to_label(node.label) for _, node, _, _ in order], edge_list)
 
 
 def rho_ss_oriented(t: OrientedTree) -> Tensor:
@@ -292,8 +295,7 @@ def all_rooted_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,))
     labels supplies the vertex alphabet; flags the edge-orientation alphabet.
     Intended for exhaustive sweeps at desk scale, so keep both alphabets small.
     """
-    labels = tuple(labels)
-    flags = tuple(flags)
+    labels, flags = tuple(labels), tuple(flags)
     # trees[b] and forests[b] hold the trees and planar forests with b edges.
     trees, forests = [], []
     for budget in range(max_edges + 1):
@@ -314,7 +316,5 @@ def all_oriented_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,
     labels must be necklaces; generation passes through rooted trees with the
     corresponding closed-path labels, so every isomorphism class is hit.
     """
-    path_labels = tuple(n.rep for n in labels)
-    return sorted(
-        {oriented_from_rooted(t, Necklace) for t in all_rooted_trees(max_edges, path_labels, flags)}
-    )
+    trees = all_rooted_trees(max_edges, tuple(n.rep for n in labels), flags)
+    return sorted({oriented_from_rooted(t, Necklace) for t in trees})

@@ -2,7 +2,10 @@
 
 import functools
 import itertools
+import json
 import math
+
+from hypothesis import strategies as st
 
 from quiverhopf.bridge import CoproductLayers, _divide, delta0_prime, monomialize
 from quiverhopf.cobrackets import delta_p_rt
@@ -19,7 +22,7 @@ from quiverhopf.hopf import _formula_terms, path_coproduct
 from quiverhopf.linear import TAU12_2, TAU12_3, TAU123, TAU132, LinComb, Monomial, Tensor, Word
 from quiverhopf.quiver import Necklace, Path, Quiver, omega
 from quiverhopf.symalg import antipode_defect, antipode_free, cop_free, multiplicative
-from quiverhopf.trees import OrientedTree, RootedTree, rho
+from quiverhopf.trees import OrientedTree, RootedTree, _planar_children, rho
 from quiverhopf.verify import Report, verify_defect
 
 
@@ -533,8 +536,64 @@ def oracle_reconstruct(basis, degree, rho, max_degree: int) -> dict:
         assert n <= bound, bound
 
 
+# The recursive tree maps that `trees` replaced by one preorder filled
+# backwards, kept as oracles for it: rho, the child-by-child admissible cuts,
+# the tree text, and the JSON printer of both tree kinds.
+
+
+def recursive_rho(t: RootedTree) -> Tensor:
+    terms = []
+    for idx, (flag, child) in enumerate(t.children):
+        rest = t.children[:idx] + t.children[idx + 1 :]
+        terms.append(((child, RootedTree(t.label, rest)), 1))
+        for (t1, t2), c in recursive_rho(child).items():
+            replaced = t.children[:idx] + ((flag, t2),) + t.children[idx + 1 :]
+            terms.append(((t1, RootedTree(t.label, replaced)), c))
+    return Tensor(2, terms)
+
+
+def recursive_admissible_cuts(t: RootedTree):
+    cuts = [((), ())]
+    for flag, child in t.children:
+        options = [((child,), ())]
+        options += [(sub, ((flag, trunk),)) for sub, trunk in recursive_admissible_cuts(child)]
+        cuts = [(comps + c, kids + k) for comps, kids in cuts for c, k in options]
+    return [(comps, RootedTree(t.label, kids)) for comps, kids in cuts]
+
+
+def recursive_text(t: RootedTree) -> str:
+    if not t.children:
+        return "<%s>" % t.label.text()
+    inner = " ".join(("^" if up else "v") + recursive_text(child) for up, child in t.children)
+    return "<%s: %s>" % (t.label.text(), inner)
+
+
+def _recursive_json(node, expand) -> dict:
+    """The JSON object below node, expand(node) giving (label, [(up, child), ...])."""
+    label, kids = expand(node)
+    return {
+        "label": label.text(),
+        "children": [
+            {"orient": "in" if up else "out", "node": _recursive_json(child, expand)}
+            for up, child in kids
+        ],
+    }
+
+
+def recursive_json_text(t) -> str:
+    """{"label": ..., "children": [{"orient", "node"}]} with sorted keys; an
+    oriented tree is walked from its canonical root and rotation."""
+    if isinstance(t, OrientedTree):
+        labels, edges, adj, rot = t.labels, t.edge_list, t.adj, t.canon_rot
+        expand = lambda node: (labels[node[0]], _planar_children(edges, adj, *node, rot))
+        obj = _recursive_json((t.canon_root, None), expand)
+    else:
+        obj = _recursive_json(t, lambda node: (node.label, node.children))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 # Tree constructors only the tests use: the edgeless tree, and the reader of
-# the tree JSON schema that `trees.tree_to_json` writes.
+# the tree JSON schema that `trees.json_text` writes.
 
 
 def point(label: Path) -> RootedTree:
@@ -550,6 +609,23 @@ def tree_from_json(q: Quiver, data: dict) -> RootedTree:
             raise ValueError("orient must be 'in' or 'out', got %r" % orient)
         children.append((orient == "in", tree_from_json(q, entry["node"])))
     return RootedTree(label, tuple(children))
+
+
+def nested_diagram(loop: Quiver, n: int) -> PathDiagram:
+    """The n fully nested chords of a^n a*^n on the quiver `loop` (one loop a
+    at v): each chord (i, 2n + 1 - i) encloses the next."""
+    a = loop.letter("a")
+    word = Path("v", (a,) * n + (a.star(),) * n)
+    return PathDiagram(word, Cut((i, 2 * n + 1 - i) for i in range(1, n + 1)))
+
+
+@st.composite
+def small_quivers(draw):
+    """Up to three vertices and one to three edges, loops and parallel edges allowed."""
+    vertices = ("u", "v", "w")[: draw(st.integers(1, 3))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    edges = draw(st.lists(ends, min_size=1, max_size=3))
+    return Quiver(vertices, tuple(("e%d" % k, s, t) for k, (s, t) in enumerate(edges)))
 
 
 # Path composition and the quiver JSON writer: only the tests use them, to

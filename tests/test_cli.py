@@ -455,14 +455,16 @@ def test_unreadable_quiver_file_rejected(content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_dualtree_nested_past_the_recursion_limit_rejected(capsys):
-    # 400 nested chords: the dual tree is a 400-edge path, deeper than the
-    # tree printer can recurse; nothing reaches stdout, not even eps.
-    word = " ".join(["v"] + ["a"] * 400 + ["a*"] * 400)
-    cut = ",".join("(%d,%d)" % (i, 801 - i) for i in range(1, 401))
-    assert run(["dualtree", "--quiver", LOOP, "--path", word, "--cut", cut]) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "recursion" in err
+def test_dualtree_prints_a_nest_past_the_recursion_limit():
+    # n nested chords: the dual tree is a chain n edges deep, deeper than
+    # Python's recursion limit at 1,500; the printer walks it without recursing.
+    leaf, close = '{"children":[],"label":"v"}', ',"orient":"out"}],"label":"v"}'
+    for n in (400, 1500):
+        word = " ".join(["v"] + ["a"] * n + ["a*"] * n)
+        cut = ",".join("(%d,%d)" % (i, 2 * n + 1 - i) for i in range(1, n + 1))
+        tree = '{"children":[{"node":' * n + leaf + close * n
+        argv = ["dualtree", "--quiver", LOOP, "--path", word, "--cut", cut]
+        assert run(argv) == (0, "eps=1\n%s\n" % tree)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverhopf import cuts
@@ -43,7 +43,9 @@ from support import (
     oracle_simple,
     oracle_simple_subcuts,
     oracle_valid,
+    nested_diagram,
     sliced_surgery,
+    small_quivers,
 )
 
 
@@ -123,6 +125,16 @@ def test_enumeration_matches_oracle_exhaustive(q1, loop, q2, two_loops):
             assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
                 ps for ps in expect if oracle_simple(ps)
             ]
+
+
+@settings(max_examples=5, deadline=None)
+@given(small_quivers())
+def test_enumeration_matches_oracle_on_random_quivers(q):
+    for p in all_paths(q, 5):
+        expect = oracle_cuts(p)
+        assert [c.pairs for c in enumerate_cuts(p)] == expect
+        simple = [c.pairs for c in enumerate_cuts(p, simple_only=True)]
+        assert simple == [ps for ps in expect if oracle_simple(ps)]
 
 
 def test_enumeration_matches_oracle_random(two_loops, q2):
@@ -408,6 +420,14 @@ def test_simple_subcuts_of_a_deep_nest(loop):
     alone = [Cut(((i, 2 * n + 1 - i),)) for i in range(1, n + 1)]
     subs = simple_subcuts(d.cut)
     assert len(subs) == 1501 and subs == sorted([Cut(())] + alone)
+
+
+def test_chord_maps_of_a_deep_nest(loop):
+    """400 nested chords: the coproduct cuts out the empty subcut and each
+    chord alone, after its leading term; the pre-Lie map each chord."""
+    d = nested_diagram(loop, 400)
+    assert len(chord_coproduct(d)) == 402
+    assert len(chord_delta_p_rt(d)) == 400
 
 
 def diagrams_of(p, h):

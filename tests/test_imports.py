@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, only `cuts`
-and `quiver` slice a word's letters, no nested function recurses, the law
-checkers never name a monoid, and the library defines no dead helper.
+and `quiver` slice a word's letters, no nested function recurses, only the
+listed functions recurse at all, the law checkers never name a monoid, and
+the library defines no dead helper.
 
 Stdlib stand-ins for lint rules: each module of `src/quiverhopf` except
 `__init__.py` (whose imports are its exports) is parsed with `ast`. An import
@@ -10,7 +11,8 @@ name. The pieces of every cut are read by one slicing rule in `cuts`
 function that calls itself or a function nested beside it can reach itself
 through its own closure, so every call of the enclosing function leaves a
 reference cycle for the cyclic collector; recursions are module-level
-functions that take their state as arguments. `verify` reads the monoid
+functions that take their state as arguments, and each one is listed, so a
+new one shows up as an edit to the list. `verify` reads the monoid
 (`Monomial` or `Word`) off the coproduct a law checks, so it names neither.
 Every function, class and method of the library is named somewhere in the
 repository's code besides the line that defines it; dunder methods are
@@ -139,6 +141,63 @@ def test_recursive_closure_check_flags_self_and_sibling_calls():
 def test_no_library_function_recurses_through_a_closure():
     for name, source in library_sources().items():
         assert recursive_closures(source) == [], name
+
+
+def self_calls(source: str, module: str):
+    """The module-level functions and the methods of `source`, as
+    module.name or module.Class.name, that call their own name. A method
+    also counts when it calls its name as a method of a local name, as in
+    `child.size()`; `self`, a class (a capitalized name), an attribute chain
+    or a call as the receiver do not count."""
+    tree = ast.parse(source)
+    scopes = [(module, tree.body, False)] + [
+        ("%s.%s" % (module, c.name), c.body, True)
+        for c in tree.body if isinstance(c, ast.ClassDef)
+    ]
+    found = []
+    for prefix, body, in_class in scopes:
+        for fn in body:
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            for f in (n.func for n in ast.walk(fn) if isinstance(n, ast.Call)):
+                on = f.value if isinstance(f, ast.Attribute) else None
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    in_class and isinstance(on, ast.Name) and f.attr == fn.name
+                    and on.id != "self" and not on.id[:1].isupper()
+                ):
+                    found.append("%s.%s" % (prefix, fn.name))
+                    break
+    return sorted(found)
+
+
+def test_self_call_check_flags_functions_and_methods():
+    source = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def g(n):\n    return f(n)\n"
+        "class C(B):\n"
+        "    def size(self):\n        return sum(c.size() for c in self.kids)\n"
+        "    def text(self):\n        return self.label.text() + x.label.text() + super().text()\n"
+        "    def __init__(self):\n        B.__init__(self)\n"
+        "    def f(self):\n        return f(1)\n"
+    )
+    assert self_calls(source, "m") == ["m.C.f", "m.C.size", "m.f"]
+
+
+# Every recursion in the library. _matchings and _graft_walk recurse once per
+# nested chord of the cuts they build, and a word nested that deep has
+# exponentially many cuts; _serialize_at once per level of an oriented tree,
+# which `OrientedTree` turns into a ValueError past the recursion limit.
+RECURSIONS = ["cuts._matchings", "hopf._graft_walk", "trees._serialize_at"]
+# Not recursions, but calls the check cannot tell apart from one: `text` of a
+# product prints its factors, and of a necklace its letters, by their `text`.
+DELEGATIONS = ["linear._Product.text", "quiver.Necklace.text"]
+
+
+def test_only_the_listed_functions_recurse():
+    found = []
+    for name, source in library_sources().items():
+        found += self_calls(source, name[:-3])
+    assert found == sorted(RECURSIONS + DELEGATIONS)
 
 
 MONOIDS = ("Monomial", "Word")

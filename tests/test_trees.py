@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,13 +20,15 @@ from quiverhopf.trees import (
     rho,
     rho_ss,
     rho_ss_oriented,
+    json_text,
     tree_coproduct,
-    tree_to_json,
 )
+from quiverhopf.dual import dual_rooted_tree
 from quiverhopf.verify import FAMILY, tree_sample, verify_lie_coalgebra, verify_prelie_coalgebra
 from support import (
     antipode_monomial,
     counit_defect,
+    nested_diagram,
     oracle_admissible_cuts,
     oracle_delete_edge,
     oracle_oriented_from_rooted,
@@ -32,6 +36,10 @@ from support import (
     oracle_rho_ss_oriented,
     oracle_tree_coproduct,
     point,
+    recursive_admissible_cuts,
+    recursive_json_text,
+    recursive_rho,
+    recursive_text,
     tree_from_json,
 )
 
@@ -399,13 +407,13 @@ def test_rho_ss_oriented_lie(q1):
 
 def test_tree_json_roundtrip(q1):
     for t in all_rooted_trees(3, labels2(q1), flags=(False, True))[:40]:
-        assert tree_from_json(q1, tree_to_json(t)) == t
+        assert tree_from_json(q1, json.loads(json_text(t))) == t
 
 
 def test_tree_json_shape(q1):
     x, y = labels2(q1)
     t = RootedTree(x, ((True, point(y)),))
-    assert tree_to_json(t) == {
+    assert json.loads(json_text(t)) == {
         "label": "1",
         "children": [{"orient": "in", "node": {"label": "2", "children": []}}],
     }
@@ -624,3 +632,64 @@ def rooted_trees(draw, max_edges=8):
 @given(rooted_trees())
 def test_planar_walk_matches_oracles_hypothesis(t):
     assert_delete_edge_matches(assert_from_rooted_matches(t))
+
+
+# The one preorder filled backwards against the recursive maps it replaced.
+
+
+def test_tree_maps_match_the_recursive_oracles(q1):
+    trees = all_rooted_trees(4, labels2(q1), flags=(False, True))
+    assert len(trees) == 7882
+    for t in trees:
+        assert dict(rho(t).items()) == dict(recursive_rho(t).items()), t.text()
+        got = [([c.skey for c in comps], trunk.skey) for comps, trunk in admissible_cuts(t)]
+        want = [
+            ([c.skey for c in comps], trunk.skey) for comps, trunk in recursive_admissible_cuts(t)
+        ]
+        assert got == want, t.text()
+        assert t.text() == recursive_text(t)
+        assert json_text(t) == recursive_json_text(t)
+
+
+def test_oriented_json_text_matches_the_recursive_printer(q1):
+    trees = all_oriented_trees(3, necklace_labels(q1), flags=(False, True))
+    assert len(trees) > 100
+    for t in trees:
+        assert json_text(t) == t.text() == recursive_json_text(t)
+
+
+def test_sizes_and_printers_of_a_deep_nest(loop):
+    # The dual tree of 1,500 nested chords is a chain 1,500 edges deep, each
+    # edge pointing away from the root, every face an empty path at v.
+    n = 1500
+    t = dual_rooted_tree(nested_diagram(loop, n))
+    assert (t.edge_count(), t.vertex_count()) == (n, n + 1)
+    assert t.text() == "<v: v" * n + "<v>" + ">" * n
+    leaf, close = '{"children":[],"label":"v"}', ',"orient":"out"}],"label":"v"}'
+    assert json_text(t) == '{"children":[{"node":' * n + leaf + close * n
+
+
+def test_oriented_trees_past_the_recursion_limit_are_refused(loop):
+    t = dual_rooted_tree(nested_diagram(loop, 1500))
+    with pytest.raises(ValueError, match="nested deeper than about the interpreter's recursion"):
+        oriented_from_rooted(t, Necklace)
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_tree_maps_walk_a_nest_under_a_tight_recursion_limit(loop):
+    # 200 nested chords, under a recursion limit 100 frames above this test:
+    # no map recurses once per level. (At 1,500 both maps are cubic on a chain.)
+    t = dual_rooted_tree(nested_diagram(loop, 200))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 100)
+    try:
+        sizes = len(rho(t)), len(admissible_cuts(t)), len(tree_coproduct(t))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sizes == (200, 201, 202)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from quiverhopf import cobrackets, cuts, hopf, symalg, trees, verify
 from quiverhopf.linear import TAU12_2, LinComb, Monomial, Tensor, Word, tensor
-from quiverhopf.quiver import Necklace, Quiver, all_necklaces, all_paths
+from quiverhopf.quiver import Necklace, all_necklaces, all_paths
 from quiverhopf.verify import FAMILY, LAWS, SELECTED, run_laws
 
 from support import (
@@ -24,6 +24,7 @@ from support import (
     oracle_morphism_defect,
     oracle_prelie_coalgebra,
     oracle_word_antipode,
+    small_quivers,
 )
 
 SIGNS = ("unsigned", "signed")
@@ -63,15 +64,6 @@ def assert_matches_unmemoized(q, n, sign):
 @pytest.mark.parametrize("name", sorted(FAMILY))
 def test_run_laws_matches_unmemoized_laws_on_family(name, sign):
     assert_matches_unmemoized(FAMILY[name], 3, sign)
-
-
-@st.composite
-def small_quivers(draw):
-    """Up to three vertices and one to three edges, loops and parallel edges allowed."""
-    vertices = ("u", "v", "w")[: draw(st.integers(1, 3))]
-    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
-    edges = draw(st.lists(ends, min_size=1, max_size=3))
-    return Quiver(vertices, tuple(("e%d" % k, s, t) for k, (s, t) in enumerate(edges)))
 
 
 @settings(max_examples=4, deadline=None)
