@@ -51,21 +51,26 @@ class RootedTree(BasisElement):
         return self.skey.count("{")
 
     def text(self) -> str:
-        return _fill(_preorder(self), lambda node, below, kids: "<%s%s>" % (
-            node.label.text(),
-            ":" + "".join([" %s%s" % ("^" if up else "v", s) for (up, _), s in zip(below, kids)])
-            if kids else ""))
+        return _fill(_preorder(self), _text_at)
+
+
+def _text_at(node, below, kids) -> str:
+    inner = " ".join([("^" if up else "v") + s for (up, _), s in zip(below, kids)])
+    return "<%s: %s>" % (node.label.text(), inner) if kids else "<%s>" % node.label.text()
 
 
 def _preorder(root, kids=attrgetter("children")) -> list:
-    """(up, node, below = kids(node), parent index) per vertex in preorder from root, by an explicit
-    stack; the root's up is False, its parent None. By default nodes are rooted trees."""
+    """(up, node, below = kids(node), parent index) per vertex in preorder from
+    root, by an explicit stack; the root's up is False, its parent None. By
+    default nodes are rooted trees."""
     order, stack = [], [(False, root, None)]
     while stack:
         up, node, parent = stack.pop()
         below = kids(node)
         if below:
-            stack += [(flag, child, len(order)) for flag, child in reversed(below)]
+            p = len(order)
+            for flag, child in reversed(below):
+                stack.append((flag, child, p))
         order.append((up, node, below, parent))
     return order
 
@@ -77,8 +82,8 @@ def _fill(order, build):
     for _, node, below, _ in reversed(order):
         kids = ()
         if below:  # the children's values are the last len(below), last child first
-            k = len(vals) - len(below)
-            kids, vals[k:] = vals[k:][::-1], ()
+            kids = vals[: -len(below) - 1 : -1]
+            del vals[-len(below) :]
         vals.append(build(node, below, kids))
     return vals[0]
 
@@ -99,7 +104,7 @@ def rho(t: RootedTree) -> Tensor:
     the cut-off subtree is rooted at its vertex formerly incident to the
     deleted edge, and all decorations restrict.
     """
-    return Tensor(2, _fill(_preorder(t), _rho_at) if t.children else ())
+    return Tensor(2, _fill(_preorder(t), _rho_at))
 
 
 def rho_ss(t: RootedTree) -> Tensor:
@@ -114,7 +119,7 @@ def admissible_cuts(t: RootedTree):
     (in planar order) and the remaining tree at the root. The empty cut is
     included as ((), t).
     """
-    return _fill(_preorder(t), _cuts_at) if t.children else [((), t)]
+    return _fill(_preorder(t), _cuts_at)
 
 
 def _cuts_at(node, ch, kids) -> list:
@@ -122,7 +127,8 @@ def _cuts_at(node, ch, kids) -> list:
     # child is severed whole or keeps the trunk of one of its own cuts.
     cuts = [((), ())]
     for (flag, child), below in zip(ch, kids):
-        options = [((child,), ())] + [(sub, ((flag, trunk),)) for sub, trunk in below]
+        options = [((child,), ())]
+        options += [(sub, ((flag, trunk),)) for sub, trunk in below]
         cuts = [(comps + c, kept + k) for comps, kept in cuts for c, k in options]
     return [(comps, RootedTree(node.label, kept) if kids else node) for comps, kept in cuts]
 
@@ -156,19 +162,21 @@ def _planar_children(edge_list, adj, v, parent_edge, rot: int):
 class OrientedTree(BasisElement):
     """Unrooted tree with cyclic edge orders, oriented edges, necklace labels.
 
-    Given by its edge list in preorder, edge e joining vertex e + 1 to vertex e or a
-    vertex above it, so every accepted input is a tree and the vertices below any edge
-    form one contiguous block; the cyclic order at v, adj[v], is the edges at v in
-    increasing index. The canonical key minimizes the planar serialization over every
-    root vertex and rotation of its cyclic order, so equality is isomorphism of decorated
-    oriented trees. That serialization recurses once per level, so a tree nested deeper
-    than about the interpreter's recursion limit raises ValueError.
+    Given by its edge list in preorder, edge e joining vertex e + 1 to vertex
+    e or a vertex above it, so every accepted input is a tree and the
+    vertices below any edge form one contiguous block; the cyclic order at v,
+    adj[v], is the edges at v in increasing index. The canonical key
+    minimizes the planar serialization over every root vertex and rotation of
+    its cyclic order, so equality is isomorphism of decorated oriented trees.
+    That serialization recurses once per level, so a tree nested deeper than
+    about the interpreter's recursion limit raises ValueError.
     """
 
     __slots__ = ("labels", "edge_list", "adj", "canon_root", "canon_rot")
 
     def __init__(self, labels, edge_list):
-        labels, edge_list = tuple(labels), tuple(map(tuple, edge_list))
+        labels = tuple(labels)
+        edge_list = tuple(map(tuple, edge_list))
         for lab in labels:
             if not isinstance(lab, Necklace):
                 raise TypeError("oriented tree labels must be necklaces")
@@ -184,7 +192,8 @@ class OrientedTree(BasisElement):
             adj[p].append(e)
             adj.append([e])
         adj = tuple(map(tuple, adj))
-        best, below = None, {}
+        best = None
+        below: dict = {}
         # A serialization from root r starts with heads[r], so a root whose
         # head does not start with the least head cannot hold the minimum.
         # (One head can be a proper prefix of another: ':' is an id character.)
@@ -202,13 +211,20 @@ class OrientedTree(BasisElement):
             raise ValueError("oriented trees nested deeper than about the interpreter's "
                              "recursion limit cannot be canonicalized") from None
         BasisElement.__init__(self, "OT|" + best[0])
-        self.labels, self.edge_list, self.adj = labels, edge_list, adj
-        self.canon_root, self.canon_rot = best[1:]
+        self.labels = labels
+        self.edge_list = edge_list
+        self.adj = adj
+        self.canon_root = best[1]
+        self.canon_rot = best[2]
 
     @staticmethod
     def _serialize(labels, edge_list, adj, root: int, rot: int, below: dict) -> str:
-        """Planar serialization from root, its cyclic order started at rot; below memoizes
-        a non-root vertex's, which depends only on its edge toward the root, per (vertex, edge)."""
+        """Planar serialization from root, its cyclic order started at rot.
+
+        The serialization of a non-root vertex depends only on the edge toward
+        the root, not on root or rot; below memoizes it per (vertex, edge) so
+        the candidates of one tree share it.
+        """
         return _serialize_at(labels, edge_list, adj, rot, below, root, None)
 
     def vertex_count(self) -> int:
@@ -245,14 +261,16 @@ def json_text(t) -> str:
     JSON {"children": [{"node": ..., "orient": "in" or "out"}], "label": ...}."""
     if isinstance(t, OrientedTree):  # nodes (vertex, edge toward the root), as in _serialize
         labels, edges, adj, rot = t.labels, t.edge_list, t.adj, t.canon_rot
-        kids = lambda node: _planar_children(edges, adj, *node, rot)
-        order, label = _preorder((t.canon_root, None), kids), lambda node: labels[node[0]]
+        order = _preorder((t.canon_root, None), lambda node: _planar_children(edges, adj, *node, rot))
+        order = [(up, labels[v], below, p) for up, (v, _), below, p in order]
     else:
-        order, label = _preorder(t), attrgetter("label")
-    return _fill(order, lambda node, below, kids: '{"children":[%s],"label":%s}' % (
-        ",".join('{"node":%s,"orient":"%s"}' % (s, "in" if up else "out")
-                 for (up, _), s in zip(below, kids)),
-        json.dumps(label(node).text())))
+        order = [(up, node.label, below, p) for up, node, below, p in _preorder(t)]
+    return _fill(order, _json_at_label)
+
+
+def _json_at_label(label, below, kids) -> str:
+    out = ['{"node":%s,"orient":"%s"}' % (s, "in" if up else "out") for (up, _), s in zip(below, kids)]
+    return '{"children":[%s],"label":%s}' % (",".join(out), json.dumps(label.text()))
 
 
 def _serialize_at(labels, edge_list, adj, rot: int, below: dict, v, parent_edge) -> str:
@@ -275,9 +293,14 @@ def oriented_from_rooted(t: RootedTree, to_label: Callable[[Path], Necklace]) ->
     The cyclic order at a former non-root vertex starts with the edge back
     toward the root, matching the planar lifting used by RootedTree.
     """
-    order = _preorder(t)
-    edge_list = [(v, p) if up else (p, v) for v, (up, _, _, p) in enumerate(order) if v]
-    return OrientedTree([to_label(node.label) for _, node, _, _ in order], edge_list)
+    if not t.children:
+        return OrientedTree((to_label(t.label),), ())
+    labels, edge_list = [], []
+    for v, (up, node, _, p) in enumerate(_preorder(t)):
+        labels.append(to_label(node.label))
+        if v:
+            edge_list.append((v, p) if up else (p, v))
+    return OrientedTree(labels, edge_list)
 
 
 def rho_ss_oriented(t: OrientedTree) -> Tensor:
@@ -295,7 +318,8 @@ def all_rooted_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,))
     labels supplies the vertex alphabet; flags the edge-orientation alphabet.
     Intended for exhaustive sweeps at desk scale, so keep both alphabets small.
     """
-    labels, flags = tuple(labels), tuple(flags)
+    labels = tuple(labels)
+    flags = tuple(flags)
     # trees[b] and forests[b] hold the trees and planar forests with b edges.
     trees, forests = [], []
     for budget in range(max_edges + 1):
@@ -316,5 +340,7 @@ def all_oriented_trees(max_edges: int, labels, flags: Tuple[bool, ...] = (False,
     labels must be necklaces; generation passes through rooted trees with the
     corresponding closed-path labels, so every isomorphism class is hit.
     """
-    trees = all_rooted_trees(max_edges, tuple(n.rep for n in labels), flags)
-    return sorted({oriented_from_rooted(t, Necklace) for t in trees})
+    path_labels = tuple(n.rep for n in labels)
+    return sorted(
+        {oriented_from_rooted(t, Necklace) for t in all_rooted_trees(max_edges, path_labels, flags)}
+    )

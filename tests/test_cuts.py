@@ -117,24 +117,26 @@ def test_enumerate_cuts_single_letter(q1):
     assert [c.pairs for c in enumerate_cuts(Path("1", (e,)))] == [()]
 
 
+def assert_enumeration_matches_oracle(q, max_len):
+    """enumerate_cuts, with and without simple_only, against the brute-force
+    oracles on every path of q up to max_len letters."""
+    for p in all_paths(q, max_len):
+        expect = oracle_cuts(p)
+        assert [c.pairs for c in enumerate_cuts(p)] == expect
+        assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
+            ps for ps in expect if oracle_simple(ps)
+        ]
+
+
 def test_enumeration_matches_oracle_exhaustive(q1, loop, q2, two_loops):
     for q in (q1, loop, q2, two_loops):
-        for p in all_paths(q, 6):
-            expect = oracle_cuts(p)
-            assert [c.pairs for c in enumerate_cuts(p)] == expect
-            assert [c.pairs for c in enumerate_cuts(p, simple_only=True)] == [
-                ps for ps in expect if oracle_simple(ps)
-            ]
+        assert_enumeration_matches_oracle(q, 6)
 
 
 @settings(max_examples=5, deadline=None)
 @given(small_quivers())
 def test_enumeration_matches_oracle_on_random_quivers(q):
-    for p in all_paths(q, 5):
-        expect = oracle_cuts(p)
-        assert [c.pairs for c in enumerate_cuts(p)] == expect
-        simple = [c.pairs for c in enumerate_cuts(p, simple_only=True)]
-        assert simple == [ps for ps in expect if oracle_simple(ps)]
+    assert_enumeration_matches_oracle(q, 5)
 
 
 def test_enumeration_matches_oracle_random(two_loops, q2):
