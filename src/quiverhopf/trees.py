@@ -265,10 +265,10 @@ def json_text(t) -> str:
         order = [(up, labels[v], below, p) for up, (v, _), below, p in order]
     else:
         order = [(up, node.label, below, p) for up, node, below, p in _preorder(t)]
-    return _fill(order, _json_at_label)
+    return _fill(order, _json_node)
 
 
-def _json_at_label(label, below, kids) -> str:
+def _json_node(label, below, kids) -> str:
     out = ['{"node":%s,"orient":"%s"}' % (s, "in" if up else "out") for (up, _), s in zip(below, kids)]
     return '{"children":[%s],"label":%s}' % (",".join(out), json.dumps(label.text()))
 
