@@ -261,7 +261,8 @@ def json_text(t) -> str:
     JSON {"children": [{"node": ..., "orient": "in" or "out"}], "label": ...}."""
     if isinstance(t, OrientedTree):  # nodes (vertex, edge toward the root), as in _serialize
         labels, edges, adj, rot = t.labels, t.edge_list, t.adj, t.canon_rot
-        order = _preorder((t.canon_root, None), lambda node: _planar_children(edges, adj, *node, rot))
+        kids = lambda node: _planar_children(edges, adj, *node, rot)
+        order = _preorder((t.canon_root, None), kids)
         order = [(up, labels[v], below, p) for up, (v, _), below, p in order]
     else:
         order = [(up, node.label, below, p) for up, node, below, p in _preorder(t)]
@@ -269,7 +270,9 @@ def json_text(t) -> str:
 
 
 def _json_node(label, below, kids) -> str:
-    out = ['{"node":%s,"orient":"%s"}' % (s, "in" if up else "out") for (up, _), s in zip(below, kids)]
+    out = [
+        '{"node":%s,"orient":"%s"}' % (s, "in" if up else "out") for (up, _), s in zip(below, kids)
+    ]
     return '{"children":[%s],"label":%s}' % (",".join(out), json.dumps(label.text()))
 
 
